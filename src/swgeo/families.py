@@ -36,6 +36,7 @@ __all__ = [
     "mixture_control_curve",
     "s_of_theta",
     "radon_project",
+    "radon_quantile_rows",
     "dilate",
     "translate",
     "circle_project",
@@ -59,6 +60,30 @@ def _check_unit(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _checked_components(components, dim: int) -> tuple:
+    """Validated (weight, radius, center) triples of a shell or circle
+    mixture: finite, weights positive and summing to 1, radii
+    nonnegative, centers of length dim."""
+    comps = []
+    total = 0.0
+    for w, r, c in components:
+        w, r = float(w), float(r)
+        c = np.asarray(c, dtype=float)
+        if not (math.isfinite(w) and math.isfinite(r) and np.all(np.isfinite(c))):
+            raise MeasureError("component weights, radii and centers must be finite")
+        if w <= 0.0:
+            raise MeasureError("component weights must be positive")
+        if r < 0.0:
+            raise MeasureError("component radii must be nonnegative")
+        if c.shape != (dim,):
+            raise MeasureError(f"center shape {c.shape} does not match d={dim}")
+        comps.append((w, r, c))
+        total += w
+    if abs(total - 1.0) > MASS_TOL:
+        raise MeasureError(f"component weights sum to {total!r}, not 1")
+    return tuple(comps)
+
+
 @dataclass(frozen=True)
 class ShellMixture:
     """Weighted mixture of spherical-shell measures in R^d (d >= 3).
@@ -76,22 +101,8 @@ class ShellMixture:
     def __post_init__(self):
         if self.dim < 3:
             raise MeasureError("shell mixtures need ambient dimension >= 3")
-        comps = []
-        total = 0.0
-        for w, r, c in self.components:
-            w, r = float(w), float(r)
-            c = np.asarray(c, dtype=float)
-            if w <= 0.0:
-                raise MeasureError("component weights must be positive")
-            if r < 0.0:
-                raise MeasureError("component radii must be nonnegative")
-            if c.shape != (self.dim,):
-                raise MeasureError(f"center shape {c.shape} does not match d={self.dim}")
-            comps.append((w, r, c))
-            total += w
-        if abs(total - 1.0) > MASS_TOL:
-            raise MeasureError(f"component weights sum to {total!r}, not 1")
-        object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "components",
+                           _checked_components(self.components, self.dim))
 
     @classmethod
     def single(cls, dim: int, radius: float, center=None) -> "ShellMixture":
@@ -107,22 +118,8 @@ class CircleMixture:
     components: tuple[tuple[float, float, np.ndarray], ...]
 
     def __post_init__(self):
-        comps = []
-        total = 0.0
-        for w, r, c in self.components:
-            w, r = float(w), float(r)
-            c = np.asarray(c, dtype=float)
-            if w <= 0.0:
-                raise MeasureError("component weights must be positive")
-            if r < 0.0:
-                raise MeasureError("component radii must be nonnegative")
-            if c.shape != (2,):
-                raise MeasureError("circle centers live in R^2")
-            comps.append((w, r, c))
-            total += w
-        if abs(total - 1.0) > MASS_TOL:
-            raise MeasureError(f"component weights sum to {total!r}, not 1")
-        object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "components",
+                           _checked_components(self.components, 2))
 
     @property
     def dim(self) -> int:
@@ -148,7 +145,7 @@ def mu_family(alpha: float, beta: float, t: float) -> Measure1D:
     For t < 1 the density is (1-alpha)/(2(1-alpha(1-t))) on [-1, 1]
     outside the interval of radius alpha(1-t) centered at
     beta(1-alpha(1-t)), and 1/(2(1-t)) inside it.  The interval always
-    stays inside [-1, 1]; the constructor asserts this instead of
+    stays inside [-1, 1]; the constructor checks this instead of
     clipping.
     """
     alpha, beta, t = float(alpha), float(beta), float(t)
@@ -159,7 +156,8 @@ def mu_family(alpha: float, beta: float, t: float) -> Measure1D:
             pieces=[(-1.0, 1.0, (1.0 - alpha) / 2.0)])
     r = alpha * (1.0 - t)
     m = beta * (1.0 - alpha * (1.0 - t))
-    assert abs(m) + r <= 1.0 + 1e-12, "interior interval escapes [-1, 1]"
+    if abs(m) + r > 1.0 + 1e-12:
+        raise MeasureError("interior interval escapes [-1, 1]")
     rho_out = (1.0 - alpha) / (2.0 * (1.0 - alpha * (1.0 - t)))
     rho_in = 1.0 / (2.0 * (1.0 - t))
     pieces = []
@@ -349,6 +347,38 @@ def radon_project(sm: ShellMixture, theta) -> Measure1D:
         else:
             atoms.append((loc, w))
     return Measure1D.from_components(atoms, pieces)
+
+
+def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile functions of the projections of sm onto every row of the
+    unit-row matrix thetas, as polylines (s, x) of shape (n, 4K) for K
+    components, in the :class:`QuantileFn` encoding (a repeated s is a
+    support gap, a repeated x an atom).
+
+    The projections are those of :func:`radon_project`, for all rows at
+    once.  The CDF is affine between consecutive interval endpoints, so
+    the quantile joins the points (F(e-), e) and (F(e+), e) over the
+    sorted endpoints e, each CDF value summed over the components
+    directly rather than accumulated along the line.
+    """
+    w = np.array([w for w, _, _ in sm.components])
+    r = np.array([r for _, r, _ in sm.components])
+    centers = np.array([c for _, _, c in sm.components])
+    loc = thetas @ centers.T  # (n, K)
+    rs = np.linalg.norm(thetas[:, :3], axis=1)[:, None] * r
+    lo, hi = loc - rs, loc + rs
+    atom = (rs <= _RADIUS_EPS) | (hi <= lo)
+    lo, hi = np.where(atom, loc, lo), np.where(atom, loc, hi)
+    ends = np.sort(np.concatenate([lo, hi], axis=1), axis=1)  # (n, 2K)
+    e = ends[:, :, None]
+    spread = np.clip((e - lo[:, None]) / np.where(atom, 1.0, hi - lo)[:, None], 0.0, 1.0)
+    below = np.where(atom[:, None], e > loc[:, None], spread) @ w
+    upto = np.where(atom[:, None], e >= loc[:, None], spread) @ w
+    s = np.stack([below, upto], axis=2).reshape(ends.shape[0], -1)
+    s[:, -1] = 1.0
+    s = np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1]  # clamp mass roundoff
+    return s, np.repeat(ends, 2, axis=1)
 
 
 def circle_project(cm: CircleMixture, theta) -> Measure1D:

@@ -349,19 +349,6 @@ class QuantileFn:
         out = x0 + np.clip(frac, 0.0, 1.0) * (x1 - x0)
         return out if out.ndim else float(out)
 
-    def limits_on(self, u0, u1):
-        """One-sided values (Q(u0+), Q(u1-)) on intervals containing no
-        interior breakpoints of this quantile.  Vectorized over intervals."""
-        u0 = np.asarray(u0, float)
-        u1 = np.asarray(u1, float)
-        mid = 0.5 * (u0 + u1)
-        j = np.clip(np.searchsorted(self.s, mid, side="right") - 1, 0, self.s.size - 2)
-        s0, s1 = self.s[j], self.s[j + 1]
-        x0, x1 = self.x[j], self.x[j + 1]
-        width = np.where(s1 > s0, s1 - s0, 1.0)
-        slope = (x1 - x0) / width
-        return x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope
-
 
 class AnalyticQuantile:
     """Quantile evaluator for measures with arcsine components.

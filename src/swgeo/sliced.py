@@ -2,22 +2,33 @@
 empirical path for weighted point clouds.
 
 ``sw_pq(a, b, p, q, dirs)`` is the q-mean over a direction set of the 1D
-W_p between the projections of a and b.  Per-direction distances go
-through the exact quantile machinery in :mod:`swgeo.transport1d`.  Two
-shortcuts are layered on top of that generic path (which remains the
-oracle in the tests):
+W_p between the projections of a and b.  Three paths compute it:
 
-* centered mixtures: when every component of both mixtures is centered
-  at the origin, the projected quantiles scale linearly with s(theta),
-  so W_p(proj a, proj b) = s(theta) * V with V computed once at theta =
-  e1.  The q-mean then reduces to a moment of s(theta) over the nodes.
-* q = infinity: a finite node set only lower-bounds the supremum over
-  the sphere.  For the families treated here the per-direction distance
-  is maximized at directions with s(theta) = 1 aligned with the component
-  centers, so the supremum is evaluated over e1, the normalized shell-
-  subspace projections of all centers and center differences, and the
-  nodes themselves.  This is exact for the shell/circle families; it is
-  documented as family-specific rather than a general supremum.
+* centered shell mixtures: when every component of both mixtures is
+  centered at the origin, the projected quantiles scale linearly with
+  s(theta), so W_p(proj a, proj b) = s(theta) * V with V computed once at
+  theta = e1.  The q-mean then reduces to a moment of s(theta) over the
+  nodes.
+* all other shell mixtures (the production path): one array pass over
+  every direction.  :func:`swgeo.families.radon_quantile_rows` builds the
+  projected quantiles as rows of a polyline array, and
+  :func:`swgeo.transport1d.wp_rows`, the exact kernel behind
+  ``wasserstein_p``, merges and integrates the rows; no per-direction
+  Measure1D is built.
+* circle mixtures: projections are arcsine measures, so each direction
+  builds its Measure1D and takes the numeric W_p.
+
+``sw_per_direction`` is the per-direction path for one theta:
+``radon_project`` (or ``circle_project``) then ``wasserstein_p``.  The
+tests use it as the oracle for the batched path.
+
+q = infinity: a finite node set only lower-bounds the supremum over the
+sphere.  For the families treated here the per-direction distance is
+maximized at directions with s(theta) = 1 aligned with the component
+centers, so the supremum is evaluated over e1, the normalized shell-
+subspace projections of all centers and center differences, and the
+nodes themselves.  This is exact for the shell/circle families; it is
+documented as family-specific rather than a general supremum.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -33,6 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import families, transport1d
 from .families import CircleMixture, ShellMixture, circle_project, radon_project
 from .measure1d import MASS_TOL, Measure1D, MeasureError
 from .sphere import DirectionSet
@@ -69,6 +81,8 @@ class PointCloud:
             raise MeasureError("points must be an (n, d) array")
         if w.shape != (pts.shape[0],):
             raise MeasureError("weights must parallel the points")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+            raise MeasureError("points and weights must be finite")
         if np.any(w <= 0.0):
             raise MeasureError("weights must be positive")
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
@@ -162,7 +176,8 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     if a.dim != b.dim or a.dim != dirs.dim:
         raise MeasureError(f"dimension mismatch: a={a.dim}, b={b.dim}, dirs={dirs.dim}")
 
-    if isinstance(a, ShellMixture) and _is_centered(a) and _is_centered(b):
+    shell = isinstance(a, ShellMixture)
+    if shell and _is_centered(a) and _is_centered(b):
         # projections scale linearly with s(theta): one 1D distance suffices,
         # and the supremum over the sphere sits at s = 1 (theta = e1)
         e1 = np.zeros(a.dim)
@@ -173,19 +188,37 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         s = dirs.s_values()
         return v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
 
+    thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
+    if shell:
+        vals = _shell_distances(a, b, p, thetas)
+    else:
+        vals = np.array([_dist1d(_project(a, theta), _project(b, theta), p)
+                         for theta in thetas])
     if math.isinf(q):
-        best = 0.0
-        for theta in _sup_directions(a, b, dirs):
-            best = max(best, _dist1d(_project(a, theta), _project(b, theta), p))
-        return best
-
-    vals = np.array([_dist1d(_project(a, theta), _project(b, theta), p)
-                     for theta in dirs.thetas])
+        return float(vals.max())
     return float(np.dot(dirs.weights, vals ** q) ** (1.0 / q))
 
 
+# Values per batch of the shell kernel: its largest temporaries hold
+# rows * 2K * K values for K components.
+_BATCH_VALUES = 1 << 18
+
+
+def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
+                     thetas: np.ndarray) -> np.ndarray:
+    """1D distance between the projections of a and b onto every row of
+    thetas, as array passes over batches of rows."""
+    k = max(len(a.components), len(b.components))
+    step = max(1, _BATCH_VALUES // (2 * k * k))
+    return np.concatenate([
+        transport1d.wp_rows(*families.radon_quantile_rows(a, batch),
+                            *families.radon_quantile_rows(b, batch), p)
+        for batch in np.split(thetas, range(step, len(thetas), step))])
+
+
 def sw_per_direction(a, b, p: float, theta) -> float:
-    """W_p between the projections of a and b onto a single direction."""
+    """W_p between the projections of a and b onto a single direction, one
+    Measure1D per mixture; the oracle for the batched path of sw_pq."""
     p = float(p)
     if p < 1.0:
         raise MeasureError("p must be >= 1")

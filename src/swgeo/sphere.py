@@ -45,6 +45,8 @@ class DirectionSet:
             raise MeasureError("thetas must be an (n, d) array")
         if weights.shape != (thetas.shape[0],):
             raise MeasureError("weights must parallel the node list")
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(weights))):
+            raise MeasureError("nodes and weights must be finite")
         if np.any(weights <= 0.0):
             raise MeasureError("node weights must be positive")
         if abs(float(weights.sum()) - 1.0) > MASS_TOL:

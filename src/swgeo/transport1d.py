@@ -1,10 +1,10 @@
 """One-dimensional optimal transport.
 
 Optimal maps via quantile composition, exact W_p for piecewise-affine
-quantiles (closed-form per-segment integration of |a + b s|^p), adaptive
-Gauss-Legendre for analytic quantiles, W_inf as the sup of quantile
-differences, displacement interpolation, and constant-speed deviation of
-curves of measures.
+quantiles (closed-form per-segment integration of |a + b s|^p, one pair
+per row in ``wp_rows``), adaptive Gauss-Legendre for analytic quantiles,
+W_inf as the sup of quantile differences, displacement interpolation,
+and constant-speed deviation of curves of measures.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -32,6 +32,7 @@ __all__ = [
     "interpolate",
     "wasserstein_p",
     "wasserstein_inf",
+    "wp_rows",
     "geodesic_deviation",
 ]
 
@@ -113,21 +114,18 @@ def interpolate(mu: Measure1D, nu: Measure1D, lam: float) -> Measure1D:
 # ------------------------------------------------------------------ distances
 
 
-def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> float:
-    """Sum of integrals of |affine|^p over segments with endpoint values
-    (d0, d1) and widths h.  Exact antiderivative sign(z)|z|^{p+1}/(p+1),
-    with a midpoint fallback where endpoint values nearly coincide."""
+def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """Integrals of |affine|^p over segments with endpoint values (d0, d1)
+    and widths h, summed over the last axis.  Exact antiderivative
+    sign(z)|z|^{p+1}/(p+1), with a midpoint fallback where endpoint values
+    nearly coincide."""
     diff = d1 - d0
     scale = np.maximum(np.abs(d0), np.abs(d1))
     near = np.abs(diff) <= 1e-9 * np.maximum(scale, 1e-300)
-    out = np.empty_like(d0)
-    mid = 0.5 * (d0 + d1)
-    out[near] = np.abs(mid[near]) ** p * h[near]
-    if np.any(~near):
-        a, b, dd = d0[~near], d1[~near], diff[~near]
-        G = lambda z: np.sign(z) * np.abs(z) ** (p + 1.0)
-        out[~near] = h[~near] * (G(b) - G(a)) / (dd * (p + 1.0))
-    return float(np.sum(out))
+    G = lambda z: np.sign(z) * np.abs(z) ** (p + 1.0)
+    exact = h * (G(d1) - G(d0)) / (np.where(near, 1.0, diff) * (p + 1.0))
+    midpoint = np.abs(0.5 * (d0 + d1)) ** p * h
+    return np.sum(np.where(near, midpoint, exact), axis=-1)
 
 
 def _merged_grid(qa, qb) -> np.ndarray:
@@ -135,19 +133,52 @@ def _merged_grid(qa, qb) -> np.ndarray:
     return u[(u >= 0.0) & (u <= 1.0)]
 
 
+def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
+                 u0: np.ndarray, u1: np.ndarray):
+    """One-sided values (Q(u0+), Q(u1-)) of row-wise quantile polylines
+    (s, x) on intervals that lie inside segment j of their row."""
+    n, m = s.shape
+    j = np.clip(j, 0, m - 2) + m * np.arange(n)[:, None]
+    s, x = s.ravel(), x.ravel()
+    s0, s1, x0, x1 = s[j], s[j + 1], x[j], x[j + 1]
+    slope = (x1 - x0) / np.where(s1 > s0, s1 - s0, 1.0)
+    return x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope
+
+
+def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
+            p: float) -> np.ndarray:
+    """Exact W_p (W_inf for p = inf) between piecewise-affine quantiles,
+    one pair per row.
+
+    Each quantile is a polyline of parallel (n, m) arrays in the
+    :class:`QuantileFn` encoding: s nondecreasing from 0 to 1, a repeated
+    s is a jump, a repeated x an atom.  The levels of both rows are
+    merged by a sort; between consecutive merged levels Q_a - Q_b is
+    affine, so W_inf is the largest one-sided value and W_p^p a sum of
+    closed-form segment integrals.
+    """
+    ma = sa.shape[1]
+    levels = np.concatenate([sa, sb], axis=1)
+    order = np.argsort(levels, axis=1, kind="stable")
+    u = np.take_along_axis(levels, order, axis=1)
+    u0, u1 = u[:, :-1], u[:, 1:]
+    # On an interval of positive width every level <= u0 sits left of it
+    # in the merge, so counting a's levels there gives a's segment exactly.
+    na = np.cumsum(order < ma, axis=1)[:, :-1]
+    a0, a1 = _limits_rows(sa, xa, na - 1, u0, u1)
+    b0, b1 = _limits_rows(sb, xb, np.arange(1, u.shape[1]) - na - 1, u0, u1)
+    h = u1 - u0
+    d0 = np.where(h > 0.0, a0 - b0, 0.0)
+    d1 = np.where(h > 0.0, a1 - b1, 0.0)
+    M = np.maximum(np.abs(d0), np.abs(d1)).max(axis=1)
+    if math.isinf(p):
+        return M
+    scale = np.where(M > 0.0, M, 1.0)[:, None]
+    return M * _segment_lp(d0 / scale, d1 / scale, h, p) ** (1.0 / p)
+
+
 def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:
-    u = _merged_grid(qa, qb)
-    u0, u1 = u[:-1], u[1:]
-    keep = u1 > u0
-    u0, u1 = u0[keep], u1[keep]
-    a0, a1 = qa.limits_on(u0, u1)
-    b0, b1 = qb.limits_on(u0, u1)
-    d0, d1 = a0 - b0, a1 - b1
-    M = float(max(np.max(np.abs(d0)), np.max(np.abs(d1))))
-    if M == 0.0:
-        return 0.0
-    total = _segment_lp(d0 / M, d1 / M, u1 - u0, p)
-    return M * total ** (1.0 / p)
+    return float(wp_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None], p)[0])
 
 
 def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -238,13 +269,7 @@ def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     """
     qa, qb = mu.quantile_fn(), nu.quantile_fn()
     if isinstance(qa, QuantileFn) and isinstance(qb, QuantileFn):
-        u = _merged_grid(qa, qb)
-        u0, u1 = u[:-1], u[1:]
-        keep = u1 > u0
-        u0, u1 = u0[keep], u1[keep]
-        a0, a1 = qa.limits_on(u0, u1)
-        b0, b1 = qb.limits_on(u0, u1)
-        return float(max(np.max(np.abs(a0 - b0)), np.max(np.abs(a1 - b1))))
+        return _wp_exact(qa, qb, math.inf)
 
     breaks = _merged_grid(qa, qb)
     grid = np.union1d(np.linspace(0.0, 1.0, 10_001), breaks)

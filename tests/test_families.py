@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import swgeo.families
 from swgeo.families import (
     CircleMixture,
     ShellMixture,
@@ -74,6 +75,12 @@ class TestMuFamily:
         with pytest.raises(MeasureError):
             mu_family(alpha, beta, t)
 
+    def test_interval_guard_is_a_raised_check(self, monkeypatch):
+        # not an assert, which python -O would strip
+        monkeypatch.setattr(swgeo.families, "_check_mu_params", lambda *args: None)
+        with pytest.raises(MeasureError, match="escapes"):
+            mu_family(0.5, 2.0, 0.5)
+
 
 class TestEndpointDistance:
     def test_beta_zero_simplification(self):
@@ -139,6 +146,28 @@ class TestNuFamily:
     def test_rejects_low_dimension(self):
         with pytest.raises(MeasureError):
             nu_family(0.5, 0.0, 0.5, 2)
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [(NAN, 1.0, 0.0), (1.0, NAN, 0.0), (1.0, INF, 0.0), (1.0, 1.0, NAN),
+              (1.0, 1.0, -INF)]
+NON_FINITE_IDS = ["nan-weight", "nan-radius", "inf-radius", "nan-center", "inf-center"]
+
+
+class TestNonFiniteComponents:
+    @pytest.mark.parametrize("w,r,c0", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_shell_mixture_rejects(self, w, r, c0):
+        with pytest.raises(MeasureError, match="finite"):
+            ShellMixture(4, ((w, r, np.array([c0, 0.0, 0.0, 0.0])),))
+
+    @pytest.mark.parametrize("w,r,c0", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_circle_mixture_rejects(self, w, r, c0):
+        with pytest.raises(MeasureError, match="finite"):
+            CircleMixture(((w, r, np.array([c0, 0.0])),))
+
+    def test_nan_weight_next_to_valid_component(self):
+        with pytest.raises(MeasureError, match="finite"):
+            ShellMixture(3, ((1.0, 1.0, np.zeros(3)), (NAN, 0.5, np.zeros(3))))
 
 
 class TestShellMasses:

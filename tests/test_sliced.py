@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import swgeo.sliced
 from swgeo.families import (
+    _RADIUS_EPS,
     ShellMixture,
     circle_family,
     nu_curve,
     nu_family,
+    radon_project,
     transformed_nu_curve,
 )
 from swgeo.measure1d import MeasureError
 from swgeo.sliced import (
     PointCloud,
+    _sup_directions,
     empirical_w1d,
     sample_shell,
     sliced_geodesic_deviation,
@@ -22,7 +28,7 @@ from swgeo.sliced import (
     w_inf_circle,
     w_p_radial,
 )
-from swgeo.sphere import beta_directions, mc_directions
+from swgeo.sphere import DirectionSet, beta_directions, mc_directions
 from swgeo.transport1d import wasserstein_p
 
 
@@ -95,6 +101,150 @@ class TestSwPq:
             sw_pq(nu, nu, 0.5, 2.0, ds)
         with pytest.raises(MeasureError):
             sw_pq(nu, nu, 2.0, 0.0, ds)
+
+
+def oracle_directions(a, b, q, dirs):
+    return _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
+
+
+def loop_oracle(a, b, p, q, dirs):
+    """sw_pq by the per-direction path: one radon_project -> wasserstein_p
+    chain per direction, over the same direction (or sup candidate) set."""
+    vals = np.array([sw_per_direction(a, b, p, th)
+                     for th in oracle_directions(a, b, q, dirs)])
+    if math.isinf(q):
+        return float(vals.max())
+    return float(np.dot(dirs.weights, vals ** q) ** (1 / q))
+
+
+def separated_levels(a, b, thetas, gap=1e-9):
+    """Whether, on every direction, the distinct quantile levels of the two
+    projections lie more than gap apart.  Where a level of one argument
+    equals a level of the other only up to rounding, W_inf picks up a
+    spurious jump on a level interval a few ulps wide."""
+    for th in thetas:
+        levels = np.union1d(radon_project(a, th).quantile_fn().s,
+                            radon_project(b, th).quantile_fn().s)
+        if np.any(np.diff(levels) <= gap):
+            return False
+    return True
+
+
+def support_radius(*mixtures):
+    return max(float(np.linalg.norm(c)) + r for m in mixtures for _, r, c in m.components)
+
+
+@st.composite
+def shell_mixture(draw, d):
+    """1-4 components: free centers, or a center placed so that the shell
+    is concentric with, or touches from outside or inside, the previous
+    one.  Radii are 0, below the atom threshold, or at least 1e-3 (below
+    that, radon_project's mass check mostly rejects the projection, so
+    the per-direction oracle cannot evaluate it).  Center coordinates are 0
+    or at least 1e-3 in size, since sw_pq takes centers within 1e-14 of
+    the origin as centered."""
+    coord = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    comps = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.floats(0.05, 1.0))
+        r = draw(st.one_of(st.sampled_from([0.0, 1e-14]), st.floats(1e-3, 2.0)))
+        layout = draw(st.sampled_from(["free", "concentric", "outside", "inside"])
+                      if comps else st.just("free"))
+        if layout == "free":
+            c = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        else:
+            _, r0, c0 = comps[-1]
+            u = np.zeros(d)
+            u[draw(st.integers(0, 2))] = 1.0
+            gap = {"concentric": 0.0, "outside": r0 + r, "inside": r0 - r}[layout]
+            c = c0 + gap * u
+        comps.append((w, r, c))
+    total = sum(w for w, _, _ in comps)
+    return ShellMixture(d, tuple((w / total, r, c) for w, r, c in comps))
+
+
+@st.composite
+def shell_pair(draw):
+    d = draw(st.sampled_from([3, 4, 5]))
+    if draw(st.booleans()):
+        return draw(shell_mixture(d)), draw(shell_mixture(d))
+    # two points of a transformed shell curve; t = 1 carries the inner atom
+    x = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(3)])
+    curve = transformed_nu_curve(draw(st.floats(0.1, 0.9)), x, d,
+                                 draw(st.floats(0.5, 2.0)),
+                                 np.array([draw(st.floats(-1, 1)) for _ in range(d)]),
+                                 np.array([draw(st.floats(-1, 1)) for _ in range(d)]))
+    # t stays off (0.99, 1), where the inner radius alpha(1-t) is too small
+    # for radon_project's mass check (see shell_mixture)
+    ts = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.99))
+    return curve(draw(ts)), curve(draw(ts))
+
+
+def directions_with_tiny_s(d, seed):
+    """mc directions plus, for d >= 4, directions almost orthogonal to the
+    shell subspace, so that r * s(theta) falls below the atom threshold."""
+    thetas = mc_directions(d, 12, seed).thetas
+    if d > 3:
+        tiny = np.zeros((3, d))
+        tiny[:, 3] = 1.0
+        tiny[1, :3] = [1e-15, -2e-15, 0.0]
+        tiny[2, :3] = [0.0, 3e-15, 4e-15]
+        tiny /= np.linalg.norm(tiny, axis=1)[:, None]
+        assert np.all(2.0 * np.linalg.norm(tiny[:, :3], axis=1) < _RADIUS_EPS)
+        thetas = np.vstack([thetas, tiny])
+    n = thetas.shape[0]
+    return DirectionSet(d, thetas, np.full(n, 1.0 / n), f"mc+tiny-s(seed={seed})")
+
+
+class TestBatchedShellKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=shell_pair(), seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+           q=st.sampled_from([1.0, 2.0, math.inf]))
+    def test_matches_per_direction_oracle(self, pair, seed, p, q):
+        a, b = pair
+        dirs = directions_with_tiny_s(a.dim, seed)
+        try:
+            want = loop_oracle(a, b, p, q, dirs)
+            if math.isinf(p):
+                assume(separated_levels(a, b, oracle_directions(a, b, q, dirs)))
+        except MeasureError:
+            # radon_project's 1e-12 mass check can reject a projected shell
+            # that is narrow beside its offset; the batched path is checked
+            # there by test_narrow_inner_shell_before_t1
+            assume(False)
+        got = sw_pq(a, b, p, q, dirs)
+        # the oracle merges atoms closer than 1e-14 max(1, |x|), hence the
+        # floor of 1 on the scale
+        assert abs(got - want) <= 1e-12 * max(want, support_radius(a, b), 1.0)
+
+    def test_off_center_path_skips_per_direction_projection(self, monkeypatch):
+        curve = transformed_nu_curve(0.5, [0.2, 0.1, 0.0], 4, 1.5,
+                                     [0.0, 0.3, 0.0, 0.2], [0.1, 0.0, 0.0, 0.0])
+        a, b = curve(0.25), curve(1.0)
+        dirs = mc_directions(4, 32, seed=5)
+        want = {q: loop_oracle(a, b, 2.0, q, dirs) for q in (2.0, math.inf)}
+
+        def refuse(*args):
+            raise AssertionError("radon_project called")
+
+        monkeypatch.setattr(swgeo.sliced, "radon_project", refuse)
+        for q, value in want.items():
+            assert sw_pq(a, b, 2.0, q, dirs) == pytest.approx(value, rel=1e-12)
+        with pytest.raises(AssertionError, match="radon_project called"):
+            sw_per_direction(a, b, 2.0, dirs.thetas[0])
+
+    def test_narrow_inner_shell_before_t1(self):
+        # just before t = 1 the inner shell's projected radius is tiny yet
+        # above the atom threshold; constant speed still fixes the distance
+        curve = transformed_nu_curve(0.5, [0.0, 0.0, 1.0], 4, 1.0,
+                                     [0.3, 0.0, 0.0, 0.2], None)
+        dirs = mc_directions(4, 16, seed=1)
+        for p, q in [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (math.inf, 1.0)]:
+            full = sw_pq(curve(0.0), curve(1.0), p, q, dirs)
+            for eps in (1e-5, 1e-8):
+                assert sw_pq(curve(1.0 - eps), curve(1.0), p, q, dirs) == \
+                    pytest.approx(eps * full, rel=1e-6)
 
 
 class TestCircle:
@@ -199,6 +349,17 @@ class TestEmpirical:
         X = PointCloud(3, np.zeros((1, 3)), np.array([1.0]))
         with pytest.raises(MeasureError):
             sw_pq_empirical(X, X, math.inf, 2.0, mc_directions(3, 4, 0))
+
+
+class TestPointCloudValidation:
+    @pytest.mark.parametrize("points,weights", [
+        ([[0.0, 0.0, np.nan], [1.0, 0.0, 0.0]], [0.5, 0.5]),
+        ([[0.0, 0.0, np.inf], [1.0, 0.0, 0.0]], [0.5, 0.5]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.nan, 1.0]),
+    ], ids=["nan-point", "inf-point", "nan-weight"])
+    def test_rejects_non_finite(self, points, weights):
+        with pytest.raises(MeasureError, match="finite"):
+            PointCloud(3, np.array(points), np.array(weights))
 
 
 class TestSampleShell:

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from swgeo.measure1d import MeasureError
-from swgeo.sphere import beta_directions, c_dq, mc_directions
+from swgeo.sphere import DirectionSet, beta_directions, c_dq, mc_directions
 
 
 def c_exact(d: int, q: float) -> float:
@@ -43,6 +43,18 @@ class TestMcDirections:
     def test_weights_sum_to_one(self):
         ds = mc_directions(4, 12345, seed=0)
         assert abs(ds.weights.sum() - 1.0) <= 1e-12
+
+
+class TestDirectionSetValidation:
+    def test_rejects_nan_node(self):
+        thetas = np.eye(4)[:2].copy()
+        thetas[1, 0] = np.nan
+        with pytest.raises(MeasureError, match="finite"):
+            DirectionSet(4, thetas, np.array([0.5, 0.5]), "test")
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(MeasureError, match="finite"):
+            DirectionSet(4, np.eye(4)[:2], np.array([np.nan, 1.0]), "test")
 
 
 class TestBetaDirections:
