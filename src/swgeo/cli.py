@@ -15,7 +15,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import __version__
 from .families import (
@@ -33,36 +32,20 @@ from .measure1d import MeasureError, measure_from_text
 from .sliced import sw_pq, w_inf_circle, w_p_radial
 from .sphere import beta_directions, c_dq, mc_directions
 from .svg import LinePlot
-from .transport1d import wasserstein_inf, wasserstein_p
+from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
 
 # --------------------------------------------------------------- param types
 
 
-class PFloat(click.ParamType):
+def _parse_pfloat(s) -> float:
     """Float accepting 'inf'."""
-
-    name = "float|inf"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, (int, float)):
-            return float(value)
-        s = str(value).strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        try:
-            return float(s)
-        except ValueError:
-            self.fail(f"{value!r} is not a number or 'inf'", param, ctx)
-
-
-PFLOAT = PFloat()
-
-
-def _parse_pfloat(s: str) -> float:
     t = str(s).strip().lower()
     if t in ("inf", "+inf", "infinity"):
         return math.inf
-    return float(t)
+    try:
+        return float(t)
+    except ValueError:
+        raise ValueError(f"{s!r} is not a number or 'inf'") from None
 
 
 def _parse_float_list(s: str) -> list[float]:
@@ -85,19 +68,23 @@ def _parse_tgrid(s: str) -> list[float]:
     return _parse_float_list(s)
 
 
-class TGrid(click.ParamType):
-    name = "grid"
+class _Parsed(click.ParamType):
+    """Click type that converts a value with a parser raising ValueError."""
+
+    def __init__(self, name: str, parse):
+        self.name, self._parse = name, parse
 
     def convert(self, value, param, ctx):
-        if isinstance(value, list):
-            return value
         try:
-            return _parse_tgrid(value)
+            return self._parse(value)
         except ValueError as exc:
             self.fail(str(exc), param, ctx)
 
 
-TGRID = TGrid()
+PFLOAT = _Parsed("float|inf", _parse_pfloat)
+TGRID = _Parsed("grid", _parse_tgrid)
+INT_LIST = _Parsed("ints", _parse_int_list)
+PFLOAT_LIST = _Parsed("floats", _parse_float_list)
 
 
 # ------------------------------------------------------------ output helpers
@@ -152,40 +139,44 @@ def _read_file(path: str) -> str:
 # ------------------------------------------------------------- configuration
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config(ctx, param, path):
+    """Read key=value lines into ``ctx.default_map``: click then applies
+    command line > config > default and converts every value with its
+    option's type.  Keys are parameter names, with '-' or '_'."""
+    if path is None:
+        return
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc}", ctx, param) from exc
+    names = {p.name for p in ctx.command.params if p.expose_value}
     cfg = {}
-    for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise click.ClickException(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
-    return cfg
+        key, eq, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq:
+            raise click.BadParameter(f"{path}:{lineno}: expected key=value", ctx, param)
+        if key not in names:
+            raise click.BadParameter(f"{path}:{lineno}: unknown key {key!r}", ctx, param)
+        cfg[key] = val.strip()
+    ctx.default_map = cfg
 
 
-def _resolve(ctx, cfg: dict, name: str, value, conv):
-    """Command line beats config beats default."""
-    if ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE:
-        return value
-    for key in (name, name.replace("_", "-")):
-        if key in cfg:
-            try:
-                return conv(cfg[key])
-            except ValueError as exc:
-                raise click.ClickException(f"config key {key}: {exc}") from exc
-    return value
+config_option = click.option("--config", is_eager=True, expose_value=False,
+                             callback=_load_config, help="key=value config file.")
+
+
+def _flags(ctx) -> dict:
+    """Provenance flags: every option but --out, keyed by its long name."""
+    return {p.opts[0].lstrip("-").replace("-", "_"): ctx.params[p.name]
+            for p in ctx.command.params if p.expose_value and p.name != "out"}
 
 
 def _build_dirs(d: int, quad: str, n: int, seed: int):
-    if quad == "beta":
-        return beta_directions(d, n)
-    if quad == "mc":
-        return mc_directions(d, n, seed)
-    raise click.ClickException(f"unknown quadrature {quad!r} (use beta or mc)")
+    return beta_directions(d, n) if quad == "beta" else mc_directions(d, n, seed)
 
 
 def _loglog_slope(ts, vals, lo: float, hi: float) -> float:
@@ -213,34 +204,28 @@ def main():
               help="Mass of the limiting atom, in (0, 1).")
 @click.option("--beta", type=float, default=0.2, show_default=True,
               help="Position of the limiting atom, in [-1, 1].")
-@click.option("--t", "t_list", type=TGRID, default="0,0.1,0.5", show_default=True,
+@click.option("--t", type=TGRID, default="0,0.1,0.5", show_default=True,
               help="Comma-separated curve times in [0, 1].")
-@click.option("--format", "fmt", type=click.Choice(["csv", "svg"]), default="csv",
+@click.option("--format", type=click.Choice(["csv", "svg"]), default="csv",
               show_default=True)
 @click.option("--out", default="-", show_default=True, help="Output path or '-'.")
-@click.option("--config", "config_path", default=None, help="key=value config file.")
+@config_option
 @click.pass_context
-def density(ctx, alpha, beta, t_list, fmt, out, config_path):
+def density(ctx, alpha, beta, t, format, out):
     """Density breakpoints of the 1D interpolating family at given times."""
-    cfg = _load_config(config_path)
-    alpha = _resolve(ctx, cfg, "alpha", alpha, float)
-    beta = _resolve(ctx, cfg, "beta", beta, float)
-    t_list = _resolve(ctx, cfg, "t", t_list, _parse_tgrid)
-    fmt = _resolve(ctx, cfg, "format", fmt, str)
-    flags = {"alpha": alpha, "beta": beta, "t": t_list, "format": fmt}
     try:
-        measures = [(t, mu_family(alpha, beta, t)) for t in t_list]
+        measures = [(ti, mu_family(alpha, beta, ti)) for ti in t]
     except MeasureError as exc:
         raise click.ClickException(str(exc)) from exc
 
-    if fmt == "csv":
+    if format == "csv":
         rows = []
         for t, m in measures:
             for pos, mass in m.atoms:
                 rows.append((t, "atom", pos, pos, mass))
             for lo, hi, rho in m.pieces:
                 rows.append((t, "piece", lo, hi, rho))
-        _emit(out, _csv("density", flags, ["t", "kind", "x0", "x1", "value"], rows))
+        _emit(out, _csv("density", _flags(ctx), ["t", "kind", "x0", "x1", "value"], rows))
         return
 
     plot = LinePlot(title=f"density of the interpolating family  "
@@ -279,30 +264,19 @@ def density(ctx, alpha, beta, t_list, fmt, out, config_path):
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out, config_path):
+def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
     """Tabulate W_p, SW_{p,q} and their ratio along the shell curve.
 
     The ratio grows like t^(1/p - 1) as t -> 0, so the two metrics are
     not bi-Lipschitz equivalent; the fitted log-log slope is appended."""
-    cfg = _load_config(config_path)
-    alpha = _resolve(ctx, cfg, "alpha", alpha, float)
-    p = _resolve(ctx, cfg, "p", p, _parse_pfloat)
-    q = _resolve(ctx, cfg, "q", q, _parse_pfloat)
-    d = _resolve(ctx, cfg, "d", d, int)
-    t_grid = _resolve(ctx, cfg, "t_grid", t_grid, _parse_tgrid)
-    dirs = _resolve(ctx, cfg, "dirs", dirs, int)
-    quad = _resolve(ctx, cfg, "quad", quad, str)
-    seed = _resolve(ctx, cfg, "seed", seed, int)
     if not (p > 1.0):
         raise click.ClickException(
             "p must be > 1 (or inf): at p = 1 the ratio exponent 1/p - 1 "
             "vanishes and no divergence is claimed")
     if any(t <= 0.0 for t in t_grid):
         raise click.ClickException("t values must be positive (the ratio is 0/0 at t=0)")
-    flags = {"alpha": alpha, "p": p, "q": q, "d": d, "t_grid": t_grid,
-             "dirs": dirs, "quad": quad, "seed": seed}
     try:
         ds = _build_dirs(d, quad, dirs, seed)
         nu0 = nu_family(alpha, 0.0, 0.0, d)
@@ -318,7 +292,7 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out, config_path):
     slope = _loglog_slope([r[0] for r in rows], [r[3] for r in rows], 1e-4, 1e-1)
     comments = [f"# loglog-slope ratio-vs-t decade=1e-04..1e-01 "
                 f"fitted={_cell(slope)} target={_cell(target)}"]
-    _emit(out, _csv("nonequiv", flags, ["t", "w_p", "sw_pq", "ratio"], rows, comments))
+    _emit(out, _csv("nonequiv", _flags(ctx), ["t", "w_p", "sw_pq", "ratio"], rows, comments))
 
 
 @main.command()
@@ -328,23 +302,17 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out, config_path):
 @click.option("--d", type=int, default=3, show_default=True)
 @click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def holder(ctx, alpha, p, d, t_grid, out, config_path):
+def holder(ctx, alpha, p, d, t_grid, out):
     """Tabulate W_p along the shell curve and fit its small-t exponent.
 
     The curve moves like t^{1/p} in W_p (Holder of order 1/p, not
     Lipschitz); the fitted exponent and the 1/p target are appended."""
-    cfg = _load_config(config_path)
-    alpha = _resolve(ctx, cfg, "alpha", alpha, float)
-    p = _resolve(ctx, cfg, "p", p, _parse_pfloat)
-    d = _resolve(ctx, cfg, "d", d, int)
-    t_grid = _resolve(ctx, cfg, "t_grid", t_grid, _parse_tgrid)
     if math.isinf(p) or not (p > 1.0):
         raise click.ClickException("p must be finite and > 1 for the exponent fit")
     if any(t <= 0.0 for t in t_grid):
         raise click.ClickException("t values must be positive")
-    flags = {"alpha": alpha, "p": p, "d": d, "t_grid": t_grid}
     try:
         nu0 = nu_family(alpha, 0.0, 0.0, d)
         rows = [(t, w_p_radial(nu_family(alpha, 0.0, t, d), nu0, p)) for t in t_grid]
@@ -352,7 +320,7 @@ def holder(ctx, alpha, p, d, t_grid, out, config_path):
         raise click.ClickException(str(exc)) from exc
     slope = _loglog_slope([r[0] for r in rows], [r[1] for r in rows], 1e-4, 1e-1)
     comments = [f"# holder-exponent fitted={_cell(slope)} target={_cell(1.0 / p)}"]
-    _emit(out, _csv("holder", flags, ["t", "w_p"], rows, comments))
+    _emit(out, _csv("holder", _flags(ctx), ["t", "w_p"], rows, comments))
 
 
 @main.command()
@@ -360,18 +328,14 @@ def holder(ctx, alpha, p, d, t_grid, out, config_path):
 @click.option("--t-grid", type=TGRID, default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
               show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def hopping(ctx, alpha, t_grid, out, config_path):
+def hopping(ctx, alpha, t_grid, out):
     """Mass split between the outer and inner shells along the curve.
 
     The supports are disjoint spheres, so the growing inner mass reaches
     its shell by jumping between components, not by flowing through the
     gap."""
-    cfg = _load_config(config_path)
-    alpha = _resolve(ctx, cfg, "alpha", alpha, float)
-    t_grid = _resolve(ctx, cfg, "t_grid", t_grid, _parse_tgrid)
-    flags = {"alpha": alpha, "t_grid": t_grid}
     try:
         rows = []
         for t in t_grid:
@@ -379,7 +343,7 @@ def hopping(ctx, alpha, t_grid, out, config_path):
             rows.append((t, outer, inner, alpha * (1.0 - t)))
     except MeasureError as exc:
         raise click.ClickException(str(exc)) from exc
-    _emit(out, _csv("hopping", flags,
+    _emit(out, _csv("hopping", _flags(ctx),
                     ["t", "outer_mass", "inner_mass", "inner_radius"], rows))
 
 
@@ -389,21 +353,15 @@ def hopping(ctx, alpha, t_grid, out, config_path):
 @click.option("--dirs", type=int, default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def circle(ctx, t_grid, q, dirs, seed, out, config_path):
+def circle(ctx, t_grid, q, dirs, seed, out):
     """Planar example: W_inf stays 1 while the sliced distance is O(t).
 
     Both candidate closed forms sin(pi t / 2) and 2 sin(t) / pi are
     tabulated next to the computed value; the matching one is marked."""
-    cfg = _load_config(config_path)
-    t_grid = _resolve(ctx, cfg, "t_grid", t_grid, _parse_tgrid)
-    q = _resolve(ctx, cfg, "q", q, _parse_pfloat)
-    dirs = _resolve(ctx, cfg, "dirs", dirs, int)
-    seed = _resolve(ctx, cfg, "seed", seed, int)
     if any(not (0.0 < t <= 1.0) for t in t_grid):
         raise click.ClickException("t values must lie in (0, 1]")
-    flags = {"t_grid": t_grid, "q": q, "dirs": dirs, "seed": seed}
     ds = mc_directions(2, dirs, seed)
     c0 = circle_family(0.0)
     rows = []
@@ -419,15 +377,15 @@ def circle(ctx, t_grid, q, dirs, seed, out, config_path):
             rows.append((t, w, sw, w / sw, sin_form, alt_form, winner))
     except MeasureError as exc:
         raise click.ClickException(str(exc)) from exc
-    _emit(out, _csv("circle", flags,
+    _emit(out, _csv("circle", _flags(ctx),
                     ["t", "w_inf", "sw_inf_q", "ratio", "sin_form", "alt_form",
                      "matching_form"], rows))
 
 
 @main.command()
-@click.option("--d", "d_list", type=str, default="3,4,7", show_default=True,
+@click.option("--d", "d_list", type=INT_LIST, default="3,4,7", show_default=True,
               help="Comma-separated ambient dimensions (each >= 3).")
-@click.option("--q", "q_list", type=str, default="1,2,inf", show_default=True,
+@click.option("--q", "q_list", type=PFLOAT_LIST, default="1,2,inf", show_default=True,
               help="Comma-separated exponents (>= 1 or inf).")
 @click.option("--method", type=click.Choice(["both", "beta", "mc"]), default="both",
               show_default=True)
@@ -437,19 +395,10 @@ def circle(ctx, t_grid, q, dirs, seed, out, config_path):
               help="Monte-Carlo direction count.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out, config_path):
+def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out):
     """Table of the direction-averaging constant C(d, q) by both methods."""
-    cfg = _load_config(config_path)
-    d_list = _parse_int_list(_resolve(ctx, cfg, "d_list", d_list, str))
-    q_list = _parse_float_list(str(_resolve(ctx, cfg, "q_list", q_list, str)))
-    method = _resolve(ctx, cfg, "method", method, str)
-    dirs = _resolve(ctx, cfg, "dirs", dirs, int)
-    mc_dirs = _resolve(ctx, cfg, "mc_dirs", mc_dirs, int)
-    seed = _resolve(ctx, cfg, "seed", seed, int)
-    flags = {"d": d_list, "q": q_list, "method": method, "dirs": dirs,
-             "mc_dirs": mc_dirs, "seed": seed}
     rows = []
     try:
         for d in d_list:
@@ -462,7 +411,7 @@ def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out, config_path):
                 rows.append((d, q, cb, cm, diff))
     except MeasureError as exc:
         raise click.ClickException(str(exc)) from exc
-    _emit(out, _csv("cdq", flags, ["d", "q", "c_beta", "c_mc", "abs_diff"], rows))
+    _emit(out, _csv("cdq", _flags(ctx), ["d", "q", "c_beta", "c_mc", "abs_diff"], rows))
 
 
 def _parse_family(spec: str, d_default: int):
@@ -523,27 +472,14 @@ def _parse_family(spec: str, d_default: int):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--config", "config_path", default=None)
+@config_option
 @click.pass_context
-def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out, config_path):
+def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
     """Constant-speed check: d(curve(t), curve(s)) vs |t-s| d(curve(0), curve(1)).
 
     Exits nonzero when the deviation exceeds the tolerance, so the check
     can gate CI directly."""
-    cfg = _load_config(config_path)
-    family = _resolve(ctx, cfg, "family", family, str)
-    p = _resolve(ctx, cfg, "p", p, _parse_pfloat)
-    q = _resolve(ctx, cfg, "q", q, _parse_pfloat)
-    grid = _resolve(ctx, cfg, "grid", grid, _parse_tgrid)
-    dirs = _resolve(ctx, cfg, "dirs", dirs, int)
-    quad = _resolve(ctx, cfg, "quad", quad, str)
-    seed = _resolve(ctx, cfg, "seed", seed, int)
-    tol = _resolve(ctx, cfg, "tol", tol, float)
-    flags = {"family": family, "p": p, "q": q, "grid": grid, "dirs": dirs,
-             "quad": quad, "seed": seed, "tol": tol}
     parsed = _parse_family(family, d_default=3)
-    if 0.0 not in grid or 1.0 not in grid:
-        raise click.ClickException("grid must contain 0 and 1")
     try:
         if parsed[0] == "1d":
             curve = parsed[1]
@@ -553,22 +489,14 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out, config_p
             curve, d = parsed[1], parsed[2]
             ds = _build_dirs(d, quad, dirs, seed)
             dist = lambda a, b: sw_pq(a, b, p, q, ds)
-        measures = {t: curve(t) for t in sorted(set(grid))}
-        base = dist(measures[0.0], measures[1.0])
-        rows = []
-        ts = sorted(measures)
-        for i, t in enumerate(ts):
-            for s in ts[i + 1:]:
-                val = dist(measures[t], measures[s])
-                target = (s - t) * base
-                rows.append((t, s, val, target, abs(val - target)))
+        rows = pairwise_deviation(curve, dist, grid)
         deviation = max(row[4] for row in rows)
     except MeasureError as exc:
         raise click.ClickException(str(exc)) from exc
     verdict = "PASS" if deviation < tol else "FAIL"
     comments = [f"# constant-speed deviation={_cell(deviation)} tol={_cell(tol)} "
                 f"verdict={verdict}"]
-    _emit(out, _csv("geodesic-check", flags,
+    _emit(out, _csv("geodesic-check", _flags(ctx),
                     ["t", "s", "distance", "target", "abs_dev"], rows, comments))
     if verdict == "FAIL":
         ctx.exit(1)

@@ -197,10 +197,6 @@ class Measure1D:
     # ----------------------------------------------------------- properties
 
     @property
-    def variant(self) -> str:
-        return "analytic" if self.arcsine_parts else "discrete-mixture"
-
-    @property
     def is_discrete_mixture(self) -> bool:
         return not self.arcsine_parts
 

@@ -48,7 +48,7 @@ from . import families, transport1d
 from .families import CircleMixture, ShellMixture, circle_project, radon_project
 from .measure1d import MASS_TOL, Measure1D, MeasureError
 from .sphere import DirectionSet
-from .transport1d import wasserstein_inf, wasserstein_p
+from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
 
 __all__ = [
     "PointCloud",
@@ -393,19 +393,6 @@ def sample_shell(sm: ShellMixture, n: int, seed: int) -> PointCloud:
 def sliced_geodesic_deviation(curve: Callable[[float], object], p: float,
                               q: float, dirs: DirectionSet,
                               grid: Sequence[float]) -> float:
-    """Constant-speed deviation of a mixture curve under sw_pq: max over
-    grid pairs of |sw(curve(t), curve(s)) - |t-s| sw(curve(0), curve(1))|."""
-    grid = [float(t) for t in grid]
-    if min(grid) < 0.0 or max(grid) > 1.0:
-        raise MeasureError("grid values must lie in [0, 1]")
-    if 0.0 not in grid or 1.0 not in grid:
-        raise MeasureError("grid must contain 0 and 1")
-    mixtures = {t: curve(t) for t in sorted(set(grid))}
-    base = sw_pq(mixtures[0.0], mixtures[1.0], p, q, dirs)
-    worst = 0.0
-    ts = sorted(mixtures)
-    for i, t in enumerate(ts):
-        for s in ts[i + 1:]:
-            d = sw_pq(mixtures[t], mixtures[s], p, q, dirs)
-            worst = max(worst, abs(d - (s - t) * base))
-    return worst
+    """Largest :func:`pairwise_deviation` of a mixture curve under sw_pq."""
+    dist = lambda a, b: sw_pq(a, b, p, q, dirs)
+    return max(row[4] for row in pairwise_deviation(curve, dist, grid))

@@ -4,7 +4,7 @@ Optimal maps via quantile composition, exact W_p for piecewise-affine
 quantiles (closed-form per-segment integration of |a + b s|^p, one pair
 per row in ``wp_rows``), adaptive Gauss-Legendre for analytic quantiles,
 W_inf as the sup of quantile differences, displacement interpolation,
-and constant-speed deviation of curves of measures.
+and the constant-speed deviation table of a curve under any distance.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measure1d import (
+    MASS_TOL,
     Measure1D,
     MeasureError,
     PiecewiseLinearMap,
@@ -33,6 +34,7 @@ __all__ = [
     "wasserstein_p",
     "wasserstein_inf",
     "wp_rows",
+    "pairwise_deviation",
     "geodesic_deviation",
 ]
 
@@ -168,8 +170,12 @@ def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
     a0, a1 = _limits_rows(sa, xa, na - 1, u0, u1)
     b0, b1 = _limits_rows(sb, xb, np.arange(1, u.shape[1]) - na - 1, u0, u1)
     h = u1 - u0
-    d0 = np.where(h > 0.0, a0 - b0, 0.0)
-    d1 = np.where(h > 0.0, a1 - b1, 0.0)
+    # At p = inf, intervals no wider than MASS_TOL carry no mass: equal
+    # cumulative masses summed in different orders leave such slivers,
+    # where one quantile has jumped and the other not yet.
+    wide = h > (MASS_TOL if math.isinf(p) else 0.0)
+    d0 = np.where(wide, a0 - b0, 0.0)
+    d1 = np.where(wide, a1 - b1, 0.0)
     M = np.maximum(np.abs(d0), np.abs(d1)).max(axis=1)
     if math.isinf(p):
         return M
@@ -294,25 +300,31 @@ def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     return max(float(vals[i]), f1, f2)
 
 
-def geodesic_deviation(curve: Callable[[float], Measure1D], p,
-                       grid: Sequence[float]) -> float:
-    """Max over grid pairs (t, s) of
-    | d(curve(t), curve(s)) - |t - s| d(curve(0), curve(1)) |,
-    where d is W_p (or W_inf for p = inf).  A constant-speed geodesic
-    yields 0 up to roundoff."""
+def pairwise_deviation(curve: Callable[[float], object],
+                       dist: Callable[[object, object], float],
+                       grid: Sequence[float]) -> list[tuple]:
+    """Constant-speed table of a curve: one row (t, s, d, target, |d - target|)
+    per grid pair t < s, with d = dist(curve(t), curve(s)) and target =
+    (s - t) dist(curve(0), curve(1)).  A constant-speed geodesic has every
+    deviation 0 up to roundoff."""
     grid = [float(t) for t in grid]
     if min(grid) < 0.0 or max(grid) > 1.0:
         raise MeasureError("grid values must lie in [0, 1]")
     if 0.0 not in grid or 1.0 not in grid:
         raise MeasureError("grid must contain 0 and 1")
-    dist = (wasserstein_inf if (isinstance(p, float) and math.isinf(p)) or p == math.inf
-            else lambda a, b: wasserstein_p(a, b, p))
     measures = {t: curve(t) for t in sorted(set(grid))}
     base = dist(measures[0.0], measures[1.0])
-    worst = 0.0
+    rows = []
     ts = sorted(measures)
     for i, t in enumerate(ts):
         for s in ts[i + 1:]:
-            d = dist(measures[t], measures[s])
-            worst = max(worst, abs(d - (s - t) * base))
-    return worst
+            d, target = dist(measures[t], measures[s]), (s - t) * base
+            rows.append((t, s, d, target, abs(d - target)))
+    return rows
+
+
+def geodesic_deviation(curve: Callable[[float], Measure1D], p,
+                       grid: Sequence[float]) -> float:
+    """Largest :func:`pairwise_deviation` under W_p (W_inf for p = inf)."""
+    dist = wasserstein_inf if math.isinf(p) else lambda a, b: wasserstein_p(a, b, p)
+    return max(row[4] for row in pairwise_deviation(curve, dist, grid))

@@ -9,6 +9,7 @@ from swgeo.transport1d import (
     geodesic_deviation,
     interpolate,
     optimal_map,
+    pairwise_deviation,
     wasserstein_inf,
     wasserstein_p,
 )
@@ -234,6 +235,16 @@ class TestGeodesicDeviation:
     def test_requires_endpoints_in_grid(self):
         with pytest.raises(MeasureError):
             geodesic_deviation(mu_curve(0.5, 0.0), 2.0, [0.0, 0.5])
+
+    def test_pairwise_rows(self):
+        # one row (t, s, d, target, |d - target|) per pair t < s of the
+        # deduplicated grid; t -> t is not constant speed in |t - s|^2
+        dist = lambda a, b: abs(a - b) ** 2
+        rows = pairwise_deviation(lambda t: t, dist, [1.0, 0.5, 0.0, 0.5])
+        assert rows == [(0.0, 0.5, 0.25, 0.5, 0.25), (0.0, 1.0, 1.0, 1.0, 0.0),
+                        (0.5, 1.0, 0.25, 0.5, 0.25)]
+        with pytest.raises(MeasureError):
+            pairwise_deviation(lambda t: t, dist, [0.0, 1.0, 1.5])
 
 
 class TestEndpointClosedForm:
