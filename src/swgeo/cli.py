@@ -192,7 +192,18 @@ def _loglog_slope(ts, vals, lo: float, hi: float) -> float:
 # ------------------------------------------------------------------ commands
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that reports a :class:`MeasureError` raised by any
+    command as ``Error: <message>`` with exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MeasureError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="swgeo")
 def main():
     """Geodesics of measures: exact 1D transport, shell mixtures, and
@@ -213,10 +224,7 @@ def main():
 @click.pass_context
 def density(ctx, alpha, beta, t, format, out):
     """Density breakpoints of the 1D interpolating family at given times."""
-    try:
-        measures = [(ti, mu_family(alpha, beta, ti)) for ti in t]
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    measures = [(ti, mu_family(alpha, beta, ti)) for ti in t]
 
     if format == "csv":
         rows = []
@@ -277,17 +285,14 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
             "vanishes and no divergence is claimed")
     if any(t <= 0.0 for t in t_grid):
         raise click.ClickException("t values must be positive (the ratio is 0/0 at t=0)")
-    try:
-        ds = _build_dirs(d, quad, dirs, seed)
-        nu0 = nu_family(alpha, 0.0, 0.0, d)
-        rows = []
-        for t in t_grid:
-            nut = nu_family(alpha, 0.0, t, d)
-            w = w_p_radial(nut, nu0, p)
-            sw = sw_pq(nut, nu0, p, q, ds)
-            rows.append((t, w, sw, w / sw))
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    ds = _build_dirs(d, quad, dirs, seed)
+    nu0 = nu_family(alpha, 0.0, 0.0, d)
+    rows = []
+    for t in t_grid:
+        nut = nu_family(alpha, 0.0, t, d)
+        w = w_p_radial(nut, nu0, p)
+        sw = sw_pq(nut, nu0, p, q, ds)
+        rows.append((t, w, sw, w / sw))
     target = (1.0 / p if not math.isinf(p) else 0.0) - 1.0
     slope = _loglog_slope([r[0] for r in rows], [r[3] for r in rows], 1e-4, 1e-1)
     comments = [f"# loglog-slope ratio-vs-t decade=1e-04..1e-01 "
@@ -313,11 +318,8 @@ def holder(ctx, alpha, p, d, t_grid, out):
         raise click.ClickException("p must be finite and > 1 for the exponent fit")
     if any(t <= 0.0 for t in t_grid):
         raise click.ClickException("t values must be positive")
-    try:
-        nu0 = nu_family(alpha, 0.0, 0.0, d)
-        rows = [(t, w_p_radial(nu_family(alpha, 0.0, t, d), nu0, p)) for t in t_grid]
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    nu0 = nu_family(alpha, 0.0, 0.0, d)
+    rows = [(t, w_p_radial(nu_family(alpha, 0.0, t, d), nu0, p)) for t in t_grid]
     slope = _loglog_slope([r[0] for r in rows], [r[1] for r in rows], 1e-4, 1e-1)
     comments = [f"# holder-exponent fitted={_cell(slope)} target={_cell(1.0 / p)}"]
     _emit(out, _csv("holder", _flags(ctx), ["t", "w_p"], rows, comments))
@@ -336,13 +338,10 @@ def hopping(ctx, alpha, t_grid, out):
     The supports are disjoint spheres, so the growing inner mass reaches
     its shell by jumping between components, not by flowing through the
     gap."""
-    try:
-        rows = []
-        for t in t_grid:
-            outer, inner = shell_masses(alpha, t)
-            rows.append((t, outer, inner, alpha * (1.0 - t)))
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    rows = []
+    for t in t_grid:
+        outer, inner = shell_masses(alpha, t)
+        rows.append((t, outer, inner, alpha * (1.0 - t)))
     _emit(out, _csv("hopping", _flags(ctx),
                     ["t", "outer_mass", "inner_mass", "inner_radius"], rows))
 
@@ -365,18 +364,15 @@ def circle(ctx, t_grid, q, dirs, seed, out):
     ds = mc_directions(2, dirs, seed)
     c0 = circle_family(0.0)
     rows = []
-    try:
-        for t in t_grid:
-            ct = circle_family(t)
-            w = w_inf_circle(ct, c0)
-            sw = sw_pq(ct, c0, math.inf, q, ds)
-            sin_form = math.sin(math.pi * t / 2.0)
-            alt_form = 2.0 * math.sin(t) / math.pi
-            winner = ("sin(pi*t/2)" if abs(sw - sin_form) <= abs(sw - alt_form)
-                      else "2*sin(t)/pi")
-            rows.append((t, w, sw, w / sw, sin_form, alt_form, winner))
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    for t in t_grid:
+        ct = circle_family(t)
+        w = w_inf_circle(ct, c0)
+        sw = sw_pq(ct, c0, math.inf, q, ds)
+        sin_form = math.sin(math.pi * t / 2.0)
+        alt_form = 2.0 * math.sin(t) / math.pi
+        winner = ("sin(pi*t/2)" if abs(sw - sin_form) <= abs(sw - alt_form)
+                  else "2*sin(t)/pi")
+        rows.append((t, w, sw, w / sw, sin_form, alt_form, winner))
     _emit(out, _csv("circle", _flags(ctx),
                     ["t", "w_inf", "sw_inf_q", "ratio", "sin_form", "alt_form",
                      "matching_form"], rows))
@@ -400,17 +396,14 @@ def circle(ctx, t_grid, q, dirs, seed, out):
 def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out):
     """Table of the direction-averaging constant C(d, q) by both methods."""
     rows = []
-    try:
-        for d in d_list:
-            for q in q_list:
-                cb = c_dq(d, q, method="beta", n=dirs) if method in ("both", "beta") \
-                    else math.nan
-                cm = c_dq(d, q, method="mc", n=mc_dirs, seed=seed) \
-                    if method in ("both", "mc") else math.nan
-                diff = abs(cb - cm) if method == "both" else math.nan
-                rows.append((d, q, cb, cm, diff))
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    for d in d_list:
+        for q in q_list:
+            cb = c_dq(d, q, method="beta", n=dirs) if method in ("both", "beta") \
+                else math.nan
+            cm = c_dq(d, q, method="mc", n=mc_dirs, seed=seed) \
+                if method in ("both", "mc") else math.nan
+            diff = abs(cb - cm) if method == "both" else math.nan
+            rows.append((d, q, cb, cm, diff))
     _emit(out, _csv("cdq", _flags(ctx), ["d", "q", "c_beta", "c_mc", "abs_diff"], rows))
 
 
@@ -480,19 +473,16 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
     Exits nonzero when the deviation exceeds the tolerance, so the check
     can gate CI directly."""
     parsed = _parse_family(family, d_default=3)
-    try:
-        if parsed[0] == "1d":
-            curve = parsed[1]
-            dist = (wasserstein_inf if math.isinf(p)
-                    else lambda a, b: wasserstein_p(a, b, p))
-        else:
-            curve, d = parsed[1], parsed[2]
-            ds = _build_dirs(d, quad, dirs, seed)
-            dist = lambda a, b: sw_pq(a, b, p, q, ds)
-        rows = pairwise_deviation(curve, dist, grid)
-        deviation = max(row[4] for row in rows)
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if parsed[0] == "1d":
+        curve = parsed[1]
+        dist = (wasserstein_inf if math.isinf(p)
+                else lambda a, b: wasserstein_p(a, b, p))
+    else:
+        curve, d = parsed[1], parsed[2]
+        ds = _build_dirs(d, quad, dirs, seed)
+        dist = lambda a, b: sw_pq(a, b, p, q, ds)
+    rows = pairwise_deviation(curve, dist, grid)
+    deviation = max(row[4] for row in rows)
     verdict = "PASS" if deviation < tol else "FAIL"
     comments = [f"# constant-speed deviation={_cell(deviation)} tol={_cell(tol)} "
                 f"verdict={verdict}"]
@@ -511,12 +501,9 @@ def wp(measure_files, p, out):
     """1D distance between two measures given in the text format."""
     if len(measure_files) != 2:
         raise click.ClickException("exactly two --measure-file arguments are required")
-    try:
-        ma = measure_from_text(_read_file(measure_files[0]))
-        mb = measure_from_text(_read_file(measure_files[1]))
-        val = wasserstein_inf(ma, mb) if math.isinf(p) else wasserstein_p(ma, mb, p)
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    ma = measure_from_text(_read_file(measure_files[0]))
+    mb = measure_from_text(_read_file(measure_files[1]))
+    val = wasserstein_inf(ma, mb) if math.isinf(p) else wasserstein_p(ma, mb, p)
     flags = {"a": measure_files[0], "b": measure_files[1], "p": p}
     _emit(out, _csv("wp", flags, ["p", "distance"], [(p, val)]))
 
@@ -535,15 +522,12 @@ def sw(shell_files, p, q, dirs, quad, seed, out):
     """Sliced distance between two shell mixtures given in the text format."""
     if len(shell_files) != 2:
         raise click.ClickException("exactly two --shell-file arguments are required")
-    try:
-        a = shell_from_text(_read_file(shell_files[0]))
-        b = shell_from_text(_read_file(shell_files[1]))
-        if a.dim != b.dim:
-            raise MeasureError("shell files have different ambient dimensions")
-        ds = _build_dirs(a.dim, quad, dirs, seed)
-        val = sw_pq(a, b, p, q, ds)
-    except MeasureError as exc:
-        raise click.ClickException(str(exc)) from exc
+    a = shell_from_text(_read_file(shell_files[0]))
+    b = shell_from_text(_read_file(shell_files[1]))
+    if a.dim != b.dim:
+        raise MeasureError("shell files have different ambient dimensions")
+    ds = _build_dirs(a.dim, quad, dirs, seed)
+    val = sw_pq(a, b, p, q, ds)
     flags = {"a": shell_files[0], "b": shell_files[1], "p": p, "q": q,
              "dirs": dirs, "quad": quad, "seed": seed}
     _emit(out, _csv("sw", flags, ["p", "q", "distance"], [(p, q, val)]))

@@ -441,7 +441,10 @@ def shell_from_text(text: str) -> ShellMixture:
         if fields[0] != "shell" or len(fields) < 6:
             raise MeasureError(f"line {lineno}: expected "
                                f"'shell <weight> <radius> <c1> ... <cd>' with d >= 3")
-        vals = [float(f) for f in fields[1:]]
+        try:
+            vals = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise MeasureError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
         w, r, c = vals[0], vals[1], np.array(vals[2:])
         if dim is None:
             dim = c.size

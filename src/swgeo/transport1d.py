@@ -46,7 +46,8 @@ def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
 
     Requires mu atomless (the monotone map does not exist otherwise) and
     both measures free of arcsine components (the composition is then
-    piecewise affine and is computed exactly, breakpoint by breakpoint).
+    piecewise affine and is read exactly off the merge of the two
+    quantiles that W_p uses).
     """
     if mu.atoms:
         raise MeasureError("optimal_map requires an atomless source measure")
@@ -54,54 +55,15 @@ def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
         raise MeasureError("optimal_map supports piecewise measures only; "
                            "use wasserstein_p / wasserstein_inf for arcsine mixtures")
 
-    # mu's CDF as a walk over piece boundaries: positions xs, masses S, densities
-    xs = [mu.pieces[0][0]]
-    S = [0.0]
-    rhos = []
-    for lo, hi, rho in mu.pieces:
-        if lo > xs[-1]:
-            xs.append(lo)
-            S.append(S[-1])
-            rhos.append(0.0)
-        xs.append(hi)
-        S.append(S[-1] + rho * (hi - lo))
-        rhos.append(rho)
-    S[-1] = 1.0
-
-    Q = nu.quantile_fn()
-    qs, qx = Q.s, Q.x
-
-    # candidate x values: mu boundaries plus preimages of Q's s-breakpoints
-    tagged: list[tuple[float, float]] = list(zip(xs, S))
-    for s_star in np.unique(qs):
-        k = int(np.searchsorted(S, s_star, side="left"))
-        if 0 < k < len(S) and S[k - 1] < s_star < S[k] and rhos[k - 1] > 0.0:
-            x_star = xs[k - 1] + (s_star - S[k - 1]) / rhos[k - 1]
-            tagged.append((float(x_star), float(s_star)))
-    tagged.sort()
-    dedup: list[tuple[float, float]] = []
-    for x, s in tagged:
-        if dedup and x == dedup[-1][0]:
-            continue
-        dedup.append((x, s))
-
-    bx: list[float] = []
-    by: list[float] = []
-    for x, s in dedup:
-        left = int(np.searchsorted(qs, s, side="left"))
-        right = int(np.searchsorted(qs, s, side="right"))
-        if right - left >= 2 and qx[right - 1] > qx[left]:
-            # nu has a support gap at this level: vertical jump in the map
-            bx.extend([x, x])
-            by.extend([float(qx[left]), float(qx[right - 1])])
-        else:
-            bx.append(x)
-            by.append(float(Q(s)))
-    pts = []
-    for p in zip(bx, by):
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    return PiecewiseLinearMap.from_breakpoints(pts, left_slope=0.0, right_slope=0.0)
+    qa, qb = mu.quantile_fn(), nu.quantile_fn()
+    _, mass, a0, a1, b0, b1 = _merge_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None])
+    # On each interval that carries mass, T runs affinely from (Q_mu(u0+),
+    # Q_nu(u0+)) to (Q_mu(u1-), Q_nu(u1-)).  One-sided values taken from
+    # neighbouring segments may differ by an ulp, hence the running max.
+    xs = np.maximum.accumulate(np.stack([a0, a1], axis=-1)[mass].ravel())
+    ys = np.maximum.accumulate(np.stack([b0, b1], axis=-1)[mass].ravel())
+    keep = np.concatenate([[True], (np.diff(xs) != 0.0) | (np.diff(ys) != 0.0)])
+    return PiecewiseLinearMap(xs[keep], ys[keep], left_slope=0.0, right_slope=0.0)
 
 
 def interpolate(mu: Measure1D, nu: Measure1D, lam: float) -> Measure1D:
@@ -147,17 +109,15 @@ def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
     return x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope
 
 
-def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
-            p: float) -> np.ndarray:
-    """Exact W_p (W_inf for p = inf) between piecewise-affine quantiles,
-    one pair per row.
+def _merge_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray):
+    """Merge the levels of two row-wise quantile polylines.
 
     Each quantile is a polyline of parallel (n, m) arrays in the
     :class:`QuantileFn` encoding: s nondecreasing from 0 to 1, a repeated
-    s is a jump, a repeated x an atom.  The levels of both rows are
-    merged by a sort; between consecutive merged levels Q_a - Q_b is
-    affine, so W_inf is the largest one-sided value and W_p^p a sum of
-    closed-form segment integrals.
+    s is a jump, a repeated x an atom.  Between consecutive merged levels
+    u0 < u1 both quantiles are affine.  Returns, per merged interval, its
+    width h, whether it carries mass, and the one-sided values Q_a(u0+),
+    Q_a(u1-), Q_b(u0+), Q_b(u1-).
     """
     ma = sa.shape[1]
     levels = np.concatenate([sa, sb], axis=1)
@@ -170,12 +130,24 @@ def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
     a0, a1 = _limits_rows(sa, xa, na - 1, u0, u1)
     b0, b1 = _limits_rows(sb, xb, np.arange(1, u.shape[1]) - na - 1, u0, u1)
     h = u1 - u0
-    # At p = inf, intervals no wider than MASS_TOL carry no mass: equal
-    # cumulative masses summed in different orders leave such slivers,
-    # where one quantile has jumped and the other not yet.
-    wide = h > (MASS_TOL if math.isinf(p) else 0.0)
-    d0 = np.where(wide, a0 - b0, 0.0)
-    d1 = np.where(wide, a1 - b1, 0.0)
+    # Intervals no wider than MASS_TOL carry no mass: equal cumulative
+    # masses summed in different orders leave such slivers, where one
+    # quantile has jumped and the other not yet.
+    return h, h > MASS_TOL, a0, a1, b0, b1
+
+
+def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
+            p: float) -> np.ndarray:
+    """Exact W_p (W_inf for p = inf) between piecewise-affine quantiles,
+    one pair per row (see :func:`_merge_rows` for the encoding).
+
+    Q_a - Q_b is affine on each merged interval, so W_inf is the largest
+    one-sided value and W_p^p a sum of closed-form segment integrals over
+    the intervals that carry mass.
+    """
+    h, mass, a0, a1, b0, b1 = _merge_rows(sa, xa, sb, xb)
+    d0 = np.where(mass, a0 - b0, 0.0)
+    d1 = np.where(mass, a1 - b1, 0.0)
     M = np.maximum(np.abs(d0), np.abs(d1)).max(axis=1)
     if math.isinf(p):
         return M

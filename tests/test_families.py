@@ -353,3 +353,7 @@ class TestShellText:
     def test_rejects_garbage(self):
         with pytest.raises(MeasureError):
             shell_from_text("shell 1.0 1.0\n")
+
+    def test_rejects_non_numeric_field(self):
+        with pytest.raises(MeasureError, match="line 2: cannot parse"):
+            shell_from_text("shell 0.5 1 0 0 0\nshell 0.5 1 0 0 x\n")

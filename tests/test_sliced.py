@@ -250,6 +250,24 @@ class TestBatchedShellKernel:
             pytest.approx(0.5 * np.linalg.norm(th[:3]), abs=1e-12)
 
 
+    def test_finite_p_ignores_rounding_level_slivers(self):
+        # b lists a's components in another order, so the projected CDF
+        # levels agree only up to rounding and leave slivers where one
+        # quantile has jumped and the other not yet; the distance is 0
+        comps = ((0.02, 0.3, [0.2, 0, 0]), (0.71, 0.4, [-0.1, 0, 0]),
+                 (0.15, 0.8, [0.6, 0, 0]), (0.12, 0.6, [3.6, 0, 0]))
+        a = ShellMixture(3, comps)
+        b = ShellMixture(3, tuple(comps[i] for i in (0, 2, 1, 3)))
+        e1 = np.eye(3)[0]
+        pa, pb = radon_project(a, e1), radon_project(b, e1)
+        dirs = mc_directions(3, 64, 0)
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            one_d = wasserstein_inf(pa, pb) if math.isinf(p) else wasserstein_p(pa, pb, p)
+            assert one_d <= 1e-14
+            assert sw_per_direction(a, b, p, e1) <= 1e-14
+            assert sw_pq(a, b, p, 2.0, dirs) <= 1e-14
+
+
 class TestCircle:
     def test_w_inf_is_one(self):
         for t in (0.1, 0.5, 1.0):

@@ -72,6 +72,37 @@ class TestOptimalMap:
         assert image.isclose(nu, tol=1e-12)
 
 
+    def test_pushforward_cdf_on_gapped_sources_and_atomic_targets(self):
+        # sources: 1-4 pieces, each touching its left neighbour or after a
+        # gap; targets: such pieces plus up to 3 atoms, half of them at
+        # piece ends.  Breakpoint lists may differ by rounding-size pieces
+        # and atom splits, so the CDFs are compared, not the canonical forms.
+        rng = np.random.default_rng(2026)
+
+        def draw(n_atoms):
+            ends = [rng.uniform(-2.0, 0.0)]
+            for _ in range(rng.integers(1, 5)):
+                lo = ends[-1] + (0.0 if rng.random() < 0.5 else rng.uniform(0.01, 1.0))
+                ends += [lo, lo + rng.uniform(0.05, 1.0)]
+            bounds = list(zip(ends[1::2], ends[2::2]))
+            atoms = [rng.choice(ends[1:]) if rng.random() < 0.5
+                     else rng.uniform(ends[0] - 0.5, ends[-1] + 0.5)
+                     for _ in range(n_atoms)]
+            w = rng.dirichlet(np.ones(len(bounds) + n_atoms))
+            return Measure1D.from_components(
+                list(zip(atoms, w[len(bounds):])),
+                [(lo, hi, wi / (hi - lo)) for (lo, hi), wi in zip(bounds, w)])
+
+        for _ in range(300):
+            mu, nu = draw(0), draw(int(rng.integers(0, 4)))
+            image = pushforward_pwl(mu, optimal_map(mu, nu))
+            lo, hi = nu.support
+            grid = np.concatenate([np.linspace(lo - 0.1, hi + 0.1, 2001),
+                                   [x for x, _ in nu.atoms],
+                                   [x for piece in nu.pieces for x in piece[:2]]])
+            assert np.max(np.abs(image.cdf(grid) - nu.cdf(grid))) <= 1e-12
+
+
 # -------------------------------------------------------------- interpolation
 
 
