@@ -323,6 +323,21 @@ def s_of_theta(theta) -> float:
     return float(np.linalg.norm(theta[:3]))
 
 
+def _projected_intervals(sm: ShellMixture, thetas: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of the components of sm onto every row of thetas: the
+    intervals [theta.c - r s(theta), theta.c + r s(theta)] as (lo, hi) of
+    shape (n, K).  lo == hi marks a point mass: a projected radius of at
+    most _RADIUS_EPS, or one lost to rounding beside theta.c."""
+    r = np.array([r for _, r, _ in sm.components])
+    centers = np.array([c for _, _, c in sm.components])
+    loc = thetas @ centers.T
+    rs = np.linalg.norm(thetas[:, :3], axis=1)[:, None] * r
+    lo, hi = loc - rs, loc + rs
+    atom = (rs <= _RADIUS_EPS) | (hi <= lo)
+    return np.where(atom, loc, lo), np.where(atom, loc, hi)
+
+
 def radon_project(sm: ShellMixture, theta) -> Measure1D:
     """1D pushforward of a shell mixture under x -> x . theta.
 
@@ -331,22 +346,15 @@ def radon_project(sm: ShellMixture, theta) -> Measure1D:
     projected radius vanishes): slicing a sphere by parallel hyperplanes
     sweeps out equal areas, so the projection of its surface measure is
     flat.  Verified against Monte-Carlo projection of sphere samples in
-    the tests.
+    the tests.  It shares its intervals with :func:`radon_quantile_rows`.
     """
     theta = _check_unit(theta)
     if theta.shape != (sm.dim,):
         raise MeasureError("direction dimension does not match the mixture")
-    s = float(np.linalg.norm(theta[:3]))
-    atoms: list[tuple[float, float]] = []
-    pieces: list[tuple[float, float, float]] = []
-    for w, r, c in sm.components:
-        loc = float(np.dot(theta, c))
-        rs = r * s
-        if rs > _RADIUS_EPS:
-            pieces.append((loc - rs, loc + rs, w / (2.0 * rs)))
-        else:
-            atoms.append((loc, w))
-    return Measure1D.from_components(atoms, pieces)
+    lo, hi = (v[0].tolist() for v in _projected_intervals(sm, theta[None, :]))
+    comps = [(w, a, b) for (w, _, _), a, b in zip(sm.components, lo, hi)]
+    return Measure1D.from_components([(a, w) for w, a, b in comps if a == b],
+                                     [(a, b, w / (b - a)) for w, a, b in comps if a < b])
 
 
 def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
@@ -363,18 +371,13 @@ def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
     directly rather than accumulated along the line.
     """
     w = np.array([w for w, _, _ in sm.components])
-    r = np.array([r for _, r, _ in sm.components])
-    centers = np.array([c for _, _, c in sm.components])
-    loc = thetas @ centers.T  # (n, K)
-    rs = np.linalg.norm(thetas[:, :3], axis=1)[:, None] * r
-    lo, hi = loc - rs, loc + rs
-    atom = (rs <= _RADIUS_EPS) | (hi <= lo)
-    lo, hi = np.where(atom, loc, lo), np.where(atom, loc, hi)
+    lo, hi = _projected_intervals(sm, thetas)  # (n, K)
+    atom = lo == hi
     ends = np.sort(np.concatenate([lo, hi], axis=1), axis=1)  # (n, 2K)
     e = ends[:, :, None]
     spread = np.clip((e - lo[:, None]) / np.where(atom, 1.0, hi - lo)[:, None], 0.0, 1.0)
-    below = np.where(atom[:, None], e > loc[:, None], spread) @ w
-    upto = np.where(atom[:, None], e >= loc[:, None], spread) @ w
+    below = np.where(atom[:, None], e > lo[:, None], spread) @ w
+    upto = np.where(atom[:, None], e >= lo[:, None], spread) @ w
     s = np.stack([below, upto], axis=2).reshape(ends.shape[0], -1)
     s[:, -1] = 1.0
     s = np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1]  # clamp mass roundoff

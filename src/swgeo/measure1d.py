@@ -80,13 +80,6 @@ class ArcsinePart:
         s = np.asarray(s, dtype=float)
         return self.center + self.radius * np.sin(np.pi * (s - 0.5))
 
-    def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.radius
-        inside = np.abs(z) < 1.0
-        out = np.zeros_like(z, dtype=float)
-        out[inside] = 1.0 / (np.pi * self.radius * np.sqrt(1.0 - z[inside] ** 2))
-        return out
-
 
 def _canonicalize(atoms, pieces):
     """Sort, resolve overlaps, split at atom positions, and merge.
@@ -327,10 +320,6 @@ class QuantileFn:
             raise MeasureError("quantile s-range must be exactly [0, 1]")
 
     @property
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.s.tolist(), self.x.tolist()))
-
-    @property
     def s_breaks(self) -> np.ndarray:
         return np.unique(self.s)
 
@@ -398,42 +387,20 @@ class AnalyticQuantile:
 
 
 def _build_quantile(m: Measure1D) -> QuantileFn:
-    """Exact piecewise-affine quantile of a discrete mixture."""
-    events: list[tuple[float, int, tuple]] = []
-    for pos, mass in m.atoms:
-        events.append((pos, 0, (pos, mass)))
-    for lo, hi, rho in m.pieces:
-        events.append((lo, 1, (lo, hi, rho)))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    s_list: list[float] = []
-    x_list: list[float] = []
+    """Exact piecewise-affine quantile of a discrete mixture.  Canonical
+    atoms (lo = hi) and pieces are disjoint, so over them in sorted order
+    the quantile joins (cum_k, lo_k) to (cum_k+1, hi_k) for the cumulative
+    masses cum; a point repeating the one before it is dropped."""
+    points: list[tuple[float, float]] = []
     cum = 0.0
-    prev_end: float | None = None
-    for _, kind, data in events:
-        start = data[0]
-        if prev_end is None:
-            s_list.append(0.0)
-            x_list.append(start)
-        elif start > prev_end:
-            # support gap: vertical jump at the current level
-            s_list.append(cum)
-            x_list.append(start)
-        if kind == 0:
-            pos, mass = data
-            cum += mass
-            s_list.append(cum)
-            x_list.append(pos)
-            prev_end = pos if prev_end is None or pos > prev_end else prev_end
-        else:
-            lo, hi, rho = data
-            cum += rho * (hi - lo)
-            s_list.append(cum)
-            x_list.append(hi)
-            prev_end = hi
-    s = np.array(s_list)
-    x = np.array(x_list)
-    s[0], s[-1] = 0.0, 1.0
+    for lo, hi, mass in sorted([(pos, pos, mass) for pos, mass in m.atoms]
+                               + [(lo, hi, rho * (hi - lo)) for lo, hi, rho in m.pieces]):
+        for point in ((cum, lo), (cum + mass, hi)):
+            if not points or point != points[-1]:
+                points.append(point)
+        cum += mass
+    s, x = map(np.array, zip(*points))
+    s[-1] = 1.0
     s = np.minimum.accumulate(s[::-1])[::-1]  # clamp tiny cumsum overshoots
     return QuantileFn(s, x)
 
@@ -479,10 +446,6 @@ class PiecewiseLinearMap:
     @classmethod
     def identity(cls, lo: float = -1.0, hi: float = 1.0) -> "PiecewiseLinearMap":
         return cls(np.array([lo, hi]), np.array([lo, hi]), 1.0, 1.0)
-
-    @property
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs.tolist(), self.ys.tolist()))
 
     def _segment(self, j):
         x0, x1 = self.xs[j], self.xs[j + 1]

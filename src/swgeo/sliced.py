@@ -18,9 +18,9 @@ W_p between the projections of a and b.  Three paths compute it:
 * circle mixtures: projections are arcsine measures, so each direction
   builds its Measure1D and takes the numeric W_p.
 
-``sw_per_direction`` is the per-direction path for one theta:
-``radon_project`` (or ``circle_project``) then ``wasserstein_p``.  The
-tests use it as the oracle for the batched path.
+``sw_per_direction``, the path of the centered and circle cases, projects
+onto one theta with ``radon_project`` (or ``circle_project``) and then
+takes ``wasserstein_p``; the tests use it as the oracle for the batched path.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  For the families treated here the per-direction distance is
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import families, transport1d
 from .families import CircleMixture, ShellMixture, circle_project, radon_project
-from .measure1d import MASS_TOL, Measure1D, MeasureError
+from .measure1d import MASS_TOL, MeasureError
 from .sphere import DirectionSet
 from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
 
@@ -103,20 +103,6 @@ def _check_pq(p: float, q: float):
     if q < 1.0:
         raise MeasureError("q must be >= 1")
     return p, q
-
-
-def _project(mixture, theta) -> Measure1D:
-    if isinstance(mixture, ShellMixture):
-        return radon_project(mixture, theta)
-    if isinstance(mixture, CircleMixture):
-        return circle_project(mixture, theta)
-    raise MeasureError(f"unsupported mixture type {type(mixture).__name__}")
-
-
-def _dist1d(ma: Measure1D, mb: Measure1D, p: float) -> float:
-    if math.isinf(p):
-        return wasserstein_inf(ma, mb)
-    return wasserstein_p(ma, mb, p)
 
 
 def _is_centered(mixture) -> bool:
@@ -182,7 +168,7 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         # and the supremum over the sphere sits at s = 1 (theta = e1)
         e1 = np.zeros(a.dim)
         e1[0] = 1.0
-        v = _dist1d(_project(a, e1), _project(b, e1), p)
+        v = sw_per_direction(a, b, p, e1)
         if math.isinf(q):
             return v
         s = dirs.s_values()
@@ -192,8 +178,7 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     if shell:
         vals = _shell_distances(a, b, p, thetas)
     else:
-        vals = np.array([_dist1d(_project(a, theta), _project(b, theta), p)
-                         for theta in thetas])
+        vals = np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
     if math.isinf(q):
         return float(vals.max())
     return float(np.dot(dirs.weights, vals ** q) ** (1.0 / q))
@@ -218,11 +203,20 @@ def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
 
 def sw_per_direction(a, b, p: float, theta) -> float:
     """W_p between the projections of a and b onto a single direction, one
-    Measure1D per mixture; the oracle for the batched path of sw_pq."""
+    Measure1D per mixture: the centered and circle paths of sw_pq, and
+    the tests' oracle for its batched path."""
     p = float(p)
     if p < 1.0:
         raise MeasureError("p must be >= 1")
-    return _dist1d(_project(a, theta), _project(b, theta), p)
+    if isinstance(a, ShellMixture):
+        ma, mb = radon_project(a, theta), radon_project(b, theta)
+    elif isinstance(a, CircleMixture):
+        ma, mb = circle_project(a, theta), circle_project(b, theta)
+    else:
+        raise MeasureError(f"unsupported mixture type {type(a).__name__}")
+    if math.isinf(p):
+        return wasserstein_inf(ma, mb)
+    return wasserstein_p(ma, mb, p)
 
 
 # -------------------------------------------------------------- radial W_p

@@ -21,6 +21,8 @@ from swgeo.families import (
     w_p_mu01,
 )
 from swgeo.measure1d import Measure1D, MeasureError
+from swgeo.sliced import _shell_distances, sw_per_direction
+from swgeo.sphere import mc_directions
 from swgeo.transport1d import wasserstein_p
 
 
@@ -280,6 +282,24 @@ class TestRadonProject:
     def test_dimension_mismatch(self):
         with pytest.raises(MeasureError):
             radon_project(ShellMixture.single(4, 1.0), unit_vec(3))
+
+    def test_narrow_shell_far_from_origin(self):
+        # the projected radius 1e-10 s(theta) is above the atom threshold
+        # but tiny beside theta.c, so hi - lo keeps only about 8 digits of
+        # 2 r s; the density must follow hi - lo for the mass to stay 1
+        narrow = ShellMixture(4, ((0.5, 1e-10, np.array([2.0, 0.0, 0.0, 0.5])),
+                                  (0.5, 1.0, np.zeros(4))))
+        unit = ShellMixture.single(4, 1.0)
+        thetas = mc_directions(4, 200, 0).thetas
+        for theta in thetas:
+            m = radon_project(narrow, theta)
+            mass = (sum(w for _, w in m.atoms)
+                    + sum((hi - lo) * rho for lo, hi, rho in m.pieces))
+            assert abs(mass - 1.0) <= 1e-15
+        for p in (1.0, 2.0, 3.0, math.inf):
+            batched = _shell_distances(narrow, unit, p, thetas)
+            oracle = np.array([sw_per_direction(narrow, unit, p, th) for th in thetas])
+            np.testing.assert_allclose(oracle, batched, rtol=1e-12, atol=0.0)
 
 
 class TestTransforms:

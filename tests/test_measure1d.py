@@ -142,19 +142,22 @@ class TestQuantile:
 
 @st.composite
 def discrete_mixtures(draw):
+    """Atoms and pieces at free positions, pieces that touch the previous
+    one, and atoms on piece ends."""
     n_atoms = draw(st.integers(0, 3))
     n_pieces = draw(st.integers(0 if n_atoms else 1, 3))
-    positions = draw(st.lists(st.floats(-10, 10), min_size=n_atoms,
-                              max_size=n_atoms, unique=True))
     raw_masses = [draw(st.floats(0.05, 1.0)) for _ in range(n_atoms + n_pieces)]
     total = sum(raw_masses)
-    atoms = [(p, m / total) for p, m in zip(positions, raw_masses[:n_atoms])]
     pieces = []
     for k in range(n_pieces):
-        lo = draw(st.floats(-10, 9))
+        touch = bool(pieces) and draw(st.booleans())
+        lo = pieces[-1][1] if touch else draw(st.floats(-10, 9))
         width = draw(st.floats(0.1, 3.0))
         mass = raw_masses[n_atoms + k] / total
         pieces.append((lo, lo + width, mass / width))
+    ends = [e for lo, hi, _ in pieces for e in (lo, hi)]
+    position = st.floats(-10, 10) | st.sampled_from(ends) if ends else st.floats(-10, 10)
+    atoms = [(draw(position), m / total) for m in raw_masses[:n_atoms]]
     return Measure1D.from_components(atoms, pieces)
 
 
@@ -164,6 +167,8 @@ def test_quantile_nondecreasing(m):
     q = m.quantile_fn()
     vals = np.asarray(q(np.linspace(0, 1, 777)))
     assert np.all(np.diff(vals) >= -1e-12)
+    # no breakpoint repeats the one before it, where components touch too
+    assert not np.any((np.diff(q.s) == 0.0) & (np.diff(q.x) == 0.0))
 
 
 @settings(max_examples=40, deadline=None)
