@@ -194,14 +194,17 @@ class Measure1D:
         return not self.arcsine_parts
 
     @cached_property
+    def x_breaks(self) -> np.ndarray:
+        """Where the CDF is not smooth: atoms, piece ends and arcsine ends."""
+        ends = [(lo, hi) for lo, hi, _ in self.pieces] + [
+            (a.center - a.radius, a.center + a.radius) for a in self.arcsine_parts]
+        return np.unique([p for p, _ in self.atoms] + [e for pair in ends for e in pair])
+
+    @cached_property
     def support(self) -> tuple[float, float]:
-        los = [p for p, _ in self.atoms] + [lo for lo, _, _ in self.pieces] \
-            + [a.center - a.radius for a in self.arcsine_parts]
-        his = [p for p, _ in self.atoms] + [hi for _, hi, _ in self.pieces] \
-            + [a.center + a.radius for a in self.arcsine_parts]
-        if not los:
+        if not self.x_breaks.size:
             raise MeasureError("empty measure")
-        return (min(los), max(his))
+        return (float(self.x_breaks[0]), float(self.x_breaks[-1]))
 
     @cached_property
     def _atom_pos(self) -> np.ndarray:
@@ -319,10 +322,6 @@ class QuantileFn:
         if s[0] != 0.0 or s[-1] != 1.0:
             raise MeasureError("quantile s-range must be exactly [0, 1]")
 
-    @property
-    def s_breaks(self) -> np.ndarray:
-        return np.unique(self.s)
-
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         j = np.searchsorted(self.s, u, side="right") - 1
@@ -336,36 +335,28 @@ class QuantileFn:
 
 
 class AnalyticQuantile:
-    """Quantile evaluator for measures with arcsine components.
-
-    A pure arcsine catalog measure uses its closed-form quantile; general
-    mixtures invert the CDF by vectorized bisection (the CDF is monotone,
-    and the sup convention resolves flat spots to the right endpoint).
-    """
+    """Quantile evaluator for measures with arcsine components, and for any
+    measure in a transport distance with one.  A pure arcsine catalog
+    measure uses its closed-form quantile; general mixtures invert the CDF
+    by vectorized bisection (the CDF is monotone, and the sup convention
+    resolves flat spots to the right endpoint).  ``s_breaks`` are the
+    levels where the quantile is not smooth: the CDF at ``x_breaks`` and
+    the top of every atom."""
 
     def __init__(self, measure: Measure1D):
-        self.measure = measure
-        self._pure = (len(measure.arcsine_parts) == 1
-                      and not measure.atoms and not measure.pieces
-                      and abs(measure.arcsine_parts[0].weight - 1.0) <= MASS_TOL)
-        lo, hi = measure.support
+        self.measure = m = measure
+        self._pure = (len(m.arcsine_parts) == 1 and not m.atoms and not m.pieces
+                      and abs(m.arcsine_parts[0].weight - 1.0) <= MASS_TOL)
+        lo, hi = m.support
         span = hi - lo
         self._lo, self._hi = lo - 1e-9 * max(1.0, span), hi + 1e-9 * max(1.0, span)
-        self.s_breaks = self._collect_breaks()
-
-    def _collect_breaks(self) -> np.ndarray:
-        m = self.measure
-        xs: list[float] = []
-        xs.extend(p for p, _ in m.atoms)
-        xs.extend(b for lo, hi, _ in m.pieces for b in (lo, hi))
-        xs.extend(b for a in m.arcsine_parts
-                  for b in (a.center - a.radius, a.center + a.radius))
-        breaks = {0.0, 1.0}
-        for x in xs:
-            breaks.add(float(np.clip(m.cdf(x), 0.0, 1.0)))
-        for p, mass in m.atoms:
-            breaks.add(float(np.clip(m.cdf(p) + mass, 0.0, 1.0)))
-        return np.array(sorted(breaks))
+        xb, levels = m.x_breaks, m.cdf(m.x_breaks)
+        self.s_breaks = np.unique(np.clip(np.concatenate(
+            [[0.0, 1.0], levels, m.cdf(m._atom_pos) + m._atom_mass]), 0.0, 1.0))
+        # Q jumps across each massless gap (xb[k], xb[k+1]): F there sums the
+        # same terms at the midpoint as at xb[k+1]
+        gap = m.cdf(0.5 * (xb[:-1] + xb[1:])) == levels[1:]
+        self._gap_level, self._gap_lo = levels[1:][gap], xb[:-1][gap]
 
     def __call__(self, u):
         scalar = np.ndim(u) == 0
@@ -373,17 +364,21 @@ class AnalyticQuantile:
         if self._pure:
             out = self.measure.arcsine_parts[0].quantile(u)
         else:
-            lo = np.full(u.shape, self._lo)
-            hi = np.full(u.shape, self._hi)
+            lo, hi = np.full(u.shape, self._lo), np.full(u.shape, self._hi)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 go_right = self.measure.cdf(mid) <= u
-                lo = np.where(go_right, mid, lo)
-                hi = np.where(go_right, hi, mid)
-            out = 0.5 * (lo + hi)
-            slo, shi = self.measure.support
-            out = np.clip(out, slo, shi)
+                lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+            out = np.clip(0.5 * (lo + hi), *self.measure.support)
         return float(out[0]) if scalar else out
+
+    def left_limit(self, u: np.ndarray) -> np.ndarray:
+        """Q(u-): the start of the gap Q jumps across at level u, else Q(u)."""
+        out = self(u)
+        if self._gap_level.size:
+            k = np.minimum(np.searchsorted(self._gap_level, u), self._gap_level.size - 1)
+            out = np.where(self._gap_level[k] == u, self._gap_lo[k], out)
+        return out
 
 
 def _build_quantile(m: Measure1D) -> QuantileFn:

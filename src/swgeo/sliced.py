@@ -2,7 +2,8 @@
 empirical path for weighted point clouds.
 
 ``sw_pq(a, b, p, q, dirs)`` is the q-mean over a direction set of the 1D
-W_p between the projections of a and b.  Three paths compute it:
+W_p between the projections of a and b; a value that overflows float64
+raises MeasureError.  Three paths compute it:
 
 * centered shell mixtures: when every component of both mixtures is
   centered at the origin, the projected quantiles scale linearly with
@@ -15,20 +16,19 @@ W_p between the projections of a and b.  Three paths compute it:
   :func:`swgeo.transport1d.wp_rows`, the exact kernel behind
   ``wasserstein_p``, merges and integrates the rows; no per-direction
   Measure1D is built.
-* circle mixtures: projections are arcsine measures, so each direction
-  builds its Measure1D and takes the numeric W_p.
+* circle mixtures project to arcsine mixtures.  Centered ones take the
+  centered path with s(theta) = 1; off-center ones build a Measure1D per
+  direction and take the numeric W_p.
 
 ``sw_per_direction``, the path of the centered and circle cases, projects
 onto one theta with ``radon_project`` (or ``circle_project``) and then
 takes ``wasserstein_p``; the tests use it as the oracle for the batched path.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
-sphere.  For the families treated here the per-direction distance is
-maximized at directions with s(theta) = 1 aligned with the component
-centers, so the supremum is evaluated over e1, the normalized shell-
-subspace projections of all centers and center differences, and the
-nodes themselves.  This is exact for the shell/circle families; it is
-documented as family-specific rather than a general supremum.
+sphere.  The supremum is taken over e1, the normalized shell-subspace
+projections of all centers and center differences, and the nodes.  This
+is exact for centered shells and circles, and a lower bound otherwise (on
+moving translations of shell curves it falls up to 14 % below).
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -163,25 +163,23 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         raise MeasureError(f"dimension mismatch: a={a.dim}, b={b.dim}, dirs={dirs.dim}")
 
     shell = isinstance(a, ShellMixture)
-    if shell and _is_centered(a) and _is_centered(b):
-        # projections scale linearly with s(theta): one 1D distance suffices,
-        # and the supremum over the sphere sits at s = 1 (theta = e1)
-        e1 = np.zeros(a.dim)
-        e1[0] = 1.0
-        v = sw_per_direction(a, b, p, e1)
-        if math.isinf(q):
-            return v
-        s = dirs.s_values()
-        return v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
-
-    thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-    if shell:
-        vals = _shell_distances(a, b, p, thetas)
+    if _is_centered(a) and _is_centered(b):
+        # projections scale with s(theta) for shells and do not depend on
+        # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
+        v = sw_per_direction(a, b, p, np.eye(a.dim)[0])
+        s = dirs.s_values() if shell else np.ones(dirs.n)
+        val = v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
-        vals = np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
-    if math.isinf(q):
-        return float(vals.max())
-    return float(np.dot(dirs.weights, vals ** q) ** (1.0 / q))
+        thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
+        if shell:
+            vals = _shell_distances(a, b, p, thetas)
+        else:
+            vals = np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
+        val = float(vals.max() if math.isinf(q)
+                    else np.dot(dirs.weights, vals ** q) ** (1.0 / q))
+    if not math.isfinite(val):
+        raise MeasureError(f"sliced distance {val} is not finite: the mixtures overflow")
+    return val
 
 
 # Values per batch of the shell kernel: its largest temporaries hold

@@ -2,9 +2,14 @@
 
 Optimal maps via quantile composition, exact W_p for piecewise-affine
 quantiles (closed-form per-segment integration of |a + b s|^p, one pair
-per row in ``wp_rows``), adaptive Gauss-Legendre for analytic quantiles,
-W_inf as the sup of quantile differences, displacement interpolation,
-and the constant-speed deviation table of a curve under any distance.
+per row in ``wp_rows``), W_inf as the sup of quantile differences,
+displacement interpolation, and the constant-speed deviation table of a
+curve under any distance.
+
+With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
+is smooth and keeps one sign (``_level_cuts``); W_p is one batched
+Gauss-Legendre sum over them.  A distance that overflows float64 raises
+MeasureError.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -14,6 +19,7 @@ require an atomless source.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -21,6 +27,7 @@ import numpy as np
 
 from .measure1d import (
     MASS_TOL,
+    AnalyticQuantile,
     Measure1D,
     MeasureError,
     PiecewiseLinearMap,
@@ -39,6 +46,10 @@ __all__ = [
 ]
 
 _REL_QUAD_TOL = 1e-10
+_MAX_NODES = 4096
+# samples per gap between breakpoints, and per panel in each W_inf round
+_SAMPLES = 64
+_ZOOM_ROUNDS = 7
 
 
 def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
@@ -90,11 +101,6 @@ def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.n
     exact = h * (G(d1) - G(d0)) / (np.where(near, 1.0, diff) * (p + 1.0))
     midpoint = np.abs(0.5 * (d0 + d1)) ** p * h
     return np.sum(np.where(near, midpoint, exact), axis=-1)
-
-
-def _merged_grid(qa, qb) -> np.ndarray:
-    u = np.union1d(np.union1d(qa.s_breaks, qb.s_breaks), [0.0, 1.0])
-    return u[(u >= 0.0) & (u <= 1.0)]
 
 
 def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
@@ -159,117 +165,113 @@ def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:
     return float(wp_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None], p)[0])
 
 
-def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Adaptive Gauss-Legendre on one panel: node count doubles until the
-    estimate is stable to _REL_QUAD_TOL relative."""
-    prev = None
-    n = 16
-    while True:
-        t, w = np.polynomial.legendre.leggauss(n)
-        x = 0.5 * (b - a) * t + 0.5 * (a + b)
-        val = 0.5 * (b - a) * float(np.dot(w, f(x)))
-        if prev is not None and abs(val - prev) <= _REL_QUAD_TOL * max(abs(val), 1e-30):
-            return val
-        if n >= 4096:
-            return val
-        prev = val
-        n *= 2
+def _level_cuts(mu: Measure1D, nu: Measure1D, qa, qb) -> np.ndarray:
+    """Both quantiles' breakpoint levels, plus F_mu(x*) and F_nu(x*) at each
+    root x* of F_mu - F_nu: where Q_mu - Q_nu changes sign both quantiles
+    equal some x*, and there the closed-form CDFs cross.  The roots are
+    samples where F_mu - F_nu is 0 and a vectorized bisection on each sign
+    change; cutting at both CDF values covers a crossing inside an atom."""
+    xb = np.union1d(mu.x_breaks, nu.x_breaks)
+    t = np.arange(_SAMPLES) / _SAMPLES
+    x = np.append((xb[:-1, None] + np.diff(xb)[:, None] * t).ravel(), xb[-1])
+    g = mu.cdf(x) - nu.cdf(x)
+    i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    lo, hi, glo = x[i], x[i + 1], g[i]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        left = (mu.cdf(mid) - nu.cdf(mid)) * glo > 0.0
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    roots = np.concatenate([x[g == 0.0], lo])
+    cuts = np.concatenate([qa.s_breaks, qb.s_breaks, mu.cdf(roots), nu.cdf(roots)])
+    return np.unique(np.clip(cuts, 0.0, 1.0))
 
 
-def _refine_sign_changes(f: Callable[[np.ndarray], np.ndarray],
-                         a: float, b: float) -> list[float]:
-    """Locate zero crossings of f inside (a, b) by dense sampling plus
-    bisection; crossings become additional panel boundaries so each panel
-    integrand is smooth."""
-    xs = np.linspace(a, b, 65)
-    vals = np.asarray(f(xs))
-    cuts = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0 or va * vb >= 0.0:
-            continue
-        lo, hi = xs[i], xs[i + 1]
-        flo = va
-        for _ in range(60):
-            midp = 0.5 * (lo + hi)
-            fm = float(f(np.array([midp]))[0])
-            if fm == 0.0:
-                lo = hi = midp
-                break
-            if flo * fm < 0:
-                hi = midp
-            else:
-                lo, flo = midp, fm
-        cuts.append(0.5 * (lo + hi))
-    return cuts
+@functools.lru_cache(maxsize=None)
+def _panel_rule(n: int):
+    """n-node Gauss-Legendre rule on [0, 1] through x = s^2 (3 - 2s), which
+    smooths the |x|^p of quantiles that cross at a panel end.  The weights
+    are normalized to integrate constants exactly."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (t + 1.0)
+    w = w * s * (1.0 - s)
+    return s * s * (3.0 - 2.0 * s), w / w.sum()
 
 
-def _wp_numeric(qa, qb, p: float) -> float:
-    u = _merged_grid(qa, qb)
-    diff = lambda x: np.asarray(qa(x)) - np.asarray(qb(x))
-    total = 0.0
-    for a, b in zip(u[:-1], u[1:]):
-        if b <= a:
-            continue
-        cuts = _refine_sign_changes(diff, a, b)
-        edges = sorted({a, b, *cuts})
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            if e1 > e0:
-                total += _gauss_panel(lambda x: np.abs(diff(x)) ** p, e0, e1)
-    return total ** (1.0 / p)
+def _wp_numeric(mu: Measure1D, nu: Measure1D, p: float) -> float:
+    """The node count doubles on the panels whose value has not settled to
+    _REL_QUAD_TOL relative; one still unsettled at _MAX_NODES is an error."""
+    qa, qb = AnalyticQuantile(mu), AnalyticQuantile(nu)
+    u = _level_cuts(mu, nu, qa, qb)
+    # A panel no wider than MASS_TOL joins the next one: the nodes are
+    # interior, so they never sample a jump that rounding left there.
+    edges = u[np.append(True, np.diff(u) > MASS_TOL)]
+    edges[-1] = 1.0
+    u0, h = edges[:-1], np.diff(edges)
+    # a power of two near the support size keeps |Q_mu - Q_nu|^p in range
+    scale = math.ldexp(1.0, math.frexp(max(map(abs, mu.support + nu.support)))[1] - 1)
+    total = np.zeros(u0.size)
+    todo, prev, n = np.arange(u0.size), None, 16
+    while todo.size:
+        if n > _MAX_NODES:
+            raise MeasureError(f"W_p quadrature did not converge with {_MAX_NODES} nodes")
+        x, w = _panel_rule(n)
+        u = u0[todo, None] + h[todo, None] * x
+        val = h[todo] * ((np.abs(qa(u) - qb(u)) / scale) ** p @ w)
+        if prev is not None:  # a non-finite value is final: _finite refuses it
+            done = ~(np.abs(val - prev) > _REL_QUAD_TOL * np.maximum(np.abs(val), 1e-30))
+            total[todo[done]] = val[done]
+            todo, val = todo[~done], val[~done]
+        prev, n = val, 2 * n
+    return scale * float(total.sum()) ** (1.0 / p)
+
+
+def _sup_numeric(mu: Measure1D, nu: Measure1D) -> float:
+    qa, qb = AnalyticQuantile(mu), AnalyticQuantile(nu)
+    u = _level_cuts(mu, nu, qa, qb)
+    mass = np.diff(u) > MASS_TOL  # as in _merge_rows
+    lo, hi = u[:-1][mass], u[1:][mass]
+    best = np.maximum(np.abs(qa(lo) - qb(lo)),
+                      np.abs(qa.left_limit(hi) - qb.left_limit(hi)))
+    t, rows = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1), np.arange(lo.size)
+    for _ in range(_ZOOM_ROUNDS):
+        u = lo[:, None] + (hi - lo)[:, None] * t
+        d = np.abs(qa(u) - qb(u))
+        k = np.argmax(d, axis=1)
+        best = np.maximum(best, d[rows, k])
+        grid = np.concatenate([lo[:, None], u, hi[:, None]], axis=1)
+        lo, hi = grid[rows, k], grid[rows, k + 2]
+    return float(best.max())
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise MeasureError(f"distance {value} is not finite: the measures overflow")
+    return value
 
 
 def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
-    """W_p distance for finite p >= 1 via the quantile representation.
-
-    Exact per-segment closed form when both quantiles are piecewise
-    affine; composite adaptive Gauss-Legendre split at all quantile
-    breakpoints (and at interior zero crossings of the difference)
-    otherwise.  Non-integer p is supported.
-    """
+    """W_p distance for finite p >= 1 via the quantile representation:
+    exact per-segment closed form when both quantiles are piecewise affine,
+    Gauss-Legendre on the panels of :func:`_level_cuts` otherwise.
+    Non-integer p is supported."""
     p = float(p)
     if math.isinf(p):
         raise MeasureError("use wasserstein_inf for p = infinity")
     if p < 1.0:
         raise MeasureError("wasserstein_p requires p >= 1")
-    qa, qb = mu.quantile_fn(), nu.quantile_fn()
-    if isinstance(qa, QuantileFn) and isinstance(qb, QuantileFn):
-        return _wp_exact(qa, qb, p)
-    return _wp_numeric(qa, qb, p)
+    if mu.is_discrete_mixture and nu.is_discrete_mixture:
+        return _finite(_wp_exact(mu.quantile_fn(), nu.quantile_fn(), p))
+    return _finite(_wp_numeric(mu, nu, p))
 
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
-    """W_inf as the sup of |Q_mu - Q_nu| over [0, 1].
-
-    Exact over the merged breakpoint set for piecewise-affine quantiles
-    (the difference is affine in between); dense grid of 10^4 points plus
-    golden-section refinement around the grid maximum otherwise.
-    """
-    qa, qb = mu.quantile_fn(), nu.quantile_fn()
-    if isinstance(qa, QuantileFn) and isinstance(qb, QuantileFn):
-        return _wp_exact(qa, qb, math.inf)
-
-    breaks = _merged_grid(qa, qb)
-    grid = np.union1d(np.linspace(0.0, 1.0, 10_001), breaks)
-    vals = np.abs(np.asarray(qa(grid)) - np.asarray(qb(grid)))
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    f = lambda x: float(np.abs(np.asarray(qa(np.array([x]))) - np.asarray(qb(np.array([x]))))[0])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-    return max(float(vals[i]), f1, f2)
+    """W_inf as the sup of |Q_mu - Q_nu| over [0, 1]: exact over the merged
+    breakpoints of piecewise-affine quantiles; otherwise the largest of the
+    exact one-sided ends of the panels of :func:`_level_cuts` and of
+    interior samples that zoom in on each panel's maximum."""
+    if mu.is_discrete_mixture and nu.is_discrete_mixture:
+        return _finite(_wp_exact(mu.quantile_fn(), nu.quantile_fn(), math.inf))
+    return _finite(_sup_numeric(mu, nu))
 
 
 def pairwise_deviation(curve: Callable[[float], object],

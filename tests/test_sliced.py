@@ -278,6 +278,18 @@ class TestCircle:
             assert max(vals) - min(vals) < 1e-10
             assert vals[0] == pytest.approx(math.sin(math.pi * t / 2), abs=1e-6)
 
+    def test_centered_circles_take_one_direction(self, monkeypatch):
+        # a centered circle mixture projects to the same measure on every theta
+        calls = []
+        one = swgeo.sliced.sw_per_direction
+        monkeypatch.setattr(swgeo.sliced, "sw_per_direction",
+                            lambda *args: calls.append(args) or one(*args))
+        c0, ct = circle_family(0.0), circle_family(0.3)
+        for q in (1.0, 2.0, math.inf):
+            got = sw_pq(ct, c0, math.inf, q, mc_directions(2, 16, seed=4))
+            assert got == pytest.approx(math.sin(0.15 * math.pi), rel=1e-15)
+        assert len(calls) == 3
+
 
 class TestWpRadial:
     def test_formula(self):
@@ -426,3 +438,21 @@ class TestSlicedGeodesics:
             dev = sliced_geodesic_deviation(curve, 2.0, 2.0,
                                             beta_directions(d, 24), self.GRID)
             assert dev < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteDistances:
+    DIRS = mc_directions(4, 8, 0)
+    UNIT = ShellMixture.single(4, 1.0)
+
+    def test_overflowing_projection_is_refused(self):
+        big = ShellMixture(4, ((1.0, 1e308, np.array([0.5, 0.0, 0.0, 0.0])),))
+        for p, q in ((2.0, 2.0), (1.0, 1.0), (math.inf, math.inf)):
+            with pytest.raises(MeasureError, match="not finite"):
+                sw_pq(big, self.UNIT, p, q, self.DIRS)
+
+    def test_overflowing_q_mean_is_refused(self):
+        wide = ShellMixture(4, ((0.5, 1e200, np.array([0.5, 0.0, 0.0, 0.0])),
+                                (0.5, 1.0, np.zeros(4))))
+        with pytest.raises(MeasureError, match="not finite"):
+            sw_pq(wide, self.UNIT, 2.0, 2.0, self.DIRS)

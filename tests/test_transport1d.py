@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from swgeo.families import mu_curve, mu_family, w_p_mu01
-from swgeo.measure1d import Measure1D, MeasureError, pushforward_pwl
+import swgeo.transport1d
+from swgeo.families import circle_family, circle_project, mu_curve, mu_family, w_p_mu01
+from swgeo.measure1d import ArcsinePart, Measure1D, MeasureError, pushforward_pwl
 from swgeo.transport1d import (
     geodesic_deviation,
     interpolate,
@@ -289,3 +290,176 @@ class TestEndpointClosedForm:
                                           mu_family(alpha, beta, 1), p)
             assert w_p_mu01(alpha, beta, p) == pytest.approx(
                 via_quantiles, rel=1e-12, abs=1e-14)
+
+
+# ------------------------------------------------------------ arcsine mixtures
+
+
+def arcsine_mixture(*parts):
+    return Measure1D.from_components(arcsine_parts=[ArcsinePart(*p) for p in parts])
+
+
+# two overlapping two-part arcsine mixtures whose quantiles cross once
+OVERLAP_MU = ((0.6, 0.0, 1.0), (0.4, 0.3, 0.5))
+OVERLAP_NU = ((0.5, 0.1, 0.8), (0.5, -0.2, 0.6))
+
+
+class MpArcsine:
+    """30-digit oracle for a mixture of arcsine parts (w, c, r): the closed
+    form CDF and density, and the quantile by a float bisection to a
+    bracket, then Newton steps that fall back to bisection when they leave
+    the bracket."""
+
+    def __init__(self, parts):
+        import mpmath
+        mpmath.mp.dps = 30
+        self.mp = mpmath
+        self.fparts = parts
+        self.parts = [tuple(mpmath.mpf(v) for v in part) for part in parts]
+        self.ends = sorted(e for _, c, r in self.parts for e in (c - r, c + r))
+        self._quantiles = {}
+
+    def cdf(self, x):
+        mp = self.mp
+        return mp.fsum(w * (0.5 + mp.asin(min(1, max(-1, (x - c) / r))) / mp.pi)
+                       for w, c, r in self.parts)
+
+    def pdf(self, x):
+        mp = self.mp
+        return mp.fsum(w / (mp.pi * mp.sqrt(r * r - (x - c) ** 2))
+                       for w, c, r in self.parts if abs(x - c) < r)
+
+    def fcdf(self, x: float) -> float:
+        return sum(w * (0.5 + math.asin(min(1.0, max(-1.0, (x - c) / r))) / math.pi)
+                   for w, c, r in self.fparts)
+
+    def quantile(self, u):
+        if u not in self._quantiles:
+            lo, hi, uf = float(self.ends[0]), float(self.ends[-1]), float(u)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if self.fcdf(mid) <= uf else (lo, mid)
+            lo, hi = self.mp.mpf(lo) - 1e-12, self.mp.mpf(hi) + 1e-12
+            x = (lo + hi) / 2
+            for _ in range(200):
+                g = self.cdf(x) - u
+                lo, hi = (x, hi) if g <= 0 else (lo, x)
+                f = self.pdf(x)
+                nxt = x - g / f if f > 0 else lo
+                nxt = nxt if lo <= nxt <= hi else (lo + hi) / 2
+                if abs(nxt - x) <= 1e-28:
+                    break
+                x = nxt
+            self._quantiles[u] = x
+        return self._quantiles[u]
+
+
+def mp_panels(a: MpArcsine, b: MpArcsine):
+    """Levels of both quantiles' breakpoints and of the crossings of the
+    CDFs (found on a 4001-point scan), so that Q_a - Q_b is analytic and of
+    one sign between consecutive levels."""
+    mp = a.mp
+    levels = {mp.mpf(0), mp.mpf(1)} | {m.cdf(e) for m in (a, b) for e in m.ends}
+    xs = np.linspace(float(min(a.ends[0], b.ends[0])), float(max(a.ends[-1], b.ends[-1])), 4001)
+    g = [a.fcdf(x) - b.fcdf(x) for x in xs]
+    for i in range(len(xs) - 1):
+        if g[i] * g[i + 1] < 0.0:
+            x = mp.findroot(lambda x: a.cdf(x) - b.cdf(x), (xs[i], xs[i + 1]),
+                            solver="illinois")
+            levels.add(a.cdf(x))
+    levels = sorted(levels)
+    return list(zip(levels[:-1], levels[1:]))
+
+
+def mp_wp(a: MpArcsine, b: MpArcsine, p: float):
+    mp = a.mp
+    f = lambda u: abs(a.quantile(u) - b.quantile(u)) ** p
+    return mp.fsum(mp.quad(f, [u0, u1]) for u0, u1 in mp_panels(a, b)) ** (1 / mp.mpf(p))
+
+
+def mp_winf(a: MpArcsine, b: MpArcsine):
+    """Largest |Q_a - Q_b| of continuous quantiles: the panel ends, and a
+    32-point scan of each panel refined by golden-section search."""
+    mp = a.mp
+    f = lambda u: abs(a.quantile(u) - b.quantile(u))
+    best = mp.mpf(0)
+    for u0, u1 in mp_panels(a, b):
+        us = [u0 + (u1 - u0) * k / 33 for k in range(34)]
+        k = max(range(34), key=lambda i: f(us[i]))
+        lo, hi = us[max(k - 1, 0)], us[min(k + 1, 33)]
+        invphi = (mp.sqrt(5) - 1) / 2
+        for _ in range(50):
+            x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            lo, hi = (x1, hi) if f(x1) < f(x2) else (lo, x2)
+        best = max(best, f(u0), f(u1), f(lo), f(hi))
+    return best
+
+
+class TestArcsineMixtures:
+    def test_overlapping_pair_against_mpmath(self):
+        mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
+        a, b = MpArcsine(OVERLAP_MU), MpArcsine(OVERLAP_NU)
+        for p in (1.0, 1.5, 3.0):
+            ref = mp_wp(a, b, p)
+            assert abs(wasserstein_p(mu, nu, p) - ref) <= 1e-13 * ref
+        ref = mp_winf(a, b)
+        assert abs(wasserstein_inf(mu, nu) - ref) <= 1e-13 * ref
+
+    def test_arcsine_against_uniform(self):
+        import mpmath as mp
+        mp.mp.dps = 30
+        # the quantiles sin(pi (u - 1/2)) and 2u - 1 cross at u = 1/2 only
+        f = lambda u: abs(mp.sin(mp.pi * (u - 0.5)) - (2 * u - 1))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            ref = mp.quad(lambda u: f(u) ** p, [0, 0.5, 1]) ** (1 / mp.mpf(p))
+            got = wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), p)
+            assert abs(got - ref) <= 1e-13 * ref
+
+    def test_circle_projection_sup_is_sin(self):
+        # t delta_0 + (1 - t) arcsine against the arcsine: the quantiles
+        # cross inside the atom, at level 1/2, and W_inf = sin(pi t / 2)
+        import mpmath as mp
+        mp.mp.dps = 30
+        e1, xi = np.array([1.0, 0.0]), Measure1D.arcsine()
+        for t in (0.1, 0.25, 0.5, 0.75):
+            ref = mp.sin(mp.pi * t / 2)
+            got = wasserstein_inf(circle_project(circle_family(t), e1), xi)
+            assert abs(got - ref) <= 1e-15 * ref
+
+    def test_sup_at_left_limit_across_a_gap(self):
+        # mu has a gap (-1, 1): Q_mu jumps at 1/2 from -1 to 1, and
+        # Q_nu(1/2) = 0.3, so the sup is |Q_mu(1/2-) - 0.3| = 1.3 exactly
+        import mpmath as mp
+        mu = arcsine_mixture((0.5, -1.5, 0.5), (0.5, 1.5, 0.5))
+        nu = arcsine_mixture((1.0, 0.3, 2.0))
+        ref = 1 + mp.mpf(0.3)
+        assert abs(wasserstein_inf(mu, nu) - ref) <= 1e-15 * ref
+        assert abs(wasserstein_inf(nu, mu) - ref) <= 1e-15 * ref
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(swgeo.transport1d, "_REL_QUAD_TOL", 0.0)
+        monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 64)
+        with pytest.raises(MeasureError, match="did not converge"):
+            wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteDistances:
+    def test_overflowing_diracs_are_refused(self):
+        a, b = Measure1D.dirac(1e308), Measure1D.dirac(-1e308)
+        with pytest.raises(MeasureError, match="not finite"):
+            wasserstein_p(a, b, 2.0)
+        with pytest.raises(MeasureError, match="not finite"):
+            wasserstein_inf(a, b)
+
+    def test_wide_arcsine_is_scaled_not_overflowed(self):
+        # W_2(arcsine(0, r), delta_0) = r / sqrt(2), though r^2 overflows
+        got = wasserstein_p(Measure1D.arcsine(0.0, 1e300), Measure1D.dirac(0.0), 2.0)
+        assert got == pytest.approx(1e300 / math.sqrt(2), rel=1e-14)
+
+    def test_overflowing_arcsine_is_refused(self):
+        a, b = Measure1D.arcsine(0.0, 1e308), Measure1D.dirac(-1.5e308)
+        with pytest.raises(MeasureError, match="not finite"):
+            wasserstein_p(a, b, 2.0)
+        with pytest.raises(MeasureError, match="not finite"):
+            wasserstein_inf(a, b)
