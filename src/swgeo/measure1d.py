@@ -36,6 +36,7 @@ __all__ = [
     "Measure1D",
     "QuantileFn",
     "AnalyticQuantile",
+    "newton_roots",
     "PiecewiseLinearMap",
     "cdf_eval",
     "quantile",
@@ -74,11 +75,18 @@ class ArcsinePart:
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.radius
-        return 0.5 + np.arcsin(np.clip(z, -1.0, 1.0)) / np.pi
+        return 0.5 + np.arcsin(np.minimum(np.maximum(z, -1.0), 1.0)) / np.pi
 
     def quantile(self, s):
         s = np.asarray(s, dtype=float)
         return self.center + self.radius * np.sin(np.pi * (s - 0.5))
+
+    def density(self, x):
+        """Infinite at the two ends, 0 outside them."""
+        x = np.asarray(x, dtype=float)
+        d = (x - (self.center - self.radius)) * ((self.center + self.radius) - x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d >= 0.0, (self.weight / np.pi) / np.sqrt(d), 0.0)
 
 
 def _canonicalize(atoms, pieces):
@@ -229,9 +237,20 @@ class Measure1D:
             idx = np.searchsorted(self._atom_pos, x, side="left")
             out += self._atom_cum[idx]
         for lo, hi, rho in self.pieces:
-            out += rho * np.clip(x - lo, 0.0, hi - lo)
+            out += rho * np.minimum(np.maximum(x - lo, 0.0), hi - lo)
         for part in self.arcsine_parts:
             out += part.weight * part.cdf(x)
+        return out if out.ndim else float(out)
+
+    def density(self, x):
+        """Density of the continuous part at x: pieces and arcsine parts,
+        atoms left out."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x, dtype=float)
+        for lo, hi, rho in self.pieces:
+            out += np.where((x >= lo) & (x < hi), rho, 0.0)
+        for part in self.arcsine_parts:
+            out += part.density(x)
         return out if out.ndim else float(out)
 
     def quantile_fn(self):
@@ -337,25 +356,32 @@ class QuantileFn:
 class AnalyticQuantile:
     """Quantile evaluator for measures with arcsine components, and for any
     measure in a transport distance with one.  A pure arcsine catalog
-    measure uses its closed-form quantile; general mixtures invert the CDF
-    by vectorized bisection (the CDF is monotone, and the sup convention
-    resolves flat spots to the right endpoint).  ``s_breaks`` are the
-    levels where the quantile is not smooth: the CDF at ``x_breaks`` and
-    the top of every atom."""
+    measure uses its closed-form quantile.  Otherwise a table over the
+    brackets between the breakpoints ``x_breaks`` resolves every level: a
+    level inside an atom gives that atom exactly, a massless gap its upper
+    end (the sup convention), and a level inside a smooth bracket is the
+    root of ``F - u`` that :func:`newton_roots` finds.  ``s_breaks`` are
+    the levels where the quantile is not smooth: the CDF at ``x_breaks``
+    and the top of every atom."""
 
     def __init__(self, measure: Measure1D):
         self.measure = m = measure
         self._pure = (len(m.arcsine_parts) == 1 and not m.atoms and not m.pieces
                       and abs(m.arcsine_parts[0].weight - 1.0) <= MASS_TOL)
-        lo, hi = m.support
-        span = hi - lo
-        self._lo, self._hi = lo - 1e-9 * max(1.0, span), hi + 1e-9 * max(1.0, span)
-        xb, levels = m.x_breaks, m.cdf(m.x_breaks)
+        self._xb = xb = m.x_breaks
+        self._levels = levels = m.cdf(xb)
         self.s_breaks = np.unique(np.clip(np.concatenate(
             [[0.0, 1.0], levels, m.cdf(m._atom_pos) + m._atom_mass]), 0.0, 1.0))
-        # Q jumps across each massless gap (xb[k], xb[k+1]): F there sums the
-        # same terms at the midpoint as at xb[k+1]
-        gap = m.cdf(0.5 * (xb[:-1] + xb[1:])) == levels[1:]
+        # Bracket j is (xb[j], xb[j+1]).  Q is xb[j] below _tops[j], F one
+        # ulp right of xb[j] (above an atom there), xb[j+1] from _ends[j], F
+        # one ulp left of xb[j+1], and the root of F - u in between.  The
+        # ulps also take up the rounding of F at an arcsine end.  Past the
+        # last break every level gives xb[-1].
+        inf = np.full(1, np.inf)
+        self._tops = np.concatenate([m.cdf(np.nextafter(xb[:-1], np.inf)), inf])
+        self._ends = np.concatenate([m.cdf(np.nextafter(xb[1:], -np.inf)), inf])
+        # Q jumps across each massless gap at the level of its upper end
+        gap = self._tops[:-1] >= self._ends[:-1]
         self._gap_level, self._gap_lo = levels[1:][gap], xb[:-1][gap]
 
     def __call__(self, u):
@@ -364,12 +390,16 @@ class AnalyticQuantile:
         if self._pure:
             out = self.measure.arcsine_parts[0].quantile(u)
         else:
-            lo, hi = np.full(u.shape, self._lo), np.full(u.shape, self._hi)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                go_right = self.measure.cdf(mid) <= u
-                lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
-            out = np.clip(0.5 * (lo + hi), *self.measure.support)
+            xb, n = self._xb, self._xb.size
+            j = np.clip(np.searchsorted(self._levels, u, side="right") - 1, 0, n - 1)
+            top, end = self._tops[j], self._ends[j]
+            out = np.where(u < top, xb[j], xb[np.minimum(j + 1, n - 1)])
+            solve = (u >= top) & (u < end)
+            if solve.any():
+                j, v, top, end = j[solve], u[solve], top[solve], end[solve]
+                m = self.measure
+                out[solve] = newton_roots(lambda x, k: (m.cdf(x) - v[k], m.density(x)),
+                                          xb[j], xb[j + 1], (v - top) / (end - top), [m])
         return float(out[0]) if scalar else out
 
     def left_limit(self, u: np.ndarray) -> np.ndarray:
@@ -379,6 +409,82 @@ class AnalyticQuantile:
             k = np.minimum(np.searchsorted(self._gap_level, u), self._gap_level.size - 1)
             out = np.where(self._gap_level[k] == u, self._gap_lo[k], out)
         return out
+
+
+# Newton steps before a root counts as not converged
+_NEWTON_STEPS = 100
+# F sums O(1) terms, so it rounds to about eps absolute: a residual this
+# small is as good as it gets, whatever the level
+_RESIDUAL_TOL = 4.5e-16
+_STEP_TOL = 1e-15
+
+
+def newton_roots(fun, a, b, t, measures: Sequence[Measure1D]) -> np.ndarray:
+    """Vectorized safeguarded Newton: for each bracket (a, b) of a function
+    G with G <= 0 just right of a and G(b) > 0, the root sup{x : G(x) <= 0}.
+
+    ``fun(x, k)`` returns G and dG/dx at the points x of the brackets k.
+    Newton runs in phi on [phi0, phi1] through
+
+        x = a + (b - a) (sin phi - sin phi0) / (sin phi1 - sin phi0),
+
+    starting at the fraction t of [phi0, phi1].  phi0 is -pi/2 where a is
+    the left end of an arcsine part of one of the ``measures``: the
+    square-root singularity of the density there cancels against
+    dx/dphi.  Elsewhere it is -pi/4, since -pi/2 would make dx/dphi
+    vanish at a regular end; phi1 is pi/2 or pi/4 the same way at b.  The
+    bracket [lo, hi] shrinks by the rule of bisection (G <= 0 moves lo),
+    and a Newton point not strictly inside it falls back to the midpoint.  A root is done when
+    |G| <= 4.5e-16, when the step is at most 1e-15 times the largest |x|
+    on the supports, or when the next point rounds to an end of the
+    bracket in x.  The step bound is relative to the supports rather than
+    to the bracket, because G rounds like its parts: near an arcsine end
+    F is flat on the scale of ulps of that part, however small the
+    bracket.  A root still open after ``_NEWTON_STEPS`` steps raises
+    MeasureError.
+    """
+    out = np.empty(np.shape(a))
+    k = np.arange(out.size)
+    parts = [p for m in measures for p in m.arcsine_parts]
+    phi0 = np.where(np.isin(a, [p.center - p.radius for p in parts]), -0.5 * np.pi, -0.25 * np.pi)
+    phi1 = np.where(np.isin(b, [p.center + p.radius for p in parts]), 0.5 * np.pi, 0.25 * np.pi)
+    h = (b - a) / (np.sin(phi1) - np.sin(phi0))
+    tol = _STEP_TOL * max(abs(e) for m in measures for e in m.support)
+    lo, hi, xlo, xhi = phi0, phi1, a, b
+    phi = phi0 + np.clip(t, 0.0, 1.0) * (phi1 - phi0)
+    x = _x_of_phi(phi, a, b, phi0, phi1, h)
+    for _ in range(_NEWTON_STEPS):
+        g, dg = fun(x, k)
+        # a point that rounds to an end of its bracket moves nothing: its G
+        # is that end's, not the one at phi
+        up, down = (g <= 0.0) & (x != a), (g > 0.0) & (x != b)
+        lo, xlo = np.where(up, phi, lo), np.where(up, x, xlo)
+        hi, xhi = np.where(down, phi, hi), np.where(down, x, xhi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = phi - g / (dg * h * np.cos(phi))
+        # nan fails, and so does the zero step of an infinite slope
+        newton = (nxt > lo) & (nxt < hi) & (nxt != phi)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        xn = _x_of_phi(nxt, a, b, phi0, phi1, h)
+        hit = np.abs(g) <= _RESIDUAL_TOL
+        done = hit | (np.abs(xn - x) <= tol) | (xn == xlo) | (xn == xhi)
+        # a Newton point refines a hit; a midpoint would not
+        out[k[done]] = np.where(hit & ~newton, x, xn)[done]
+        if done.all():
+            return out
+        keep = ~done
+        k, a, b, phi0, phi1, h, lo, hi, xlo, xhi, phi, x = (
+            v[keep] for v in (k, a, b, phi0, phi1, h, lo, hi, xlo, xhi, nxt, xn))
+    raise MeasureError(f"root finder did not converge in {_NEWTON_STEPS} steps")
+
+
+def _x_of_phi(phi, a, b, phi0, phi1, h):
+    """x(phi) of :func:`newton_roots` from the nearer end (e, pe), in the
+    sum-to-product form e + 2 h cos((phi + pe) / 2) sin((phi - pe) / 2):
+    both ends come out exact and resolved to their own ulp."""
+    near_a = phi - phi0 <= phi1 - phi
+    e, pe = np.where(near_a, a, b), np.where(near_a, phi0, phi1)
+    return e + 2.0 * h * np.cos(0.5 * (phi + pe)) * np.sin(0.5 * (phi - pe))
 
 
 def _build_quantile(m: Measure1D) -> QuantileFn:

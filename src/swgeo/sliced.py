@@ -175,8 +175,9 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
             vals = _shell_distances(a, b, p, thetas)
         else:
             vals = np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
-        val = float(vals.max() if math.isinf(q)
-                    else np.dot(dirs.weights, vals ** q) ** (1.0 / q))
+        with np.errstate(over="ignore"):  # refused below
+            val = float(vals.max() if math.isinf(q)
+                        else np.dot(dirs.weights, vals ** q) ** (1.0 / q))
     if not math.isfinite(val):
         raise MeasureError(f"sliced distance {val} is not finite: the mixtures overflow")
     return val
@@ -193,10 +194,11 @@ def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
     thetas, as array passes over batches of rows."""
     k = max(len(a.components), len(b.components))
     step = max(1, _BATCH_VALUES // (2 * k * k))
-    return np.concatenate([
-        transport1d.wp_rows(*families.radon_quantile_rows(a, batch),
-                            *families.radon_quantile_rows(b, batch), p)
-        for batch in np.split(thetas, range(step, len(thetas), step))])
+    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
+        return np.concatenate([
+            transport1d.wp_rows(*families.radon_quantile_rows(a, batch),
+                                *families.radon_quantile_rows(b, batch), p)
+            for batch in np.split(thetas, range(step, len(thetas), step))])
 
 
 def sw_per_direction(a, b, p: float, theta) -> float:

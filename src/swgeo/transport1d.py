@@ -32,6 +32,7 @@ from .measure1d import (
     MeasureError,
     PiecewiseLinearMap,
     QuantileFn,
+    newton_roots,
     pushforward_pwl,
 )
 
@@ -169,19 +170,29 @@ def _level_cuts(mu: Measure1D, nu: Measure1D, qa, qb) -> np.ndarray:
     """Both quantiles' breakpoint levels, plus F_mu(x*) and F_nu(x*) at each
     root x* of F_mu - F_nu: where Q_mu - Q_nu changes sign both quantiles
     equal some x*, and there the closed-form CDFs cross.  The roots are
-    samples where F_mu - F_nu is 0 and a vectorized bisection on each sign
-    change; cutting at both CDF values covers a crossing inside an atom."""
+    samples where F_mu - F_nu is 0 and, on each sign change between
+    samples, the root :func:`newton_roots` finds with the difference of
+    the densities as slope; cutting at both CDF values covers a crossing
+    inside an atom."""
     xb = np.union1d(mu.x_breaks, nu.x_breaks)
     t = np.arange(_SAMPLES) / _SAMPLES
     x = np.append((xb[:-1, None] + np.diff(xb)[:, None] * t).ravel(), xb[-1])
-    g = mu.cdf(x) - nu.cdf(x)
+    diff = lambda y: mu.cdf(y) - nu.cdf(y)
+    g = diff(x)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-    lo, hi, glo = x[i], x[i + 1], g[i]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        left = (mu.cdf(mid) - nu.cdf(mid)) * glo > 0.0
-        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    roots = np.concatenate([x[g == 0.0], lo])
+    # a sign change already across the first ulp of a sign-change interval
+    # (an atom, or the rounding of F at an arcsine end) puts the root at
+    # its start, one only across the last ulp at its end
+    a, b, sign = x[i], x[i + 1], -np.sign(g[i])
+    ga, gb = sign * diff(np.nextafter(a, np.inf)), sign * diff(np.nextafter(b, -np.inf))
+    at_a = ga >= 0.0
+    at_b = ~at_a & (gb < 0.0)
+    inner = ~(at_a | at_b)
+    a, b, ga, gb, sign = a[inner], b[inner], ga[inner], gb[inner], sign[inner]
+    roots = newton_roots(
+        lambda y, k: (sign[k] * diff(y), sign[k] * (mu.density(y) - nu.density(y))),
+        a, b, ga / (ga - gb), [mu, nu])
+    roots = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
     cuts = np.concatenate([qa.s_breaks, qb.s_breaks, mu.cdf(roots), nu.cdf(roots)])
     return np.unique(np.clip(cuts, 0.0, 1.0))
 
@@ -243,7 +254,11 @@ def _sup_numeric(mu: Measure1D, nu: Measure1D) -> float:
     return float(best.max())
 
 
-def _finite(value: float) -> float:
+def _finite(distance, *args) -> float:
+    """distance(*args), refused where it overflows.  The error takes the
+    place of numpy's overflow warnings on the way, which are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = distance(*args)
     if not math.isfinite(value):
         raise MeasureError(f"distance {value} is not finite: the measures overflow")
     return value
@@ -260,8 +275,8 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
     if p < 1.0:
         raise MeasureError("wasserstein_p requires p >= 1")
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
-        return _finite(_wp_exact(mu.quantile_fn(), nu.quantile_fn(), p))
-    return _finite(_wp_numeric(mu, nu, p))
+        return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), p)
+    return _finite(_wp_numeric, mu, nu, p)
 
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
@@ -270,8 +285,8 @@ def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     exact one-sided ends of the panels of :func:`_level_cuts` and of
     interior samples that zoom in on each panel's maximum."""
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
-        return _finite(_wp_exact(mu.quantile_fn(), nu.quantile_fn(), math.inf))
-    return _finite(_sup_numeric(mu, nu))
+        return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), math.inf)
+    return _finite(_sup_numeric, mu, nu)
 
 
 def pairwise_deviation(curve: Callable[[float], object],

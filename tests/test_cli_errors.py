@@ -42,12 +42,16 @@ def test_sw_of_permuted_shell_file_is_zero(runner, tmp_path):
     assert float(result.output.splitlines()[2].split(",")[2]) <= 1e-15
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a numpy warning raised as an error would end the command without its
+# Error line, so stderr holds that line only if nothing warned before it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sw_refuses_a_distance_that_overflows(runner, tmp_path):
     big, unit = tmp_path / "big.txt", tmp_path / "unit.txt"
     big.write_text("shell 1 1e308 0.5 0 0 0\n")
     unit.write_text("shell 1 1 0 0 0 0\n")
-    result = runner.invoke(main, ["sw", "--shell-file", str(big), "--shell-file", str(unit),
-                                  "--quad", "mc", "--dirs", "8"])
-    assert result.exit_code == 1
-    assert result.output.splitlines()[-1].startswith("Error: sliced distance nan is not finite")
+    for p in ("1", "2", "inf"):
+        result = runner.invoke(main, ["sw", "--shell-file", str(big), "--shell-file", str(unit),
+                                      "--quad", "mc", "--dirs", "8", "--p", p, "--q", p])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "Error: sliced distance nan is not finite: the mixtures overflow\n"

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swgeo.measure1d import (
+    AnalyticQuantile,
+    ArcsinePart,
     Measure1D,
     MeasureError,
     PiecewiseLinearMap,
@@ -181,6 +183,99 @@ def test_pushforward_preserves_mass(m, shift, scale):
     total = (sum(mass for _, mass in image.atoms)
              + sum((hi - lo) * rho for lo, hi, rho in image.pieces))
     assert abs(total - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------------ analytic quantiles
+
+
+EPS = np.finfo(float).eps
+
+
+def bisection_quantile(m: Measure1D, u: np.ndarray) -> np.ndarray:
+    """Oracle: the 80-step bisection that inverted the CDF before the Newton
+    root finder.  F(mid) <= u moves lo (the sup convention); the midpoint
+    of the last bracket, clipped to the support, is the quantile."""
+    lo, hi = m.support
+    pad = 1e-9 * max(1.0, hi - lo)
+    lo, hi = np.full(u.shape, lo - pad), np.full(u.shape, hi + pad)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        go_right = m.cdf(mid) <= u
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    return np.clip(0.5 * (lo + hi), *m.support)
+
+
+@st.composite
+def analytic_mixtures(draw):
+    """Arcsine parts, atoms and pieces: free or on a grid of quarters (so
+    that parts overlap and ends touch), with weights down to 1e-9 of the
+    total."""
+    grid = st.sampled_from(np.arange(-8, 9) / 4.0)
+    place = grid | st.floats(-2, 2)
+    n_parts = draw(st.integers(1, 3))
+    n_atoms = draw(st.integers(0, 2))
+    n_pieces = draw(st.integers(0, 2))
+    raw = [draw(st.floats(1e-9, 1.0) | st.just(1.0)) for _ in range(n_parts + n_atoms + n_pieces)]
+    total = sum(raw)
+    parts = [ArcsinePart(w / total, draw(place),
+                         draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(1e-3, 2)))
+             for w in raw[:n_parts]]
+    ends = [e for pt in parts for e in (pt.center - pt.radius, pt.center + pt.radius)]
+    atoms = [(draw(place | st.sampled_from(ends)), w / total)
+             for w in raw[n_parts:n_parts + n_atoms]]
+    pieces = []
+    for w in raw[n_parts + n_atoms:]:
+        lo = draw(place | st.sampled_from(ends))
+        width = draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 2))
+        pieces.append((lo, lo + width, w / total / width))
+    return Measure1D.from_components(atoms, pieces, parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(analytic_mixtures(), st.lists(st.floats(0, 1), max_size=20))
+def test_newton_quantile_against_bisection(m, drawn):
+    q = AnalyticQuantile(m)
+    levels = q.s_breaks
+    u = np.unique(np.concatenate([
+        np.linspace(0, 1, 257), drawn, levels,
+        np.clip(levels[:, None] + [-1e-9, -1e-15, 1e-15, 1e-9], 0.0, 1.0).ravel()]))
+    got = q(u)
+    # F rounds to about eps absolute, so a root is known to a few ulps of
+    # the support, or to where the mass strictly between two answers is a
+    # few eps (a few eps over the density)
+    ulp = np.spacing(max(map(abs, m.support)))
+
+    def close(x, y):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        between = m.cdf(hi) - m.cdf(np.nextafter(lo, np.inf))
+        return (hi - lo <= 8 * ulp) | (between <= 16 * EPS)
+
+    # nondecreasing: two roots may swap only within that
+    assert np.all((np.diff(got) >= 0.0) | close(got[:-1], got[1:]))
+    # exact inside every atom
+    for pos, mass in m.atoms:
+        inside = m.cdf(pos) + mass * np.array([0.0, 0.25, 0.5, 0.75])
+        assert np.all(q(inside) == pos)
+    ref = bisection_quantile(m, u)
+    agree = close(got, ref)
+    assert np.all(agree), (u[~agree], got[~agree], ref[~agree])
+
+
+class TestAnalyticQuantile:
+    def test_atom_levels_are_exact(self):
+        # the bisection returned its last bracket's midpoint, an ulp above
+        # the atom: 0.30000000000000004 and -0.44999999999999996
+        for pos in (0.3, -0.45):
+            m = Measure1D.mix([(0.5, Measure1D.dirac(pos)), (0.5, Measure1D.arcsine())])
+            assert AnalyticQuantile(m)(0.6) == pos
+
+    def test_gap_resolves_to_its_upper_end(self):
+        m = Measure1D.from_components(arcsine_parts=[ArcsinePart(0.5, -1.5, 0.5),
+                                                     ArcsinePart(0.5, 1.5, 0.5)])
+        q = AnalyticQuantile(m)
+        assert q(0.5) == 1.0
+        assert q.left_limit(np.array([0.5]))[0] == -1.0
+        assert q(np.nextafter(0.5, 0.0)) == pytest.approx(-1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- pushforward

@@ -440,7 +440,6 @@ class TestSlicedGeodesics:
             assert dev < 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteDistances:
     DIRS = mc_directions(4, 8, 0)
     UNIT = ShellMixture.single(4, 1.0)

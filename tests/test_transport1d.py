@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import swgeo.measure1d
 import swgeo.transport1d
 from swgeo.families import circle_family, circle_project, mu_curve, mu_family, w_p_mu01
 from swgeo.measure1d import ArcsinePart, Measure1D, MeasureError, pushforward_pwl
@@ -436,6 +437,13 @@ class TestArcsineMixtures:
         assert abs(wasserstein_inf(mu, nu) - ref) <= 1e-15 * ref
         assert abs(wasserstein_inf(nu, mu) - ref) <= 1e-15 * ref
 
+    def test_unconverged_root_raises(self, monkeypatch):
+        monkeypatch.setattr(swgeo.measure1d, "_NEWTON_STEPS", 2)
+        mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
+        for dist in (lambda: wasserstein_p(mu, nu, 1.5), lambda: wasserstein_inf(mu, nu)):
+            with pytest.raises(MeasureError, match="root finder did not converge"):
+                dist()
+
     def test_unconverged_quadrature_raises(self, monkeypatch):
         monkeypatch.setattr(swgeo.transport1d, "_REL_QUAD_TOL", 0.0)
         monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 64)
@@ -443,7 +451,6 @@ class TestArcsineMixtures:
             wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteDistances:
     def test_overflowing_diracs_are_refused(self):
         a, b = Measure1D.dirac(1e308), Measure1D.dirac(-1e308)
