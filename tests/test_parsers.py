@@ -3,7 +3,6 @@ every parsed pair has a finite distance or raises MeasureError."""
 
 import math
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,12 +49,6 @@ shell_text = st.lists(shell_record(4) | shell_record(3) | soup.map("shell {}".fo
                       min_size=1, max_size=2).map("\n".join)
 
 
-# the center norms of sliced._is_centered and _sup_directions overflow,
-# with a warning, on centers past about 1e154; the distance is still
-# finite or refused
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 def parsed(parser, text):
     try:
         return parser(text)
@@ -80,6 +73,8 @@ def test_measure_text_parses_or_refuses_and_distances_stay_finite(ta, tb, p):
 @settings(max_examples=300, deadline=None)
 @given(shell_text, shell_text, st.sampled_from([(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf)]))
 @example("shell 1 1e308 0.5 0 0 0", "shell 1 1 0 0 0 0", (2.0, 2.0))
+@example("shell 0.5 0 1e308 0 0 0\nshell 0.5 0 -1e308 0 0 0", "shell 1 0 0 0 0 1e160",
+         (math.inf, math.inf))
 def test_shell_text_parses_or_refuses_and_distances_stay_finite(ta, tb, pq):
     a, b = parsed(shell_from_text, ta), parsed(shell_from_text, tb)
     if a is None or b is None:

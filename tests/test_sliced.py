@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from swgeo.families import (
     radon_project,
     transformed_nu_curve,
 )
-from swgeo.measure1d import MeasureError
+from swgeo.measure1d import Measure1D, MeasureError
 from swgeo.sliced import (
     PointCloud,
     _sup_directions,
@@ -327,6 +328,30 @@ class TestWpRadial:
             w_p_radial(three, nu_family(0.5, 0.0, 0.0, 3), 2.0)
 
 
+@st.composite
+def point_cloud(draw, d, equal):
+    """1-12 points on a coarse grid (so duplicates are common) or free,
+    with equal or unequal weights."""
+    n = draw(st.integers(1, 12))
+    coord = st.integers(-2, 2).map(float) | st.floats(-10.0, 10.0)
+    points = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    if equal:
+        return PointCloud(d, points, np.full(n, 1.0 / n))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return PointCloud(d, points, w / w.sum())
+
+
+def atoms_oracle(X, Y, p, q, dirs):
+    """The q-mean of the exact wasserstein_p between the projected atoms,
+    one Measure1D per cloud and direction."""
+    vals = np.array([
+        wasserstein_p(Measure1D.from_components(atoms=zip(X.points @ theta, X.weights)),
+                      Measure1D.from_components(atoms=zip(Y.points @ theta, Y.weights)), p)
+        for theta in dirs.thetas])
+    return float(vals.max() if math.isinf(q) else np.dot(dirs.weights, vals ** q) ** (1 / q))
+
+
 class TestEmpirical:
     def test_zero_on_identical_clouds(self):
         X = PointCloud(3, np.eye(3), np.full(3, 1 / 3))
@@ -348,7 +373,6 @@ class TestEmpirical:
         assert abs(got ** 2 - target ** 2) < 4 * se
 
     def test_matches_exact_distance_on_small_atomics(self):
-        from swgeo.measure1d import Measure1D
         xa = np.array([0.0, 1.0, 3.0])
         wa = np.array([0.25, 0.5, 0.25])
         xb = np.array([-1.0, 2.0])
@@ -377,6 +401,59 @@ class TestEmpirical:
         X = PointCloud(3, np.zeros((1, 3)), np.array([1.0]))
         with pytest.raises(MeasureError):
             sw_pq_empirical(X, X, math.inf, 2.0, mc_directions(3, 4, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4), equal=st.tuples(st.booleans(), st.booleans()),
+           rows=st.sampled_from([1, 2, 7]), extra=st.sampled_from([-1, 0, 1, None]),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), q=st.sampled_from([1.0, 2.0, math.inf]))
+    def test_matches_per_direction_oracle(self, data, d, equal, rows, extra, p, q):
+        X = data.draw(point_cloud(d, equal[0]))
+        Y = data.draw(point_cloud(d, equal[1]))
+        # batches of `rows` directions; one direction, or one batch +- 1
+        dirs = mc_directions(d, 1 if extra is None else max(1, rows + extra),
+                             data.draw(st.integers(0, 2**32 - 1)))
+        with mock.patch.object(swgeo.sliced, "_EMPIRICAL_BATCH_VALUES", rows * (X.n + Y.n)):
+            got = sw_pq_empirical(X, Y, p, q, dirs)
+        want = atoms_oracle(X, Y, p, q, dirs)
+        # the oracle merges atoms closer than 1e-14 max(1, |x|)
+        scale = max(1.0, np.abs(X.points).max(), np.abs(Y.points).max()) * math.sqrt(d)
+        assert abs(got - want) <= 1e-12 * want + 1e-14 * scale
+
+    def test_equal_weight_clouds_match_sorted_matching(self):
+        # 500 and 2000 equal-weight points: per direction, W_p pairs the
+        # sorted projections once each of the 500 is repeated four times
+        rng = np.random.default_rng(12)
+        X = PointCloud(5, rng.standard_normal((500, 5)), np.full(500, 1 / 500))
+        Y = PointCloud(5, rng.standard_normal((2000, 5)) + 0.3, np.full(2000, 1 / 2000))
+        rows = swgeo.sliced._EMPIRICAL_BATCH_VALUES // (X.n + Y.n)
+        dirs = mc_directions(5, 2 * rows + 1, seed=4)
+        px = np.sort(np.repeat(X.points @ dirs.thetas.T, 4, axis=0), axis=0)
+        py = np.sort(Y.points @ dirs.thetas.T, axis=0)
+        for p in (1.0, 2.0, 3.0):
+            vals = np.mean(np.abs(px - py) ** p, axis=0) ** (1 / p)
+            for q in (1.0, 2.0, math.inf):
+                want = vals.max() if math.isinf(q) else np.dot(dirs.weights, vals ** q) ** (1 / q)
+                assert sw_pq_empirical(X, Y, p, q, dirs) == pytest.approx(want, rel=1e-14)
+
+    AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3), "axes")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big,p,q", [(1e200, 2.0, 2.0), (1e308, 2.0, 2.0),
+                                         (1e308, 1.0, 1.0), (1e308, 1.5, math.inf)])
+    def test_overflowing_clouds_are_refused(self, big, p, q):
+        X = PointCloud(3, np.array([[big, 0.0, 0.0], [0.0, -big, 0.0]]), np.full(2, 0.5))
+        Y = PointCloud(3, -X.points, X.weights)
+        with pytest.raises(MeasureError, match="not finite"):
+            sw_pq_empirical(X, Y, p, q, self.AXES)
+        if big == 1e308:
+            with pytest.raises(MeasureError, match="not finite"):
+                empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+
+    def test_large_distances_do_not_overflow_their_powers(self):
+        X = PointCloud(3, np.array([[1e200, 0.0, 0.0]]), np.array([1.0]))
+        Y = PointCloud(3, np.zeros((1, 3)), np.array([1.0]))
+        assert sw_pq_empirical(X, Y, 3.0, 1.0, self.AXES) == pytest.approx(1e200 / 3, rel=1e-15)
+        assert empirical_w1d(np.array([1e200]), np.ones(1), np.zeros(1), np.ones(1), 3.0) == 1e200
 
 
 class TestPointCloudValidation:
@@ -449,6 +526,18 @@ class TestNonFiniteDistances:
         for p, q in ((2.0, 2.0), (1.0, 1.0), (math.inf, math.inf)):
             with pytest.raises(MeasureError, match="not finite"):
                 sw_pq(big, self.UNIT, p, q, self.DIRS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_centers_do_not_overflow_the_centering_check(self):
+        far = ShellMixture(4, ((1.0, 0.0, np.array([0.0, 0.0, 0.0, 1e160])),))
+        origin = ShellMixture(4, ((1.0, 0.0, np.zeros(4)),))
+        want = 1e160 * np.abs(self.DIRS.thetas[:, 3]).max()
+        assert sw_pq(far, origin, math.inf, math.inf, self.DIRS) == pytest.approx(want, rel=1e-15)
+        # centers at +-1e308 differ by more than the largest float; their
+        # own direction e1 still gives the sup
+        wide = ShellMixture(4, ((0.5, 0.0, np.array([1e308, 0.0, 0.0, 0.0])),
+                                (0.5, 0.0, np.array([-1e308, 0.0, 0.0, 0.0]))))
+        assert sw_pq(wide, origin, math.inf, math.inf, self.DIRS) == 1e308
 
     def test_overflowing_q_mean_is_refused(self):
         wide = ShellMixture(4, ((0.5, 1e200, np.array([0.5, 0.0, 0.0, 0.0])),
