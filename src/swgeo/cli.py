@@ -22,7 +22,6 @@ from .families import (
     mixture_control_curve,
     mu_curve,
     mu_family,
-    nu_curve,
     nu_family,
     shell_from_text,
     shell_masses,
@@ -443,8 +442,6 @@ def _parse_family(spec: str, d_default: int):
                 raise ValueError(f"unknown keys {sorted(kv)}")
             yv = np.zeros(d) if y is None else np.array(_parse_float_list(y))
             zv = np.zeros(d) if z is None else np.array(_parse_float_list(z))
-            if a == 1.0 and not yv.any() and not zv.any():
-                return ("shell", nu_curve(alpha, x, d), d)
             return ("shell", transformed_nu_curve(alpha, x, d, a, yv, zv), d)
         raise ValueError(f"unknown family kind {kind!r}")
     except (KeyError, ValueError, MeasureError) as exc:

@@ -2,9 +2,11 @@
 
 Optimal maps via quantile composition, exact W_p for piecewise-affine
 quantiles (closed-form per-segment integration of |a + b s|^p, one pair
-per row in ``wp_rows``), W_inf as the sup of quantile differences,
-displacement interpolation, and the constant-speed deviation table of a
-curve under any distance.
+per row in ``wp_rows``) and for weighted atoms (``_wp_atoms``), W_inf as
+the sup of quantile differences, displacement interpolation, and the
+constant-speed deviation table of a curve under any distance.  Every
+exact kernel reads its intervals off one level merge, ``_merge_levels``,
+which gives no mass to intervals no wider than MASS_TOL.
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
@@ -68,12 +70,12 @@ def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
                            "use wasserstein_p / wasserstein_inf for arcsine mixtures")
 
     qa, qb = mu.quantile_fn(), nu.quantile_fn()
-    _, mass, a0, a1, b0, b1 = _merge_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None])
+    h, a0, a1, b0, b1 = _merge_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None])
     # On each interval that carries mass, T runs affinely from (Q_mu(u0+),
     # Q_nu(u0+)) to (Q_mu(u1-), Q_nu(u1-)).  One-sided values taken from
     # neighbouring segments may differ by an ulp, hence the running max.
-    xs = np.maximum.accumulate(np.stack([a0, a1], axis=-1)[mass].ravel())
-    ys = np.maximum.accumulate(np.stack([b0, b1], axis=-1)[mass].ravel())
+    xs = np.maximum.accumulate(np.stack([a0, a1], axis=-1)[h > 0.0].ravel())
+    ys = np.maximum.accumulate(np.stack([b0, b1], axis=-1)[h > 0.0].ravel())
     keep = np.concatenate([[True], (np.diff(xs) != 0.0) | (np.diff(ys) != 0.0)])
     return PiecewiseLinearMap(xs[keep], ys[keep], left_slope=0.0, right_slope=0.0)
 
@@ -104,15 +106,50 @@ def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.n
     return np.sum(np.where(near, midpoint, exact), axis=-1)
 
 
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[..., r, idx[r]] for every row r, where idx has one row per row of
+    a or one row shared by all (flat takes beat take_along_axis)."""
+    if len(idx) == 1:
+        return np.take(a, idx[0], axis=-1)
+    *lead, rows, m = a.shape
+    return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
+
+
+def _merge_levels(la: np.ndarray, lb: np.ndarray):
+    """The one merge of two runs of levels, rows or one shared row each.
+    A run rises from 0 to 1, and step i of its side spans its levels i
+    and i + 1: a segment of a quantile polyline, or an atom.  Returns the
+    merged levels u, the mass of each interval [u_j, u_j+1] and the index
+    of the step of a and of b that covers it.
+
+    An interval no wider than MASS_TOL carries no mass: equal cumulative
+    masses summed in different orders leave such slivers, where one side
+    has stepped and the other not yet.
+    """
+    na, nb = la.shape[1], lb.shape[1]
+    both = np.empty((max(len(la), len(lb)), na + nb))
+    both[:, :na], both[:, na:] = la, lb
+    order = np.argsort(both, axis=1, kind="stable")  # two sorted runs: a linear merge
+    u = _take_rows(both, order)
+    h = u[:, 1:] - u[:, :-1]
+    # The stable merge keeps each side's levels in order, a's first at a
+    # tie, so the interval j that starts at level i of a lies on step i of
+    # a and step j - i - 1 of b, and likewise for b.  The indices are
+    # clipped on intervals of width 0 (before b's first level, after a's
+    # last) and in rows with a nan level, whose nan widths stay.
+    order, j = order[:, :-1], np.arange(na + nb - 1)
+    ia = np.where(order < na, order, j + na - 1 - order)
+    return (u, np.where(h <= MASS_TOL, 0.0, h), np.minimum(np.maximum(ia, 0), na - 2),
+            np.minimum(np.maximum(j - 1 - ia, 0), nb - 2))
+
+
 def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
                  u0: np.ndarray, u1: np.ndarray):
     """One-sided values (Q(u0+), Q(u1-)) of row-wise quantile polylines
     (s, x) on intervals that lie inside segment j of their row."""
-    n, m = s.shape
-    j = np.clip(j, 0, m - 2) + m * np.arange(n)[:, None]
-    s, x = s.ravel(), x.ravel()
-    s0, s1, x0, x1 = s[j], s[j + 1], x[j], x[j + 1]
-    slope = (x1 - x0) / np.where(s1 > s0, s1 - s0, 1.0)
+    ds = s[:, 1:] - s[:, :-1]
+    slope = (x[:, 1:] - x[:, :-1]) / np.where(ds > 0.0, ds, 1.0)
+    s0, x0, slope = _take_rows(np.stack([s[:, :-1], x[:, :-1], slope]), j)
     return x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope
 
 
@@ -121,26 +158,14 @@ def _merge_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray):
 
     Each quantile is a polyline of parallel (n, m) arrays in the
     :class:`QuantileFn` encoding: s nondecreasing from 0 to 1, a repeated
-    s is a jump, a repeated x an atom.  Between consecutive merged levels
-    u0 < u1 both quantiles are affine.  Returns, per merged interval, its
-    width h, whether it carries mass, and the one-sided values Q_a(u0+),
-    Q_a(u1-), Q_b(u0+), Q_b(u1-).
+    s is a jump, a repeated x an atom.  On each interval u0 < u1 of
+    :func:`_merge_levels` both quantiles are affine.  Returns, per merged
+    interval, its mass and the one-sided values Q_a(u0+), Q_a(u1-),
+    Q_b(u0+), Q_b(u1-).
     """
-    ma = sa.shape[1]
-    levels = np.concatenate([sa, sb], axis=1)
-    order = np.argsort(levels, axis=1, kind="stable")
-    u = np.take_along_axis(levels, order, axis=1)
+    u, h, ja, jb = _merge_levels(sa, sb)
     u0, u1 = u[:, :-1], u[:, 1:]
-    # On an interval of positive width every level <= u0 sits left of it
-    # in the merge, so counting a's levels there gives a's segment exactly.
-    na = np.cumsum(order < ma, axis=1)[:, :-1]
-    a0, a1 = _limits_rows(sa, xa, na - 1, u0, u1)
-    b0, b1 = _limits_rows(sb, xb, np.arange(1, u.shape[1]) - na - 1, u0, u1)
-    h = u1 - u0
-    # Intervals no wider than MASS_TOL carry no mass: equal cumulative
-    # masses summed in different orders leave such slivers, where one
-    # quantile has jumped and the other not yet.
-    return h, h > MASS_TOL, a0, a1, b0, b1
+    return (h, *_limits_rows(sa, xa, ja, u0, u1), *_limits_rows(sb, xb, jb, u0, u1))
 
 
 def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
@@ -152,14 +177,62 @@ def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
     one-sided value and W_p^p a sum of closed-form segment integrals over
     the intervals that carry mass.
     """
-    h, mass, a0, a1, b0, b1 = _merge_rows(sa, xa, sb, xb)
-    d0 = np.where(mass, a0 - b0, 0.0)
-    d1 = np.where(mass, a1 - b1, 0.0)
+    h, a0, a1, b0, b1 = _merge_rows(sa, xa, sb, xb)
+    d0 = np.where(h > 0.0, a0 - b0, 0.0)
+    d1 = np.where(h > 0.0, a1 - b1, 0.0)
     M = np.maximum(np.abs(d0), np.abs(d1)).max(axis=1)
     if math.isinf(p):
         return M
     scale = np.where(M > 0.0, M, 1.0)[:, None]
     return M * _segment_lp(d0 / scale, d1 / scale, h, p) ** (1.0 / p)
+
+
+def _clip_levels(cum: np.ndarray) -> np.ndarray:
+    """The levels of atoms with cumulative masses cum (positive): 0, then
+    cum clipped to 1, the last one at 1."""
+    levels = np.empty((len(cum), cum.shape[1] + 1))
+    np.minimum(cum, 1.0, out=levels[:, 1:])
+    levels[:, 0], levels[:, -1] = 0.0, 1.0
+    return levels
+
+
+def _equal_levels(w: np.ndarray):
+    """The levels i * w of equal weights as one row, shared by every row
+    of atoms since no sort reorders them; None for unequal weights."""
+    if not np.all(w == w[0]):
+        return None
+    return _clip_levels(np.arange(1, w.size + 1)[None, :] * w[0])
+
+
+def _sorted_atoms(x: np.ndarray, w: np.ndarray, shared):
+    """Each row of x sorted, with its cumulative levels: the shared row
+    for equal weights, else the cumsums of the reordered weights.  Tied
+    points share one quantile value, so the sort need not be stable."""
+    if shared is not None:
+        return np.sort(x, axis=1), shared
+    order = np.argsort(x, axis=1)
+    return _take_rows(x, order), _clip_levels(np.cumsum(w[order], axis=1))
+
+
+def _wp_atoms(batches, wa: np.ndarray, wb: np.ndarray, p: float) -> np.ndarray:
+    """Exact W_p between weighted atoms on R, one value per row: batches
+    yields pairs of (rows, n_a) and (rows, n_b) atom positions, with the
+    weights wa and wb.  Both quantiles are step functions, so W_p^p is a
+    finite sum over the intervals of :func:`_merge_levels`, here scaled by
+    the largest difference.  Equal weights on both sides merge their
+    levels once."""
+    la, lb = _equal_levels(wa), _equal_levels(wb)
+    shared = _merge_levels(la, lb) if la is not None and lb is not None else None
+    vals = []
+    for xa, xb in batches:
+        sa, la_rows = _sorted_atoms(xa, wa, la)
+        sb, lb_rows = _sorted_atoms(xb, wb, lb)
+        _, h, ia, ib = _merge_levels(la_rows, lb_rows) if shared is None else shared
+        d = np.abs(_take_rows(sa, ia) - _take_rows(sb, ib))
+        m = d.max(axis=1, keepdims=True)
+        s = np.sum(h * (d / np.where(m > 0.0, m, 1.0)) ** p, axis=1)
+        vals.append(m[:, 0] * s ** (1.0 / p))
+    return np.concatenate(vals)
 
 
 def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:
@@ -239,7 +312,7 @@ def _wp_numeric(mu: Measure1D, nu: Measure1D, p: float) -> float:
 def _sup_numeric(mu: Measure1D, nu: Measure1D) -> float:
     qa, qb = AnalyticQuantile(mu), AnalyticQuantile(nu)
     u = _level_cuts(mu, nu, qa, qb)
-    mass = np.diff(u) > MASS_TOL  # as in _merge_rows
+    mass = np.diff(u) > MASS_TOL  # as in _merge_levels
     lo, hi = u[:-1][mass], u[1:][mass]
     best = np.maximum(np.abs(qa(lo) - qb(lo)),
                       np.abs(qa.left_limit(hi) - qb.left_limit(hi)))

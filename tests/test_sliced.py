@@ -435,6 +435,18 @@ class TestEmpirical:
                 want = vals.max() if math.isinf(q) else np.dot(dirs.weights, vals ** q) ** (1 / q)
                 assert sw_pq_empirical(X, Y, p, q, dirs) == pytest.approx(want, rel=1e-14)
 
+    def test_rounding_level_slivers_carry_no_mass(self):
+        # weights 1/7 computed two ways: the cumulative levels differ by
+        # up to 4e-16, and those slivers, where only one quantile has
+        # stepped to the next point, must not count
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((7, 3))
+        X = PointCloud(3, points, np.full(7, 0.05) / 0.35)
+        Y = PointCloud(3, points, np.full(7, 1 / 7))
+        assert not np.array_equal(X.weights, Y.weights)
+        for p in (1.0, 2.0):
+            assert sw_pq_empirical(X, Y, p, 2.0, mc_directions(3, 16, 0)) == 0.0
+
     AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3), "axes")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -489,6 +501,12 @@ class TestSampleShell:
         cloud = sample_shell(nu, 1000, seed=3)
         inner = np.linalg.norm(cloud.points, axis=1) < 0.5
         assert cloud.weights[inner].sum() == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_rejects_fewer_draws_than_components(self):
+        nu = nu_family(0.5, 0.3, 0.5, 3)
+        with pytest.raises(MeasureError, match="number of components"):
+            sample_shell(nu, 1, 0)
+        assert sample_shell(nu, 2, 0).n == 2
 
     def test_embedded_in_shell_subspace(self):
         cloud = sample_shell(ShellMixture.single(5, 1.0), 100, seed=4)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swgeo.measure1d
 import swgeo.transport1d
 from swgeo.families import circle_family, circle_project, mu_curve, mu_family, w_p_mu01
-from swgeo.measure1d import ArcsinePart, Measure1D, MeasureError, pushforward_pwl
+from swgeo.measure1d import MASS_TOL, ArcsinePart, Measure1D, MeasureError, pushforward_pwl
 from swgeo.transport1d import (
     geodesic_deviation,
     interpolate,
@@ -449,6 +451,54 @@ class TestArcsineMixtures:
         monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 64)
         with pytest.raises(MeasureError, match="did not converge"):
             wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
+
+
+# ---------------------------------------------------------------- level merge
+
+
+@st.composite
+def level_runs(draw, rows, n, base=None):
+    """(rows, n + 1) runs of levels from 0 to 1: on a grid of eighths
+    (ties and repeated levels), or the levels of base moved by amounts on
+    either side of MASS_TOL (slivers), or cumsums of random masses."""
+    kind = draw(st.sampled_from(["grid", "cumsum", "near"]))
+    if kind == "near" and base is not None and base.shape[1] == n + 1:
+        shift = st.sampled_from([0.0, 1e-16, -1e-16, 5e-13, -5e-13, 2e-12, -2e-12])
+        inner = base[0, 1:-1] + np.array(draw(st.lists(shift, min_size=n - 1, max_size=n - 1)))
+    elif kind == "cumsum":
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=rows * n, max_size=rows * n)))
+        w = w.reshape(rows, n)
+        inner = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+    else:
+        eighths = st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1)
+        inner = np.array([draw(eighths) for _ in range(rows)]) / 8.0
+    inner = np.clip(np.sort(np.broadcast_to(inner, (rows, n - 1)), axis=1), 0.0, 1.0)
+    return np.concatenate([np.zeros((rows, 1)), inner, np.ones((rows, 1))], axis=1)
+
+
+class TestMergeLevels:
+    """transport1d._merge_levels, the merge behind every exact 1D distance,
+    against a brute-force oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), na=st.integers(1, 6), nb=st.integers(1, 6),
+           shared=st.sampled_from(["a", "b", "both", None]))
+    def test_matches_midpoint_oracle(self, data, rows, shared, na, nb):
+        la = data.draw(level_runs(1 if shared in ("a", "both") else rows, na))
+        lb = data.draw(level_runs(1 if shared in ("b", "both") else rows, nb, la))
+        u, mass, ia, ib = swgeo.transport1d._merge_levels(la, lb)
+        assert np.all((0 <= ia) & (ia < na) & (0 <= ib) & (ib < nb))
+        for r in range(len(u)):
+            ra, rb = la[min(r, len(la) - 1)], lb[min(r, len(lb) - 1)]
+            np.testing.assert_array_equal(u[r], np.sort(np.concatenate([ra, rb])))
+            h = np.diff(u[r])
+            np.testing.assert_array_equal(mass[r], np.where(h > MASS_TOL, h, 0.0))
+            assert abs(mass[r].sum() - 1.0) <= (na + nb) * MASS_TOL
+            wide = h > MASS_TOL
+            mid = 0.5 * (u[r, :-1] + u[r, 1:])[wide]
+            # step i of a side ends at its level i + 1
+            np.testing.assert_array_equal(ia[r, wide], np.searchsorted(ra[1:], mid))
+            np.testing.assert_array_equal(ib[r, wide], np.searchsorted(rb[1:], mid))
 
 
 class TestNonFiniteDistances:
