@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measure1d import MASS_TOL, ArcsinePart, Measure1D, MeasureError
+from .measure1d import (MASS_TOL, ArcsinePart, Measure1D, MeasureError, MeasureRows,
+                        _canonicalize)
 
 __all__ = [
     "ShellMixture",
@@ -40,6 +41,7 @@ __all__ = [
     "dilate",
     "translate",
     "circle_project",
+    "circle_rows",
     "circle_family",
     "shell_masses",
     "shell_to_text",
@@ -384,6 +386,18 @@ def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
     return s, np.repeat(ends, 2, axis=1)
 
 
+def _circle_parts(cm: CircleMixture, thetas: np.ndarray):
+    """The projections of cm onto every row of thetas, one list each of
+    atoms (position, mass) and arcsine parts (weight, center, radius) per
+    row.  Each theta.c is one dot product as np.dot takes it (a stacked
+    1 x 2 @ 2 x 1 matmul calls it), whatever the number of rows."""
+    w, r, c = (np.array(v) for v in zip(*cm.components))
+    loc = (thetas[:, None, None, :] @ c[None, :, :, None])[:, :, 0, 0].tolist()
+    comps = list(zip(w.tolist(), r.tolist()))
+    return ([[(x, wi) for x, (wi, ri) in zip(row, comps) if ri <= _RADIUS_EPS] for row in loc],
+            [[(wi, x, ri) for x, (wi, ri) in zip(row, comps) if ri > _RADIUS_EPS] for row in loc])
+
+
 def circle_project(cm: CircleMixture, theta) -> Measure1D:
     """1D pushforward of a circle mixture: a radius-r circle centered at c
     projects to the arcsine measure on (theta.c - r, theta.c + r),
@@ -391,15 +405,22 @@ def circle_project(cm: CircleMixture, theta) -> Measure1D:
     theta = _check_unit(theta)
     if theta.shape != (2,):
         raise MeasureError("circle mixtures live in R^2")
-    atoms: list[tuple[float, float]] = []
-    parts: list[ArcsinePart] = []
-    for w, r, c in cm.components:
-        loc = float(np.dot(theta, c))
-        if r > _RADIUS_EPS:
-            parts.append(ArcsinePart(w, loc, r))
-        else:
-            atoms.append((loc, w))
-    return Measure1D.from_components(atoms=atoms, arcsine_parts=parts)
+    (atoms,), (parts,) = _circle_parts(cm, theta[None, :])
+    return Measure1D.from_components(atoms=atoms,
+                                     arcsine_parts=[ArcsinePart(*part) for part in parts])
+
+
+def circle_rows(mixtures, thetas: np.ndarray) -> MeasureRows:
+    """The projections of :func:`circle_project` of each circle mixture
+    onto every row of the unit-row matrix thetas, as the rows of one
+    table: mixture by mixture, and direction by direction within each.
+    No Measure1D is built; the atoms are canonicalized as it would."""
+    atoms, parts = [], []
+    for cm in mixtures:
+        row_atoms, row_parts = _circle_parts(cm, thetas)
+        atoms += [_canonicalize(row, ())[0] if row else () for row in row_atoms]
+        parts += row_parts
+    return MeasureRows(atoms, [()] * len(atoms), parts)
 
 
 def circle_family(t: float) -> CircleMixture:

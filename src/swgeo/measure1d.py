@@ -15,7 +15,9 @@ and ``arcsine`` (density ``1/(pi sqrt(1-x^2))`` on (-1, 1), quantile
 ``s -> sin(pi (s - 1/2))``), optionally scaled and shifted.  Measures
 containing arcsine components are the "analytic" variant and use numeric
 quantile inversion; everything else is the "discrete-mixture" variant
-with exact piecewise-affine quantiles.
+with exact piecewise-affine quantiles.  The CDF, density and numeric
+quantile work on rows of measures (``MeasureRows``, ``AnalyticQuantile``),
+each row with the arithmetic it has alone; a Measure1D is one row.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "ArcsinePart",
     "Measure1D",
     "QuantileFn",
+    "MeasureRows",
     "AnalyticQuantile",
     "newton_roots",
     "PiecewiseLinearMap",
@@ -72,21 +75,6 @@ class ArcsinePart:
             raise MeasureError("arcsine weight must be positive")
         if not (self.radius > 0.0):
             raise MeasureError("arcsine radius must be positive")
-
-    def cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.radius
-        return 0.5 + np.arcsin(np.minimum(np.maximum(z, -1.0), 1.0)) / np.pi
-
-    def quantile(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.center + self.radius * np.sin(np.pi * (s - 0.5))
-
-    def density(self, x):
-        """Infinite at the two ends, 0 outside them."""
-        x = np.asarray(x, dtype=float)
-        d = (x - (self.center - self.radius)) * ((self.center + self.radius) - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d >= 0.0, (self.weight / np.pi) / np.sqrt(d), 0.0)
 
 
 def _canonicalize(atoms, pieces):
@@ -202,55 +190,27 @@ class Measure1D:
         return not self.arcsine_parts
 
     @cached_property
-    def x_breaks(self) -> np.ndarray:
-        """Where the CDF is not smooth: atoms, piece ends and arcsine ends."""
-        ends = [(lo, hi) for lo, hi, _ in self.pieces] + [
-            (a.center - a.radius, a.center + a.radius) for a in self.arcsine_parts]
-        return np.unique([p for p, _ in self.atoms] + [e for pair in ends for e in pair])
+    def _rows(self) -> "MeasureRows":
+        return MeasureRows.of([self])
 
     @cached_property
     def support(self) -> tuple[float, float]:
-        if not self.x_breaks.size:
-            raise MeasureError("empty measure")
-        return (float(self.x_breaks[0]), float(self.x_breaks[-1]))
-
-    @cached_property
-    def _atom_pos(self) -> np.ndarray:
-        return np.array([p for p, _ in self.atoms], dtype=float)
-
-    @cached_property
-    def _atom_mass(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms], dtype=float)
-
-    @cached_property
-    def _atom_cum(self) -> np.ndarray:
-        # cumulative atom mass strictly below each atom (for fast cdf)
-        return np.concatenate([[0.0], np.cumsum(self._atom_mass)])
+        breaks = self._rows.breaks
+        return (float(breaks[0]), float(breaks[-1]))
 
     # ----------------------------------------------------------- evaluation
 
     def cdf(self, x):
         """F(x) = mass of (-inf, x); left-continuous at atoms."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        if self.atoms:
-            idx = np.searchsorted(self._atom_pos, x, side="left")
-            out += self._atom_cum[idx]
-        for lo, hi, rho in self.pieces:
-            out += rho * np.minimum(np.maximum(x - lo, 0.0), hi - lo)
-        for part in self.arcsine_parts:
-            out += part.weight * part.cdf(x)
+        out = self._rows.cdf(x.ravel(), np.zeros(x.size, dtype=int)).reshape(x.shape)
         return out if out.ndim else float(out)
 
     def density(self, x):
         """Density of the continuous part at x: pieces and arcsine parts,
         atoms left out."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for lo, hi, rho in self.pieces:
-            out += np.where((x >= lo) & (x < hi), rho, 0.0)
-        for part in self.arcsine_parts:
-            out += part.density(x)
+        out = self._rows.density(x.ravel(), np.zeros(x.size, dtype=int)).reshape(x.shape)
         return out if out.ndim else float(out)
 
     def quantile_fn(self):
@@ -353,61 +313,195 @@ class QuantileFn:
         return out if out.ndim else float(out)
 
 
+def _padded(rows, fill) -> np.ndarray:
+    """Rows of equal-length tuples, each padded with fill to the longest
+    row: shape (len(fill), longest, rows), so that a take of rows from
+    a[:, j] gathers entry j as one contiguous array per field."""
+    out = np.empty((len(fill), max(map(len, rows), default=0), len(rows)))
+    out[...] = np.reshape(fill, (-1, 1, 1))
+    for i, row in enumerate(rows):
+        if len(row):
+            out[:, :len(row), i] = np.transpose(row)
+    return out
+
+
+def _row_unique(values: np.ndarray, rows: np.ndarray):
+    """np.unique row by row: each row's distinct values, sorted, as flat
+    (values, rows) in row order."""
+    order = np.lexsort((values, rows))
+    v, r = values[order], rows[order]
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = (v[1:] != v[:-1]) | (r[1:] != r[:-1])
+    return v[keep], r[keep]
+
+
+def _spread(values: np.ndarray, rows: np.ndarray, n: int, fill: float) -> np.ndarray:
+    """Flat values in row order as an (n, longest row) array padded with fill."""
+    col = np.arange(values.size) - np.searchsorted(rows, rows)
+    out = np.full((n, np.max(col, initial=-1) + 1), fill)
+    out[rows, col] = values
+    return out
+
+
+class MeasureRows:
+    """Measures as the rows of one table, so that the CDF and density of
+    every row take one array pass.  Atoms, density pieces and arcsine
+    parts are each padded to the longest row with entries that add
+    exactly 0, and each row sums its terms in the order of a single
+    Measure1D: atoms, then pieces, then parts, each in its own order.
+    ``breaks`` holds each row's sorted breakpoints, where its CDF is not
+    smooth (atoms, piece ends and arcsine ends), flat, with the row of
+    each in ``break_row``; ``extent`` is each row's largest |x| on its
+    support.
+    """
+
+    def __init__(self, atoms, pieces, parts):
+        """One sequence per row of each: canonical (position, mass) atoms
+        and (lo, hi, density) pieces, as in Measure1D, and (weight, center,
+        radius) arcsine parts."""
+        self.n = n = len(atoms)
+        self._pos, self._mass = _padded(atoms, (np.inf, 0.0))
+        # row by row: 0, then the cumulative masses (one flat take reads them)
+        self._cum = np.concatenate([np.zeros((n, 1)), np.cumsum(self._mass.T, axis=1)], axis=1)
+        self._pieces = _padded(pieces, (0.0, 0.0, 0.0))
+        w, c, r = _padded(parts, (0.0, 0.0, 1.0))
+        # a padded part has no ends: nan matches no point, and its density is 0
+        real = w > 0.0
+        self._arcs = np.stack([w, c, r])
+        self._arc_ends = np.stack([w, np.where(real, c - r, np.nan), np.where(real, c + r, np.nan)])
+        lo, hi, rho = self._pieces
+        atom = self._mass > 0.0
+        ends = [(self._pos, atom), (lo, rho > 0.0), (hi, rho > 0.0),
+                (self._arc_ends[1], real), (self._arc_ends[2], real)]
+        self.breaks, self.break_row = _row_unique(
+            np.concatenate([v[keep] for v, keep in ends]),
+            np.concatenate([np.broadcast_to(np.arange(n), v.shape)[keep] for v, keep in ends]))
+        self._start = np.searchsorted(self.break_row, np.arange(n))
+        self._count = np.bincount(self.break_row, minlength=n)
+        self.extent = np.maximum(np.abs(self.breaks[self._start]),
+                                 np.abs(self.breaks[self._start + self._count - 1]))
+        self._pure = ((real.sum(axis=0) == 1) & (np.abs(w[:1] - 1.0) <= MASS_TOL).all(axis=0)
+                      & ~atom.any(axis=0) & ~(rho > 0.0).any(axis=0))
+
+    @classmethod
+    def of(cls, measures: Sequence[Measure1D]) -> "MeasureRows":
+        return cls([m.atoms for m in measures], [m.pieces for m in measures],
+                   [[(p.weight, p.center, p.radius) for p in m.arcsine_parts]
+                    for m in measures])
+
+    def cdf(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """F at the points x of the rows r (flat and parallel)."""
+        if not len(self._pos):
+            out = np.zeros(x.shape)
+        else:  # the atoms below x, as searchsorted counts them: all below a nan
+            below = (~(self._pos.take(r, axis=1) >= x)).sum(axis=0)
+            out = self._cum.take(r * self._cum.shape[1] + below)
+        for j in range(self._pieces.shape[1]):
+            lo, hi, rho = self._pieces[:, j].take(r, axis=1)
+            out = out + rho * np.minimum(np.maximum(x - lo, 0.0), hi - lo)
+        for j in range(self._arcs.shape[1]):
+            w, c, rad = self._arcs[:, j].take(r, axis=1)
+            out = out + w * (0.5 + np.arcsin(np.minimum(np.maximum((x - c) / rad, -1.0), 1.0)) / np.pi)
+        return out
+
+    def density(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Density of the continuous part at the points x of the rows r:
+        infinite at an arcsine end, atoms left out."""
+        out = np.zeros(x.shape)
+        for j in range(self._pieces.shape[1]):
+            lo, hi, rho = self._pieces[:, j].take(r, axis=1)
+            out = out + np.where((x >= lo) & (x < hi), rho, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(self._arc_ends.shape[1]):
+                w, lo, hi = self._arc_ends[:, j].take(r, axis=1)
+                d = (x - lo) * (hi - x)
+                out = out + np.where(d >= 0.0, (w / np.pi) / np.sqrt(d), 0.0)
+        return out
+
+    def ends_at(self, a: np.ndarray, b: np.ndarray, r):
+        """Whether each a is the left end, and each b the right end, of an
+        arcsine part of its row r."""
+        lo, hi = self._arc_ends[1:].take(r, axis=2)
+        return (lo == a).any(axis=0), (hi == b).any(axis=0)
+
+
 class AnalyticQuantile:
-    """Quantile evaluator for measures with arcsine components, and for any
-    measure in a transport distance with one.  A pure arcsine catalog
-    measure uses its closed-form quantile.  Otherwise a table over the
-    brackets between the breakpoints ``x_breaks`` resolves every level: a
-    level inside an atom gives that atom exactly, a massless gap its upper
-    end (the sup convention), and a level inside a smooth bracket is the
-    root of ``F - u`` that :func:`newton_roots` finds.  ``s_breaks`` are
-    the levels where the quantile is not smooth: the CDF at ``x_breaks``
-    and the top of every atom."""
+    """Quantile evaluator for the rows of a :class:`MeasureRows` table (a
+    Measure1D is one row): for measures with arcsine components, and for
+    any measure in a transport distance with one.  A pure arcsine catalog
+    row uses its closed-form quantile.  Otherwise a table over the
+    brackets between each row's breaks resolves every level: a level
+    inside an atom gives that atom exactly, a massless gap its upper end
+    (the sup convention), and a level inside a smooth bracket is the root
+    of ``F - u`` that :func:`newton_roots` finds, one loop for the levels
+    of every row.  ``s_breaks`` are the levels where a quantile is not
+    smooth, row by row as ``s_row`` says: the CDF at the breaks and the
+    top of every atom."""
 
-    def __init__(self, measure: Measure1D):
-        self.measure = m = measure
-        self._pure = (len(m.arcsine_parts) == 1 and not m.atoms and not m.pieces
-                      and abs(m.arcsine_parts[0].weight - 1.0) <= MASS_TOL)
-        self._xb = xb = m.x_breaks
-        self._levels = levels = m.cdf(xb)
-        self.s_breaks = np.unique(np.clip(np.concatenate(
-            [[0.0, 1.0], levels, m.cdf(m._atom_pos) + m._atom_mass]), 0.0, 1.0))
-        # Bracket j is (xb[j], xb[j+1]).  Q is xb[j] below _tops[j], F one
-        # ulp right of xb[j] (above an atom there), xb[j+1] from _ends[j], F
-        # one ulp left of xb[j+1], and the root of F - u in between.  The
-        # ulps also take up the rounding of F at an arcsine end.  Past the
-        # last break every level gives xb[-1].
-        inf = np.full(1, np.inf)
-        self._tops = np.concatenate([m.cdf(np.nextafter(xb[:-1], np.inf)), inf])
-        self._ends = np.concatenate([m.cdf(np.nextafter(xb[1:], -np.inf)), inf])
+    def __init__(self, measures):
+        self.table = t = measures._rows if isinstance(measures, Measure1D) else measures
+        xb, r = t.breaks, t.break_row
+        levels = t.cdf(xb, r)
+        # Bracket k is (xb[k], xb[k+1]) in one row.  Q is xb[k] below
+        # _tops[k], F one ulp right of xb[k] (above an atom there), xb[k+1]
+        # from _ends[k], F one ulp left of xb[k+1], and the root of F - u
+        # in between.  The ulps also take up the rounding of F at an
+        # arcsine end.  Past a row's last break every level gives it.
+        last = np.append(r[1:] != r[:-1], True)
+        self._tops = np.where(last, np.inf, t.cdf(np.nextafter(xb, np.inf), r))
+        self._ends = np.where(last, np.inf, t.cdf(np.nextafter(np.append(xb[1:], 0.0), -np.inf), r))
+        self._levels = _spread(levels, r, t.n, np.inf)
         # Q jumps across each massless gap at the level of its upper end
-        gap = self._tops[:-1] >= self._ends[:-1]
-        self._gap_level, self._gap_lo = levels[1:][gap], xb[:-1][gap]
+        gap = ~last & (self._tops >= self._ends)
+        self._gap_level = _spread(np.append(levels[1:], 0.0)[gap], r[gap], t.n, np.nan)
+        self._gap_lo = _spread(xb[gap], r[gap], t.n, np.nan)
+        atom = t._mass > 0.0
+        arow = np.broadcast_to(np.arange(t.n), atom.shape)[atom]
+        tops = t.cdf(t._pos[atom], arow) + t._mass[atom]
+        ids = np.arange(t.n)
+        self.s_breaks, self.s_row = _row_unique(
+            np.clip(np.concatenate([np.zeros(t.n), np.ones(t.n), levels, tops]), 0.0, 1.0),
+            np.concatenate([ids, ids, r, arow]))
 
-    def __call__(self, u):
+    def __call__(self, u, r=0, left=False):
+        """Q of the rows r (parallel to u, or one) at the levels u; Q(u-)
+        with left."""
         scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self._pure:
-            out = self.measure.arcsine_parts[0].quantile(u)
-        else:
-            xb, n = self._xb, self._xb.size
-            j = np.clip(np.searchsorted(self._levels, u, side="right") - 1, 0, n - 1)
-            top, end = self._tops[j], self._ends[j]
-            out = np.where(u < top, xb[j], xb[np.minimum(j + 1, n - 1)])
-            solve = (u >= top) & (u < end)
-            if solve.any():
-                j, v, top, end = j[solve], u[solve], top[solve], end[solve]
-                m = self.measure
-                out[solve] = newton_roots(lambda x, k: (m.cdf(x) - v[k], m.density(x)),
-                                          xb[j], xb[j + 1], (v - top) / (end - top), [m])
-        return float(out[0]) if scalar else out
+        u = np.asarray(u, dtype=float)
+        out = self._at(u.ravel(), np.broadcast_to(r, u.shape).ravel(), left).reshape(u.shape)
+        return float(out) if scalar else out
 
-    def left_limit(self, u: np.ndarray) -> np.ndarray:
+    def left_limit(self, u, r=0):
         """Q(u-): the start of the gap Q jumps across at level u, else Q(u)."""
-        out = self(u)
-        if self._gap_level.size:
-            k = np.minimum(np.searchsorted(self._gap_level, u), self._gap_level.size - 1)
-            out = np.where(self._gap_level[k] == u, self._gap_lo[k], out)
+        return self(u, r, left=True)
+
+    def _at(self, u: np.ndarray, r: np.ndarray, left=False) -> np.ndarray:
+        """Q at the levels u of the rows r (flat and parallel), and Q(u-)
+        where left is set (flat too, or one): the start of the gap Q jumps
+        across at u."""
+        t, xb = self.table, self.table.breaks
+        n = t._count[r]
+        # searchsorted(levels, u, "right") - 1 in row r; a nan u is past the end
+        j = np.minimum(np.maximum((~(self._levels.take(r, axis=0) > u[:, None])).sum(axis=1) - 1, 0),
+                       n - 1)
+        k = t._start[r] + j
+        top, end = self._tops[k], self._ends[k]
+        out = np.where(u < top, xb[k], xb[k + (j < n - 1)])
+        pure = t._pure[r]
+        solve = (u >= top) & (u < end) & ~pure
+        if solve.any():
+            k, v, rs, top, end = k[solve], u[solve], r[solve], top[solve], end[solve]
+            a, b = xb[k], xb[k + 1]
+            out[solve] = newton_roots(
+                lambda x, i: (t.cdf(x, rs[i]) - v[i], t.density(x, rs[i])),
+                a, b, (v - top) / (end - top), _STEP_TOL * t.extent[rs], *t.ends_at(a, b, rs))
+        if pure.any():
+            _, c, rad = t._arcs[:, 0].take(r[pure], axis=1)
+            out[pure] = c + rad * np.sin(np.pi * (u[pure] - 0.5))
+        if self._gap_level.size and np.any(left):
+            hit = (self._gap_level.take(r, axis=0) == u[:, None]) & np.reshape(left, (-1, 1))
+            gap_lo = self._gap_lo.take(r, axis=0)[np.arange(u.size), np.argmax(hit, axis=1)]
+            out = np.where(hit.any(axis=1), gap_lo, out)
         return out
 
 
@@ -419,7 +513,7 @@ _RESIDUAL_TOL = 4.5e-16
 _STEP_TOL = 1e-15
 
 
-def newton_roots(fun, a, b, t, measures: Sequence[Measure1D]) -> np.ndarray:
+def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
     """Vectorized safeguarded Newton: for each bracket (a, b) of a function
     G with G <= 0 just right of a and G(b) > 0, the root sup{x : G(x) <= 0}.
 
@@ -428,38 +522,41 @@ def newton_roots(fun, a, b, t, measures: Sequence[Measure1D]) -> np.ndarray:
 
         x = a + (b - a) (sin phi - sin phi0) / (sin phi1 - sin phi0),
 
-    starting at the fraction t of [phi0, phi1].  phi0 is -pi/2 where a is
-    the left end of an arcsine part of one of the ``measures``: the
-    square-root singularity of the density there cancels against
-    dx/dphi.  Elsewhere it is -pi/4, since -pi/2 would make dx/dphi
-    vanish at a regular end; phi1 is pi/2 or pi/4 the same way at b.  The
+    starting at the fraction t of [phi0, phi1].  phi0 is -pi/2 where
+    ``left`` flags a as the left end of an arcsine part: the square-root
+    singularity of the density there cancels against dx/dphi.  Elsewhere
+    it is -pi/4, since -pi/2 would make dx/dphi vanish at a regular end;
+    phi1 is pi/2 or pi/4 the same way at b, as ``right`` flags it.  The
     bracket [lo, hi] shrinks by the rule of bisection (G <= 0 moves lo),
-    and a Newton point not strictly inside it falls back to the midpoint.  A root is done when
-    |G| <= 4.5e-16, when the step is at most 1e-15 times the largest |x|
-    on the supports, or when the next point rounds to an end of the
-    bracket in x.  The step bound is relative to the supports rather than
-    to the bracket, because G rounds like its parts: near an arcsine end
-    F is flat on the scale of ulps of that part, however small the
-    bracket.  A root still open after ``_NEWTON_STEPS`` steps raises
-    MeasureError.
+    and a Newton point not strictly inside it falls back to the midpoint.
+    A root is done when |G| <= 4.5e-16, when the step is at most its
+    ``tol``, or when the next point rounds to an end of the bracket in x.
+    The callers take tol as 1e-15 times the largest |x| on the supports
+    rather than relative to the bracket, because G rounds like its parts:
+    near an arcsine end F is flat on the scale of ulps of that part,
+    however small the bracket.  Every argument but fun has one entry per
+    root, so the roots of many measures share one loop.  A root still
+    open after ``_NEWTON_STEPS`` steps raises MeasureError.
     """
     out = np.empty(np.shape(a))
     k = np.arange(out.size)
-    parts = [p for m in measures for p in m.arcsine_parts]
-    phi0 = np.where(np.isin(a, [p.center - p.radius for p in parts]), -0.5 * np.pi, -0.25 * np.pi)
-    phi1 = np.where(np.isin(b, [p.center + p.radius for p in parts]), 0.5 * np.pi, 0.25 * np.pi)
+    phi0 = np.where(left, -0.5 * np.pi, -0.25 * np.pi)
+    phi1 = np.where(right, 0.5 * np.pi, 0.25 * np.pi)
     h = (b - a) / (np.sin(phi1) - np.sin(phi0))
-    tol = _STEP_TOL * max(abs(e) for m in measures for e in m.support)
-    lo, hi, xlo, xhi = phi0, phi1, a, b
     phi = phi0 + np.clip(t, 0.0, 1.0) * (phi1 - phi0)
-    x = _x_of_phi(phi, a, b, phi0, phi1, h)
+    # one row per quantity of the open roots, compacted in one take
+    state = np.stack([a, b, tol, phi0, phi1, h, phi0, phi1, a, b, phi,
+                      _x_of_phi(phi, a, b, phi0, phi1, h)])
     for _ in range(_NEWTON_STEPS):
+        a, b, tol, phi0, phi1, h, lo, hi, xlo, xhi, phi, x = state
         g, dg = fun(x, k)
         # a point that rounds to an end of its bracket moves nothing: its G
         # is that end's, not the one at phi
         up, down = (g <= 0.0) & (x != a), (g > 0.0) & (x != b)
-        lo, xlo = np.where(up, phi, lo), np.where(up, x, xlo)
-        hi, xhi = np.where(down, phi, hi), np.where(down, x, xhi)
+        np.copyto(lo, phi, where=up)
+        np.copyto(xlo, x, where=up)
+        np.copyto(hi, phi, where=down)
+        np.copyto(xhi, x, where=down)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = phi - g / (dg * h * np.cos(phi))
         # nan fails, and so does the zero step of an infinite slope
@@ -472,9 +569,9 @@ def newton_roots(fun, a, b, t, measures: Sequence[Measure1D]) -> np.ndarray:
         out[k[done]] = np.where(hit & ~newton, x, xn)[done]
         if done.all():
             return out
+        state[10], state[11] = nxt, xn
         keep = ~done
-        k, a, b, phi0, phi1, h, lo, hi, xlo, xhi, phi, x = (
-            v[keep] for v in (k, a, b, phi0, phi1, h, lo, hi, xlo, xhi, nxt, xn))
+        state, k = state[:, keep], k[keep]
     raise MeasureError(f"root finder did not converge in {_NEWTON_STEPS} steps")
 
 

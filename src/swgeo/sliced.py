@@ -3,7 +3,9 @@ empirical path for weighted point clouds.
 
 ``sw_pq(a, b, p, q, dirs)`` is the q-mean over a direction set of the 1D
 W_p between the projections of a and b; a value that overflows float64
-raises MeasureError.  Three paths compute it:
+raises MeasureError.  The q-mean scales distances outside about
+[2^-500, 2^500] by a power of two, so that their q-th powers stay in
+range.  Three paths compute it:
 
 * centered shell mixtures: when every component of both mixtures is
   centered at the origin, the projected quantiles scale linearly with
@@ -17,12 +19,17 @@ raises MeasureError.  Three paths compute it:
   ``wasserstein_p``, merges and integrates the rows; no per-direction
   Measure1D is built.
 * circle mixtures project to arcsine mixtures.  Centered ones take the
-  centered path with s(theta) = 1; off-center ones build a Measure1D per
-  direction and take the numeric W_p.
+  centered path with s(theta) = 1.  For off-center ones
+  :func:`swgeo.families.circle_rows` builds the projections onto every
+  direction as rows of one table, and
+  :func:`swgeo.transport1d.wp_measure_rows`, the numeric kernel behind
+  ``wasserstein_p``, takes all directions and both sides in one Newton
+  loop per step, in batches of rows.  Mixtures of points only project to
+  atoms and go direction by direction through the exact path.
 
-``sw_per_direction``, the path of the centered and circle cases, projects
-onto one theta with ``radon_project`` (or ``circle_project``) and then
-takes ``wasserstein_p``; the tests use it as the oracle for the batched path.
+``sw_per_direction``, the path of the centered cases, projects onto one
+theta with ``radon_project`` (or ``circle_project``) and then takes
+``wasserstein_p``; the tests use it as the oracle for the batched paths.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
@@ -178,19 +185,25 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         val = v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-        if shell:
-            vals = _shell_distances(a, b, p, thetas)
-        else:
-            vals = np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
+        distances = _shell_distances if shell else _circle_distances
+        vals = distances(a, b, p, thetas)
         val = _qmean(vals, dirs.weights, q)
     return _finite(val, "mixtures")
 
 
 def _qmean(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """The q-mean of per-direction distances, their max for q = inf; an
-    overflow is left for _finite to refuse."""
+    """The q-mean of per-direction distances, their max for q = inf.  Where
+    the largest distance lies outside about [2^-500, 2^500], the distances
+    are divided by a power of two near it, so that their q-th powers stay
+    in range: the q-mean of finite distances is at most their max, so it
+    is finite.  Inside, the scale is 1 and changes no bit.  A non-finite
+    distance is left for _finite to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(vals.max() if math.isinf(q) else np.dot(weights, vals ** q) ** (1.0 / q))
+        if math.isinf(q):
+            return float(vals.max())
+        top = math.frexp(vals.max())[1]
+        scale = math.ldexp(1.0, top - 1) if abs(top) > 500 else 1.0
+        return scale * float(np.dot(weights, (vals / scale) ** q) ** (1.0 / q))
 
 
 def _finite(val: float, what: str) -> float:
@@ -217,10 +230,32 @@ def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
             for batch in np.split(thetas, range(step, len(thetas), step))])
 
 
+# Values per pair of projections with K components and per K^2, for
+# batches of _BATCH_VALUES in the arcsine kernel: traced on mixtures of
+# 1-3 circles, its live arrays peaked at 1700-5000 K^2 values per pair.
+_ARCSINE_PAIR_VALUES = 2048
+
+
+def _circle_distances(a: CircleMixture, b: CircleMixture, p: float,
+                      thetas: np.ndarray) -> np.ndarray:
+    """1D distance between the projections of a and b onto every row of
+    thetas.  Arcsine projections go through the numeric kernel as the
+    rows of one table per batch of rows; two mixtures of point masses
+    project to atoms only and take the exact per-direction path."""
+    if all(r <= families._RADIUS_EPS for m in (a, b) for _, r, _ in m.components):
+        return np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
+    k = max(len(a.components), len(b.components))
+    step = max(1, _BATCH_VALUES // (_ARCSINE_PAIR_VALUES * k * k))
+    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
+        return np.concatenate([
+            transport1d.wp_measure_rows(families.circle_rows((a, b), batch), p)
+            for batch in np.split(thetas, range(step, len(thetas), step))])
+
+
 def sw_per_direction(a, b, p: float, theta) -> float:
     """W_p between the projections of a and b onto a single direction, one
-    Measure1D per mixture: the centered and circle paths of sw_pq, and
-    the tests' oracle for its batched path."""
+    Measure1D per mixture: the centered paths of sw_pq, and the tests'
+    oracle for its batched paths."""
     p = float(p)
     if p < 1.0:
         raise MeasureError("p must be >= 1")

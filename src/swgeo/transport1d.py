@@ -10,8 +10,10 @@ which gives no mass to intervals no wider than MASS_TOL.
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
-Gauss-Legendre sum over them.  A distance that overflows float64 raises
-MeasureError.
+Gauss-Legendre sum over them.  ``wp_measure_rows`` takes many pairs at
+once, as the rows of one :class:`~swgeo.measure1d.MeasureRows` table, and
+``wasserstein_p`` is its one-pair case.  A distance that overflows
+float64 raises MeasureError.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -29,11 +31,14 @@ import numpy as np
 
 from .measure1d import (
     MASS_TOL,
+    _STEP_TOL,
     AnalyticQuantile,
     Measure1D,
     MeasureError,
+    MeasureRows,
     PiecewiseLinearMap,
     QuantileFn,
+    _row_unique,
     newton_roots,
     pushforward_pwl,
 )
@@ -44,6 +49,7 @@ __all__ = [
     "wasserstein_p",
     "wasserstein_inf",
     "wp_rows",
+    "wp_measure_rows",
     "pairwise_deviation",
     "geodesic_deviation",
 ]
@@ -239,35 +245,58 @@ def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:
     return float(wp_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None], p)[0])
 
 
-def _level_cuts(mu: Measure1D, nu: Measure1D, qa, qb) -> np.ndarray:
-    """Both quantiles' breakpoint levels, plus F_mu(x*) and F_nu(x*) at each
-    root x* of F_mu - F_nu: where Q_mu - Q_nu changes sign both quantiles
+def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
+    """For the pair of rows i (mu) and i + n (nu) of t, for every i < n:
+    both quantiles' breakpoint levels, plus F_mu(x*) and F_nu(x*) at each
+    root x* of F_mu - F_nu.  Where Q_mu - Q_nu changes sign both quantiles
     equal some x*, and there the closed-form CDFs cross.  The roots are
     samples where F_mu - F_nu is 0 and, on each sign change between
     samples, the root :func:`newton_roots` finds with the difference of
-    the densities as slope; cutting at both CDF values covers a crossing
-    inside an atom."""
-    xb = np.union1d(mu.x_breaks, nu.x_breaks)
-    t = np.arange(_SAMPLES) / _SAMPLES
-    x = np.append((xb[:-1, None] + np.diff(xb)[:, None] * t).ravel(), xb[-1])
-    diff = lambda y: mu.cdf(y) - nu.cdf(y)
-    g = diff(x)
-    i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    the densities as slope, one loop for all pairs; cutting at both CDF
+    values covers a crossing inside an atom.  Returns the sorted distinct
+    cuts of every pair as flat (u, pair)."""
+    xb, pair = _row_unique(t.breaks, t.break_row % n)
+    s = np.arange(_SAMPLES) / _SAMPLES
+    # _SAMPLES points on each gap between a pair's breaks; its last break
+    # repeats instead, which adds no sign change and no new cut
+    step = np.where(pair[1:] == pair[:-1], np.diff(xb), 0.0)
+    x = np.append((xb[:-1, None] + step[:, None] * s).ravel(), xb[-1])
+    xp = np.append(np.repeat(pair[:-1], _SAMPLES), pair[-1])
+    diff = lambda y, k: t.cdf(y, k) - t.cdf(y, k + n)
+    g = diff(x, xp)
+    i = np.flatnonzero((g[:-1] * g[1:] < 0.0) & (xp[:-1] == xp[1:]))
     # a sign change already across the first ulp of a sign-change interval
     # (an atom, or the rounding of F at an arcsine end) puts the root at
     # its start, one only across the last ulp at its end
-    a, b, sign = x[i], x[i + 1], -np.sign(g[i])
-    ga, gb = sign * diff(np.nextafter(a, np.inf)), sign * diff(np.nextafter(b, -np.inf))
+    a, b, ip, sign = x[i], x[i + 1], xp[i], -np.sign(g[i])
+    ga, gb = sign * diff(np.nextafter(a, np.inf), ip), sign * diff(np.nextafter(b, -np.inf), ip)
     at_a = ga >= 0.0
     at_b = ~at_a & (gb < 0.0)
     inner = ~(at_a | at_b)
-    a, b, ga, gb, sign = a[inner], b[inner], ga[inner], gb[inner], sign[inner]
+    a, b, ga, gb, sign, k = (v[inner] for v in (a, b, ga, gb, sign, ip))
+    (left_a, right_a), (left_b, right_b) = t.ends_at(a, b, k), t.ends_at(a, b, k + n)
     roots = newton_roots(
-        lambda y, k: (sign[k] * diff(y), sign[k] * (mu.density(y) - nu.density(y))),
-        a, b, ga / (ga - gb), [mu, nu])
-    roots = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
-    cuts = np.concatenate([qa.s_breaks, qb.s_breaks, mu.cdf(roots), nu.cdf(roots)])
-    return np.unique(np.clip(cuts, 0.0, 1.0))
+        lambda y, j: (sign[j] * diff(y, k[j]),
+                      sign[j] * (t.density(y, k[j]) - t.density(y, k[j] + n))),
+        a, b, ga / (ga - gb), _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n]),
+        left_a | left_b, right_a | right_b)
+    rx = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
+    rp = np.concatenate([xp[g == 0.0], ip[at_a], ip[at_b], k])
+    cuts = np.concatenate([q.s_breaks, t.cdf(rx, rp), t.cdf(rx, rp + n)])
+    return _row_unique(np.clip(cuts, 0.0, 1.0), np.concatenate([q.s_row % n, rp, rp]))
+
+
+def _gap(f, u: np.ndarray, pair: np.ndarray, n: int) -> np.ndarray:
+    """|Q_mu - Q_nu| at the levels u of the pairs (parallel and flat), as
+    one evaluation f(levels, rows) of the quantiles of both sides."""
+    both = f(np.tile(u, 2), np.concatenate([pair, pair + n]))
+    return np.abs(both[:u.size] - both[u.size:])
+
+
+def _by_pair(pair: np.ndarray, n: int):
+    """The slices of the runs of each pair 0..n-1 in a sorted pair array."""
+    bounds = np.searchsorted(pair, np.arange(n + 1))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,50 +310,82 @@ def _panel_rule(n: int):
     return s * s * (3.0 - 2.0 * s), w / w.sum()
 
 
-def _wp_numeric(mu: Measure1D, nu: Measure1D, p: float) -> float:
+def _wp_numeric(t: MeasureRows, n: int, p: float) -> np.ndarray:
     """The node count doubles on the panels whose value has not settled to
-    _REL_QUAD_TOL relative; one still unsettled at _MAX_NODES is an error."""
-    qa, qb = AnalyticQuantile(mu), AnalyticQuantile(nu)
-    u = _level_cuts(mu, nu, qa, qb)
+    _REL_QUAD_TOL relative; one still unsettled at _MAX_NODES is an error.
+    Each pair's nodes go through the same matrix product as alone, so its
+    value does not depend on the other pairs."""
+    q = AnalyticQuantile(t)
+    u, pair = _level_cuts(t, q, n)
     # A panel no wider than MASS_TOL joins the next one: the nodes are
     # interior, so they never sample a jump that rounding left there.
-    edges = u[np.append(True, np.diff(u) > MASS_TOL)]
-    edges[-1] = 1.0
-    u0, h = edges[:-1], np.diff(edges)
+    keep = np.append(True, (np.diff(u) > MASS_TOL) | (pair[1:] != pair[:-1]))
+    edges, pair = u[keep], pair[keep]
+    last = np.append(pair[1:] != pair[:-1], True)
+    edges[last] = 1.0
+    inner = ~last[:-1]
+    u0, h, pair = edges[:-1][inner], np.diff(edges)[inner], pair[:-1][inner]
     # a power of two near the support size keeps |Q_mu - Q_nu|^p in range
-    scale = math.ldexp(1.0, math.frexp(max(map(abs, mu.support + nu.support)))[1] - 1)
+    scale = np.ldexp(1.0, np.frexp(np.maximum(t.extent[:n], t.extent[n:]))[1] - 1)
     total = np.zeros(u0.size)
-    todo, prev, n = np.arange(u0.size), None, 16
+    todo, prev, nodes = np.arange(u0.size), None, 16
     while todo.size:
-        if n > _MAX_NODES:
+        if nodes > _MAX_NODES:
             raise MeasureError(f"W_p quadrature did not converge with {_MAX_NODES} nodes")
-        x, w = _panel_rule(n)
-        u = u0[todo, None] + h[todo, None] * x
-        val = h[todo] * ((np.abs(qa(u) - qb(u)) / scale) ** p @ w)
-        if prev is not None:  # a non-finite value is final: _finite refuses it
+        x, w = _panel_rule(nodes)
+        at = pair[todo]
+        u = (u0[todo, None] + h[todo, None] * x).ravel()
+        rows = np.repeat(at, nodes)
+        d = ((_gap(q._at, u, rows, n) / scale[rows]) ** p).reshape(todo.size, nodes)
+        val = np.empty(todo.size)
+        for run in _by_pair(at, n):
+            val[run] = d[run] @ w
+        val *= h[todo]
+        if prev is not None:  # a non-finite value is final: the callers refuse it
             done = ~(np.abs(val - prev) > _REL_QUAD_TOL * np.maximum(np.abs(val), 1e-30))
             total[todo[done]] = val[done]
             todo, val = todo[~done], val[~done]
-        prev, n = val, 2 * n
-    return scale * float(total.sum()) ** (1.0 / p)
+        prev, nodes = val, 2 * nodes
+    return np.array([scale[i] * float(total[run].sum()) ** (1.0 / p)
+                     for i, run in enumerate(_by_pair(pair, n))])
 
 
-def _sup_numeric(mu: Measure1D, nu: Measure1D) -> float:
-    qa, qb = AnalyticQuantile(mu), AnalyticQuantile(nu)
-    u = _level_cuts(mu, nu, qa, qb)
-    mass = np.diff(u) > MASS_TOL  # as in _merge_levels
-    lo, hi = u[:-1][mass], u[1:][mass]
-    best = np.maximum(np.abs(qa(lo) - qb(lo)),
-                      np.abs(qa.left_limit(hi) - qb.left_limit(hi)))
-    t, rows = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1), np.arange(lo.size)
+def _sup_numeric(t: MeasureRows, n: int) -> np.ndarray:
+    q = AnalyticQuantile(t)
+    u, pair = _level_cuts(t, q, n)
+    mass = (np.diff(u) > MASS_TOL) & (pair[1:] == pair[:-1])  # as in _merge_levels
+    lo, hi, pair = u[:-1][mass], u[1:][mass], pair[:-1][mass]
+    # Q(lo) and Q(hi-), both sides in one evaluation
+    left = np.tile(np.repeat([False, True], lo.size), 2)
+    ends = _gap(lambda u, r: q._at(u, r, left), np.append(lo, hi), np.tile(pair, 2), n)
+    best = np.maximum(ends[:lo.size], ends[lo.size:])
+    s, panels = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1), np.arange(lo.size)
+    rows = np.repeat(pair, _SAMPLES)
     for _ in range(_ZOOM_ROUNDS):
-        u = lo[:, None] + (hi - lo)[:, None] * t
-        d = np.abs(qa(u) - qb(u))
+        u = lo[:, None] + (hi - lo)[:, None] * s
+        d = _gap(q._at, u.ravel(), rows, n).reshape(u.shape)
         k = np.argmax(d, axis=1)
-        best = np.maximum(best, d[rows, k])
+        best = np.maximum(best, d[panels, k])
         grid = np.concatenate([lo[:, None], u, hi[:, None]], axis=1)
-        lo, hi = grid[rows, k], grid[rows, k + 2]
-    return float(best.max())
+        lo, hi = grid[panels, k], grid[panels, k + 2]
+    return np.array([best[run].max() for run in _by_pair(pair, n)])
+
+
+def wp_measure_rows(t: MeasureRows, p: float) -> np.ndarray:
+    """W_p (W_inf for p = inf) between the rows i and i + n of a table of
+    2n measures, for every i < n, with arcsine parts on at least one side:
+    Gauss-Legendre on the panels of :func:`_level_cuts` for finite p, and
+    for p = inf the largest of the exact one-sided ends of the panels and
+    of interior samples that zoom in on each panel's maximum.  Every step
+    is one array pass over all pairs, and each pair's value is the one it
+    has alone.  Overflow is left to the caller."""
+    n = t.n // 2
+    return _sup_numeric(t, n) if math.isinf(p) else _wp_numeric(t, n, p)
+
+
+def _numeric(mu: Measure1D, nu: Measure1D, p: float) -> float:
+    """The one-pair case of :func:`wp_measure_rows`."""
+    return float(wp_measure_rows(MeasureRows.of([mu, nu]), p)[0])
 
 
 def _finite(distance, *args) -> float:
@@ -349,7 +410,7 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
         raise MeasureError("wasserstein_p requires p >= 1")
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
         return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), p)
-    return _finite(_wp_numeric, mu, nu, p)
+    return _finite(_numeric, mu, nu, p)
 
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
@@ -359,7 +420,7 @@ def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     interior samples that zoom in on each panel's maximum."""
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
         return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), math.inf)
-    return _finite(_sup_numeric, mu, nu)
+    return _finite(_numeric, mu, nu, math.inf)
 
 
 def pairwise_deviation(curve: Callable[[float], object],

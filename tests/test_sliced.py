@@ -3,12 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import swgeo.sliced
 from swgeo.families import (
     _RADIUS_EPS,
+    CircleMixture,
     ShellMixture,
     circle_family,
     nu_curve,
@@ -109,13 +110,12 @@ def oracle_directions(a, b, q, dirs):
 
 
 def loop_oracle(a, b, p, q, dirs):
-    """sw_pq by the per-direction path: one radon_project -> wasserstein_p
-    chain per direction, over the same direction (or sup candidate) set."""
+    """sw_pq by the per-direction path: one projection -> wasserstein_p
+    chain per direction, over the same direction (or sup candidate) set,
+    and the same q-mean."""
     vals = np.array([sw_per_direction(a, b, p, th)
                      for th in oracle_directions(a, b, q, dirs)])
-    if math.isinf(q):
-        return float(vals.max())
-    return float(np.dot(dirs.weights, vals ** q) ** (1 / q))
+    return swgeo.sliced._qmean(vals, dirs.weights, q)
 
 
 def support_radius(*mixtures):
@@ -264,6 +264,59 @@ class TestBatchedShellKernel:
             assert sw_pq(a, b, p, 2.0, dirs) <= 1e-14
 
 
+@st.composite
+def circle_mixture(draw):
+    """1-3 components of radius 0 (a point) or at least 1e-3: free, or
+    concentric with the previous one, or touching it from outside or
+    inside along an axis.  Along that axis their projections touch; with
+    equal radii, concentric circles coincide in every projection."""
+    coord = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.floats(0.05, 1.0))
+        r = draw(st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 2.0)))
+        layout = draw(st.sampled_from(["free", "concentric", "outside", "inside"])
+                      if comps else st.just("free"))
+        if layout == "free":
+            c = np.array([draw(coord), draw(coord)])
+        else:
+            _, r0, c0 = comps[-1]
+            gap = {"concentric": 0.0, "outside": r0 + r, "inside": r0 - r}[layout]
+            c = c0 + gap * np.eye(2)[draw(st.integers(0, 1))]
+        comps.append((w, r, c))
+    total = sum(w for w, _, _ in comps)
+    return CircleMixture(tuple((w / total, r, c) for w, r, c in comps))
+
+
+@st.composite
+def circle_pair(draw):
+    """Two unrelated mixtures, or a mixture and a translated copy; not both
+    centered, since sw_pq takes one direction for those."""
+    a = draw(circle_mixture())
+    if draw(st.booleans()):
+        b = draw(circle_mixture())
+    else:
+        v = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+        b = CircleMixture(tuple((w, r, c + v) for w, r, c in a.components))
+    assume(not (swgeo.sliced._is_centered(a) and swgeo.sliced._is_centered(b)))
+    return a, b
+
+
+def circle_directions(data, a, n):
+    """n directions in the plane: mc nodes, with the axes (where touching
+    parts meet in projection) and the normal of a's first center
+    difference (where those parts coincide in projection) in front."""
+    thetas = mc_directions(2, n, data.draw(st.integers(0, 2**32 - 1))).thetas
+    special = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
+    if len(a.components) > 1:
+        dx, dy = a.components[1][2] - a.components[0][2]
+        if math.hypot(dx, dy) > 1e-3:
+            special.insert(0, np.array([-dy, dx]) / math.hypot(dx, dy))
+    k = data.draw(st.integers(0, min(n, len(special))))
+    thetas = np.vstack(special[:k] + [thetas[k:]])
+    return DirectionSet(2, thetas, np.full(n, 1.0 / n), "mc+special")
+
+
 class TestCircle:
     def test_w_inf_is_one(self):
         for t in (0.1, 0.5, 1.0):
@@ -290,6 +343,43 @@ class TestCircle:
             got = sw_pq(ct, c0, math.inf, q, mc_directions(2, 16, seed=4))
             assert got == pytest.approx(math.sin(0.15 * math.pi), rel=1e-15)
         assert len(calls) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), pair=circle_pair(), rows=st.sampled_from([1, 2, 7]),
+           extra=st.sampled_from([-1, 0, 1, None]),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+           q=st.sampled_from([1.0, 2.0, math.inf]))
+    def test_matches_per_direction_oracle(self, data, pair, rows, extra, p, q):
+        # 1-9 directions, or one batch of `rows` pairs +- 1
+        a, b = pair
+        n = data.draw(st.integers(1, 9)) if extra is None else max(1, rows + extra)
+        dirs = circle_directions(data, a, n)
+        k = max(len(a.components), len(b.components))
+        try:
+            want = repr(loop_oracle(a, b, p, q, dirs))
+        except MeasureError as exc:  # the per-direction path refuses it too
+            want = str(exc)
+        with mock.patch.object(swgeo.sliced, "_BATCH_VALUES",
+                               rows * swgeo.sliced._ARCSINE_PAIR_VALUES * k * k):
+            try:
+                got = repr(sw_pq(a, b, p, q, dirs))
+            except MeasureError as exc:
+                got = str(exc)
+        assert got == want
+
+    def test_off_center_path_skips_per_direction_projection(self, monkeypatch):
+        a = CircleMixture(((0.3, 0.0, np.array([0.2, 0.1])), (0.7, 1.0, np.zeros(2))))
+        b = CircleMixture(((0.5, 0.5, np.array([-0.3, 0.0])), (0.5, 0.8, np.array([0.1, 0.4]))))
+        dirs = mc_directions(2, 6, seed=3)
+        want = {(p, q): loop_oracle(a, b, p, q, dirs) for p in (1.5, math.inf) for q in (2.0, math.inf)}
+
+        def refuse(*args):
+            raise AssertionError("per-direction path taken")
+
+        for name in ("circle_project", "wasserstein_p", "wasserstein_inf"):
+            monkeypatch.setattr(swgeo.sliced, name, refuse)
+        for (p, q), value in want.items():
+            assert sw_pq(a, b, p, q, dirs) == value
 
 
 class TestWpRadial:
@@ -450,16 +540,27 @@ class TestEmpirical:
     AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3), "axes")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("big,p,q", [(1e200, 2.0, 2.0), (1e308, 2.0, 2.0),
-                                         (1e308, 1.0, 1.0), (1e308, 1.5, math.inf)])
+    @pytest.mark.parametrize("big,p,q", [(1e308, 2.0, 2.0), (1e308, 1.0, 1.0),
+                                         (1e308, 1.5, math.inf)])
     def test_overflowing_clouds_are_refused(self, big, p, q):
         X = PointCloud(3, np.array([[big, 0.0, 0.0], [0.0, -big, 0.0]]), np.full(2, 0.5))
         Y = PointCloud(3, -X.points, X.weights)
         with pytest.raises(MeasureError, match="not finite"):
             sw_pq_empirical(X, Y, p, q, self.AXES)
-        if big == 1e308:
-            with pytest.raises(MeasureError, match="not finite"):
-                empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+        with pytest.raises(MeasureError, match="not finite"):
+            empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_large_q_means_are_scaled(self, q):
+        # distances up to 2e200 on the axes, whose squares overflow: the
+        # q-mean is the one of the clouds scaled by 2^-600, scaled back
+        X = PointCloud(3, np.array([[1e200, 0.0, 0.0], [0.0, -1e200, 0.0]]), np.full(2, 0.5))
+        Y = PointCloud(3, -X.points, X.weights)
+        small = [PointCloud(3, np.ldexp(c.points, -600), c.weights) for c in (X, Y)]
+        got = sw_pq_empirical(X, Y, 2.0, q, self.AXES)
+        assert 5e199 < got <= 2e200
+        assert got == math.ldexp(sw_pq_empirical(*small, 2.0, q, self.AXES), 600)
 
     def test_large_distances_do_not_overflow_their_powers(self):
         X = PointCloud(3, np.array([[1e200, 0.0, 0.0]]), np.array([1.0]))
@@ -557,8 +658,11 @@ class TestNonFiniteDistances:
                                 (0.5, 0.0, np.array([-1e308, 0.0, 0.0, 0.0]))))
         assert sw_pq(wide, origin, math.inf, math.inf, self.DIRS) == 1e308
 
-    def test_overflowing_q_mean_is_refused(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_q_mean_is_scaled(self):
+        # per-direction distances near 1e200, whose squares overflow
         wide = ShellMixture(4, ((0.5, 1e200, np.array([0.5, 0.0, 0.0, 0.0])),
                                 (0.5, 1.0, np.zeros(4))))
-        with pytest.raises(MeasureError, match="not finite"):
-            sw_pq(wide, self.UNIT, 2.0, 2.0, self.DIRS)
+        vals = np.array([sw_per_direction(wide, self.UNIT, 2.0, th) for th in self.DIRS.thetas])
+        want = 1e200 * math.sqrt(np.dot(self.DIRS.weights, (vals / 1e200) ** 2))
+        assert sw_pq(wide, self.UNIT, 2.0, 2.0, self.DIRS) == pytest.approx(want, rel=1e-12)

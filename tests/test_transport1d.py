@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import swgeo.measure1d
 import swgeo.transport1d
 from swgeo.families import circle_family, circle_project, mu_curve, mu_family, w_p_mu01
-from swgeo.measure1d import MASS_TOL, ArcsinePart, Measure1D, MeasureError, pushforward_pwl
+from swgeo.measure1d import (
+    MASS_TOL,
+    ArcsinePart,
+    Measure1D,
+    MeasureError,
+    MeasureRows,
+    pushforward_pwl,
+)
 from swgeo.transport1d import (
     geodesic_deviation,
     interpolate,
@@ -16,7 +23,9 @@ from swgeo.transport1d import (
     pairwise_deviation,
     wasserstein_inf,
     wasserstein_p,
+    wp_measure_rows,
 )
+from test_measure1d import analytic_mixtures
 
 
 def atom_mixture(alpha, beta):
@@ -451,6 +460,46 @@ class TestArcsineMixtures:
         monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 64)
         with pytest.raises(MeasureError, match="did not converge"):
             wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
+
+
+class TestMeasureRows:
+    """wasserstein_p and wasserstein_inf on arcsine mixtures are the
+    one-pair case of wp_measure_rows, the kernel over rows of pairs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.tuples(analytic_mixtures(), analytic_mixtures()),
+                          min_size=1, max_size=3),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    def test_rows_match_single_pairs(self, pairs, p):
+        table = MeasureRows.of([mu for mu, _ in pairs] + [nu for _, nu in pairs])
+        dist = wasserstein_inf if math.isinf(p) else lambda mu, nu: wasserstein_p(mu, nu, p)
+        try:
+            want = [repr(dist(mu, nu)) for mu, nu in pairs]
+        except MeasureError as exc:  # then the rows fail alike
+            with pytest.raises(MeasureError, match=str(exc)):
+                wp_measure_rows(table, p)
+            return
+        assert [repr(float(v)) for v in wp_measure_rows(table, p)] == want
+
+    def test_unconverged_root_in_one_row_raises(self, monkeypatch):
+        # a pure arcsine against an atom needs no root: its crossing lies
+        # in the atom, and both quantiles are closed-form or exact
+        easy = [Measure1D.arcsine(), Measure1D.dirac(0.3)]
+        mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
+        monkeypatch.setattr(swgeo.measure1d, "_NEWTON_STEPS", 2)
+        for p in (1.5, math.inf):
+            assert wp_measure_rows(MeasureRows.of(easy), p)[0] > 0.0
+            with pytest.raises(MeasureError, match="root finder did not converge"):
+                wp_measure_rows(MeasureRows.of([easy[0], mu, easy[1], nu]), p)
+
+    def test_unconverged_quadrature_in_one_row_raises(self, monkeypatch):
+        # every node of a pair of equal measures gives 0, which settles at once
+        monkeypatch.setattr(swgeo.transport1d, "_REL_QUAD_TOL", 0.0)
+        monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 64)
+        arc, uni = Measure1D.arcsine(), Measure1D.uniform(-1, 1)
+        assert wasserstein_p(arc, arc, 1.5) == 0.0
+        with pytest.raises(MeasureError, match="did not converge"):
+            wp_measure_rows(MeasureRows.of([arc, arc, arc, uni]), 1.5)
 
 
 # ---------------------------------------------------------------- level merge
