@@ -418,11 +418,13 @@ class MeasureRows:
                 out = out + np.where(d >= 0.0, (w / np.pi) / np.sqrt(d), 0.0)
         return out
 
-    def ends_at(self, a: np.ndarray, b: np.ndarray, r):
+    def ends_at(self, a: np.ndarray, b: np.ndarray, r, tol: np.ndarray):
         """Whether each a is the left end, and each b the right end, of an
-        arcsine part of its row r."""
+        arcsine part of its row r, to within tol: a part that ends that
+        close outside a bracket is as singular at its end as one that
+        ends there."""
         lo, hi = self._arc_ends[1:].take(r, axis=2)
-        return (lo == a).any(axis=0), (hi == b).any(axis=0)
+        return (np.abs(lo - a) <= tol).any(axis=0), (np.abs(hi - b) <= tol).any(axis=0)
 
 
 class AnalyticQuantile:
@@ -491,10 +493,10 @@ class AnalyticQuantile:
         solve = (u >= top) & (u < end) & ~pure
         if solve.any():
             k, v, rs, top, end = k[solve], u[solve], r[solve], top[solve], end[solve]
-            a, b = xb[k], xb[k + 1]
+            a, b, tol = xb[k], xb[k + 1], _STEP_TOL * t.extent[rs]
             out[solve] = newton_roots(
                 lambda x, i: (t.cdf(x, rs[i]) - v[i], t.density(x, rs[i])),
-                a, b, (v - top) / (end - top), _STEP_TOL * t.extent[rs], *t.ends_at(a, b, rs))
+                a, b, (v - top) / (end - top), tol, *t.ends_at(a, b, rs, tol))
         if pure.any():
             _, c, rad = t._arcs[:, 0].take(r[pure], axis=1)
             out[pure] = c + rad * np.sin(np.pi * (u[pure] - 0.5))
@@ -523,8 +525,9 @@ def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
         x = a + (b - a) (sin phi - sin phi0) / (sin phi1 - sin phi0),
 
     starting at the fraction t of [phi0, phi1].  phi0 is -pi/2 where
-    ``left`` flags a as the left end of an arcsine part: the square-root
-    singularity of the density there cancels against dx/dphi.  Elsewhere
+    ``left`` flags a as the left end of an arcsine part (to within tol, in
+    the callers): the square-root singularity of the density there
+    cancels against dx/dphi.  Elsewhere
     it is -pi/4, since -pi/2 would make dx/dphi vanish at a regular end;
     phi1 is pi/2 or pi/4 the same way at b, as ``right`` flags it.  The
     bracket [lo, hi] shrinks by the rule of bisection (G <= 0 moves lo),

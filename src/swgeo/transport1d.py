@@ -274,12 +274,12 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
     at_b = ~at_a & (gb < 0.0)
     inner = ~(at_a | at_b)
     a, b, ga, gb, sign, k = (v[inner] for v in (a, b, ga, gb, sign, ip))
-    (left_a, right_a), (left_b, right_b) = t.ends_at(a, b, k), t.ends_at(a, b, k + n)
+    tol = _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n])
+    (left_a, right_a), (left_b, right_b) = t.ends_at(a, b, k, tol), t.ends_at(a, b, k + n, tol)
     roots = newton_roots(
         lambda y, j: (sign[j] * diff(y, k[j]),
                       sign[j] * (t.density(y, k[j]) - t.density(y, k[j] + n))),
-        a, b, ga / (ga - gb), _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n]),
-        left_a | left_b, right_a | right_b)
+        a, b, ga / (ga - gb), tol, left_a | left_b, right_a | right_b)
     rx = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
     rp = np.concatenate([xp[g == 0.0], ip[at_a], ip[at_b], k])
     cuts = np.concatenate([q.s_breaks, t.cdf(rx, rp), t.cdf(rx, rp + n)])

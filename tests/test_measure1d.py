@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swgeo.measure1d import (
     AnalyticQuantile,
+    MeasureRows,
     ArcsinePart,
     Measure1D,
     MeasureError,
@@ -231,8 +232,28 @@ def analytic_mixtures(draw):
     return Measure1D.from_components(atoms, pieces, parts)
 
 
+# a break just right of a part's left end 0, where the part's square-root
+# singularity sits outside the bracket (found by this test)
+BESIDE_A_PART_END = [
+    Measure1D(pieces=((-2.0, -1.75, 0.9552238805970149),
+                      (1.8283372943877548e-100, 0.625, 0.07164179104477611)),
+              arcsine_parts=(ArcsinePart(0.23880597014925373, 0.0, 0.75),
+                             ArcsinePart(0.23880597014925373, 0.5, 0.5),
+                             ArcsinePart(0.23880597014925373, -2.0, 1.75))),
+    Measure1D(atoms=((-1.75, 0.2), (1.0505151733917296e-149, 0.2)),
+              arcsine_parts=(ArcsinePart(0.2, -0.5, 1.375), ArcsinePart(0.2, 0.5, 0.5),
+                             ArcsinePart(0.2, 0.0, 0.001))),
+    Measure1D(atoms=((-1.75, 0.2), (1.0505151733917296e-149, 0.2)),
+              arcsine_parts=(ArcsinePart(0.2, -0.5, 1.375), ArcsinePart(0.2, 0.5, 0.5),
+                             ArcsinePart(0.2, -1.75, 0.125))),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(analytic_mixtures(), st.lists(st.floats(0, 1), max_size=20))
+@example(BESIDE_A_PART_END[0], [])
+@example(BESIDE_A_PART_END[1], [])
+@example(BESIDE_A_PART_END[2], [])
 def test_newton_quantile_against_bisection(m, drawn):
     q = AnalyticQuantile(m)
     levels = q.s_breaks
@@ -259,6 +280,35 @@ def test_newton_quantile_against_bisection(m, drawn):
     ref = bisection_quantile(m, u)
     agree = close(got, ref)
     assert np.all(agree), (u[~agree], got[~agree], ref[~agree])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(analytic_mixtures(), min_size=1, max_size=3),
+       st.lists(st.floats(-3, 3), max_size=10))
+def test_rows_sum_each_measure_term_by_term(measures, drawn):
+    """MeasureRows pads the rows of shorter measures with terms that add
+    nothing, and adds each row's terms in the order of the measure alone:
+    atoms (as searchsorted counts them), then pieces, then parts."""
+    table = MeasureRows.of(measures)
+    ends = np.array([e for m in measures for e in m.support] + drawn)
+    x = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    for i, m in enumerate(measures):
+        cdf, density = np.zeros(x.size), np.zeros(x.size)
+        if m.atoms:
+            cum = np.concatenate([[0.0], np.cumsum([mass for _, mass in m.atoms])])
+            cdf = cdf + cum[np.searchsorted([pos for pos, _ in m.atoms], x)]
+        for lo, hi, rho in m.pieces:
+            cdf = cdf + rho * np.minimum(np.maximum(x - lo, 0.0), hi - lo)
+            density = density + np.where((x >= lo) & (x < hi), rho, 0.0)
+        for pt in m.arcsine_parts:
+            z = np.minimum(np.maximum((x - pt.center) / pt.radius, -1.0), 1.0)
+            cdf = cdf + pt.weight * (0.5 + np.arcsin(z) / np.pi)
+            d = (x - (pt.center - pt.radius)) * ((pt.center + pt.radius) - x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                density = density + np.where(d >= 0.0, (pt.weight / np.pi) / np.sqrt(d), 0.0)
+        rows = np.full(x.size, i)
+        np.testing.assert_array_equal(table.cdf(x, rows), cdf)
+        np.testing.assert_array_equal(table.density(x, rows), density)
 
 
 class TestAnalyticQuantile:
