@@ -418,6 +418,41 @@ class MeasureRows:
                 out = out + np.where(d >= 0.0, (w / np.pi) / np.sqrt(d), 0.0)
         return out
 
+    def density_slope(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """d/dx of :meth:`density` at the points x of the rows r: each
+        arcsine part on (lo, hi) adds w (2x - lo - hi) / (2 pi ((x - lo)
+        (hi - x))^(3/2)) inside, and pieces add 0."""
+        out = np.zeros(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(self._arc_ends.shape[1]):
+                w, lo, hi = self._arc_ends[:, j].take(r, axis=1)
+                d = (x - lo) * (hi - x)
+                slope = (w / (2.0 * np.pi)) * (2.0 * x - lo - hi) / (d * np.sqrt(d))
+                out = out + np.where(d >= 0.0, slope, 0.0)
+        return out
+
+    def density_range(self, x0: np.ndarray, x1: np.ndarray, r: np.ndarray):
+        """Lower and upper bounds of :meth:`density` on each [x0, x1] of
+        the rows r that lies between two breaks of its row (x0 < x1): a
+        piece is constant there, and an arcsine part is smallest at the
+        point nearest its center and largest at the end farther from it
+        (infinite at its own end)."""
+        low, high = np.zeros(x0.shape), np.zeros(x0.shape)
+        for j in range(self._pieces.shape[1]):
+            lo, hi, rho = self._pieces[:, j].take(r, axis=1)
+            on = np.where((x1 > lo) & (x0 < hi), rho, 0.0)
+            low, high = low + on, high + on
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(self._arc_ends.shape[1]):
+                w, lo, hi = self._arc_ends[:, j].take(r, axis=1)
+                on = (x1 > lo) & (x0 < hi)  # false on padding, whose ends are nan
+                c = 0.5 * (lo + hi)
+                at = lambda x: np.where(
+                    on, (w / np.pi) / np.sqrt(np.maximum((x - lo) * (hi - x), 0.0)), 0.0)
+                low = low + at(np.minimum(np.maximum(c, x0), x1))
+                high = high + at(np.where(c - x0 > x1 - c, x0, x1))
+        return low, high
+
     def ends_at(self, a: np.ndarray, b: np.ndarray, r, tol: np.ndarray):
         """Whether each a is the left end, and each b the right end, of an
         arcsine part of its row r, to within tol: a part that ends that
@@ -477,20 +512,31 @@ class AnalyticQuantile:
         """Q(u-): the start of the gap Q jumps across at level u, else Q(u)."""
         return self(u, r, left=True)
 
-    def _at(self, u: np.ndarray, r: np.ndarray, left=False) -> np.ndarray:
-        """Q at the levels u of the rows r (flat and parallel), and Q(u-)
-        where left is set (flat too, or one): the start of the gap Q jumps
-        across at u."""
-        t, xb = self.table, self.table.breaks
-        n = t._count[r]
+    def _bracket(self, u: np.ndarray, r: np.ndarray):
+        """The flat indices of the breaks of the bracket that holds the
+        level u in row r (flat and parallel): the left one, and the right
+        one or, past a row's last break, that break again."""
+        n = self.table._count[r]
         # searchsorted(levels, u, "right") - 1 in row r; a nan u is past the end
         j = np.minimum(np.maximum((~(self._levels.take(r, axis=0) > u[:, None])).sum(axis=1) - 1, 0),
                        n - 1)
-        k = t._start[r] + j
+        k = self.table._start[r] + j
+        return k, k + (j < n - 1)
+
+    def _at(self, u: np.ndarray, r: np.ndarray, left=False) -> np.ndarray:
+        """Q at the levels u of the rows r (flat and parallel), and Q(u-)
+        where left is set (flat too, or one): the start of the gap Q jumps
+        across at u.  At the top of an atom with a gap after it, that is
+        the atom, even where the gap's level rounds an ulp higher."""
+        t, xb = self.table, self.table.breaks
+        k, k1 = self._bracket(u, r)
         top, end = self._tops[k], self._ends[k]
-        out = np.where(u < top, xb[k], xb[k + (j < n - 1)])
+        # Q(top-) is xb[k] too where a gap follows, even one whose upper
+        # end's level is not top to the ulp
+        held = (u < top) | ((u == top) & (u >= end) & left)
+        out = np.where(held, xb[k], xb[k1])
         pure = t._pure[r]
-        solve = (u >= top) & (u < end) & ~pure
+        solve = ~held & (u < end) & ~pure
         if solve.any():
             k, v, rs, top, end = k[solve], u[solve], r[solve], top[solve], end[solve]
             a, b, tol = xb[k], xb[k + 1], _STEP_TOL * t.extent[rs]
@@ -534,6 +580,9 @@ def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
     and a Newton point not strictly inside it falls back to the midpoint.
     A root is done when |G| <= 4.5e-16, when the step is at most its
     ``tol``, or when the next point rounds to an end of the bracket in x.
+    If that last step was a midpoint while the Newton point fell past an
+    end that no point has moved, the root is that end: it lies within the
+    rounding of G there, and the midpoints only halved toward it.
     The callers take tol as 1e-15 times the largest |x| on the supports
     rather than relative to the bracket, because G rounds like its parts:
     near an arcsine end F is flat on the scale of ulps of that part,
@@ -543,9 +592,7 @@ def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
     """
     out = np.empty(np.shape(a))
     k = np.arange(out.size)
-    phi0 = np.where(left, -0.5 * np.pi, -0.25 * np.pi)
-    phi1 = np.where(right, 0.5 * np.pi, 0.25 * np.pi)
-    h = (b - a) / (np.sin(phi1) - np.sin(phi0))
+    phi0, phi1, h = _phi_map(a, b, left, right)
     phi = phi0 + np.clip(t, 0.0, 1.0) * (phi1 - phi0)
     # one row per quantity of the open roots, compacted in one take
     state = np.stack([a, b, tol, phi0, phi1, h, phi0, phi1, a, b, phi,
@@ -561,21 +608,30 @@ def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
         np.copyto(hi, phi, where=down)
         np.copyto(xhi, x, where=down)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = phi - g / (dg * h * np.cos(phi))
+            raw = phi - g / (dg * h * np.cos(phi))
         # nan fails, and so does the zero step of an infinite slope
-        newton = (nxt > lo) & (nxt < hi) & (nxt != phi)
-        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        newton = (raw > lo) & (raw < hi) & (raw != phi)
+        nxt = np.where(newton, raw, 0.5 * (lo + hi))
         xn = _x_of_phi(nxt, a, b, phi0, phi1, h)
         hit = np.abs(g) <= _RESIDUAL_TOL
         done = hit | (np.abs(xn - x) <= tol) | (xn == xlo) | (xn == xhi)
         # a Newton point refines a hit; a midpoint would not
-        out[k[done]] = np.where(hit & ~newton, x, xn)[done]
+        end = np.where((raw <= lo) & (xlo == a), a, np.where((raw >= hi) & (xhi == b), b, xn))
+        out[k[done]] = np.where(hit & ~newton, x, np.where(newton, xn, end))[done]
         if done.all():
             return out
         state[10], state[11] = nxt, xn
         keep = ~done
         state, k = state[:, keep], k[keep]
     raise MeasureError(f"root finder did not converge in {_NEWTON_STEPS} steps")
+
+
+def _phi_map(a, b, left, right):
+    """phi0, phi1 and h of the map x(phi) of :func:`newton_roots` on the
+    brackets (a, b), with an arcsine end flagged by left or right."""
+    phi0 = np.where(left, -0.5 * np.pi, -0.25 * np.pi)
+    phi1 = np.where(right, 0.5 * np.pi, 0.25 * np.pi)
+    return phi0, phi1, (b - a) / (np.sin(phi1) - np.sin(phi0))
 
 
 def _x_of_phi(phi, a, b, phi0, phi1, h):

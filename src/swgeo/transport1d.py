@@ -10,10 +10,14 @@ which gives no mass to intervals no wider than MASS_TOL.
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
-Gauss-Legendre sum over them.  ``wp_measure_rows`` takes many pairs at
-once, as the rows of one :class:`~swgeo.measure1d.MeasureRows` table, and
-``wasserstein_p`` is its one-pair case.  A distance that overflows
-float64 raises MeasureError.
+Gauss-Legendre sum over them.  W_inf is the largest |Q_mu - Q_nu| on one
+grid per panel, with its exact one-sided ends, and at the stationary
+points that a 2x2 Newton on the closed-form CDFs and densities finds from
+every grid cell whose mean-value (Piyavskii) bound exceeds that largest
+value; the bounds bracket the sup (``_sup_bracket``).
+``wp_measure_rows`` takes many pairs at once, as the rows of one
+:class:`~swgeo.measure1d.MeasureRows` table, and ``wasserstein_p`` is its
+one-pair case.  A distance that overflows float64 raises MeasureError.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -38,7 +42,9 @@ from .measure1d import (
     MeasureRows,
     PiecewiseLinearMap,
     QuantileFn,
+    _phi_map,
     _row_unique,
+    _x_of_phi,
     newton_roots,
     pushforward_pwl,
 )
@@ -56,9 +62,13 @@ __all__ = [
 
 _REL_QUAD_TOL = 1e-10
 _MAX_NODES = 4096
-# samples per gap between breakpoints, and per panel in each W_inf round
+# samples per gap between breakpoints in _level_cuts
 _SAMPLES = 64
-_ZOOM_ROUNDS = 7
+# interior grid levels per panel, and Newton steps from a cell, of W_inf
+_SUP_GRID = 32
+_SUP_STEPS = 8
+# the fractions of a Newton step tried in turn to stay inside its box
+_HALVINGS = 0.5 ** np.arange(5)
 
 
 def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
@@ -276,10 +286,13 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
     a, b, ga, gb, sign, k = (v[inner] for v in (a, b, ga, gb, sign, ip))
     tol = _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n])
     (left_a, right_a), (left_b, right_b) = t.ends_at(a, b, k, tol), t.ends_at(a, b, k + n, tol)
-    roots = newton_roots(
-        lambda y, j: (sign[j] * diff(y, k[j]),
-                      sign[j] * (t.density(y, k[j]) - t.density(y, k[j] + n))),
-        a, b, ga / (ga - gb), tol, left_a | left_b, right_a | right_b)
+    # two densities infinite at a shared arcsine end give a nan slope,
+    # which newton_roots takes as no Newton point
+    with np.errstate(invalid="ignore"):
+        roots = newton_roots(
+            lambda y, j: (sign[j] * diff(y, k[j]),
+                          sign[j] * (t.density(y, k[j]) - t.density(y, k[j] + n))),
+            a, b, ga / (ga - gb), tol, left_a | left_b, right_a | right_b)
     rx = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
     rp = np.concatenate([xp[g == 0.0], ip[at_a], ip[at_b], k])
     cuts = np.concatenate([q.s_breaks, t.cdf(rx, rp), t.cdf(rx, rp + n)])
@@ -350,35 +363,158 @@ def _wp_numeric(t: MeasureRows, n: int, p: float) -> np.ndarray:
                      for i, run in enumerate(_by_pair(pair, n))])
 
 
-def _sup_numeric(t: MeasureRows, n: int) -> np.ndarray:
+def _slope_bounds(t: MeasureRows, x: np.ndarray, rows: np.ndarray):
+    """Bounds of dQ/du = 1/f(Q) on each grid cell of a (panels, levels)
+    array x of quantile values in the rows rows: from the density's range
+    on the cell's x-range, and 0 where the cell's values are equal (an
+    atom, or a rise below an ulp)."""
+    x0, x1 = x[:, :-1].ravel(), x[:, 1:].ravel()
+    cells = np.repeat(rows, x.shape[1] - 1)
+    rise = x1 > x0
+    low, high = t.density_range(x0, x1, cells)
+    with np.errstate(divide="ignore"):
+        return (np.where(rise, 1.0 / high, 0.0).reshape(-1, x.shape[1] - 1),
+                np.where(rise, 1.0 / low, 0.0).reshape(-1, x.shape[1] - 1))
+
+
+def _envelope(g0, g1, h, up, down):
+    """Piyavskii bound: the largest value on [0, h] of a function with end
+    values g0, g1 whose slope lies in [down, up]; the point where it is
+    reached as a fraction of h.  An unbounded slope gives inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((g1 - g0 - down * h) / ((up - down) * h), 0.0, 1.0)
+        s = np.where(up > down, s, 0.0)
+        top = np.maximum(np.maximum(g0, g1), g0 + np.maximum(up, 0.0) * s * h)
+    return np.where(np.isnan(top), np.inf, top), s
+
+
+def _sup_bracket(t: MeasureRows, n: int):
+    """[found, bound] of the sup of |Q_mu - Q_nu| for the pairs of rows
+    i and i + n of t, for every i < n.  found is the largest evaluated
+    |Q_mu - Q_nu|, bound an upper bound on the sup.
+
+    One grid of _SUP_GRID interior levels per panel of :func:`_level_cuts`
+    and the exact one-sided panel ends Q(lo), Q(hi-) take one quantile
+    evaluation.  On a grid cell g = Q_mu - Q_nu has the slope
+    1/f_mu(Q_mu) - 1/f_nu(Q_nu), with each Q in the cell's x-range, so the
+    density bounds of :meth:`MeasureRows.density_range` give a Piyavskii
+    bound on |g| over the cell.  From the bound's point in every cell
+    whose bound exceeds the found max, :func:`_stationary_points` solves
+    F_mu(a) = F_nu(b), f_mu(a) = f_nu(b), the conditions of a stationary
+    point of g, inside the x-ranges of the cell and its neighbours, and
+    |g| is evaluated at the level of each root.  Each pair's values come
+    from its own cells and roots only."""
     q = AnalyticQuantile(t)
     u, pair = _level_cuts(t, q, n)
     mass = (np.diff(u) > MASS_TOL) & (pair[1:] == pair[:-1])  # as in _merge_levels
     lo, hi, pair = u[:-1][mass], u[1:][mass], pair[:-1][mass]
-    # Q(lo) and Q(hi-), both sides in one evaluation
-    left = np.tile(np.repeat([False, True], lo.size), 2)
-    ends = _gap(lambda u, r: q._at(u, r, left), np.append(lo, hi), np.tile(pair, 2), n)
-    best = np.maximum(ends[:lo.size], ends[lo.size:])
-    s, panels = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1), np.arange(lo.size)
-    rows = np.repeat(pair, _SAMPLES)
-    for _ in range(_ZOOM_ROUNDS):
-        u = lo[:, None] + (hi - lo)[:, None] * s
-        d = _gap(q._at, u.ravel(), rows, n).reshape(u.shape)
-        k = np.argmax(d, axis=1)
-        best = np.maximum(best, d[panels, k])
-        grid = np.concatenate([lo[:, None], u, hi[:, None]], axis=1)
-        lo, hi = grid[panels, k], grid[panels, k + 2]
-    return np.array([best[run].max() for run in _by_pair(pair, n)])
+    m = _SUP_GRID + 2
+    levels = lo[:, None] + (hi - lo)[:, None] * (np.arange(m) / (m - 1))
+    levels[:, -1] = hi  # Q(hi-) there, both sides in one evaluation
+    rows = np.repeat(pair, m)
+    left = np.tile(np.arange(m) == m - 1, 2 * lo.size)
+    both = q._at(np.tile(levels.ravel(), 2), np.concatenate([rows, rows + n]), left)
+    xa, xb = both[:rows.size].reshape(levels.shape), both[rows.size:].reshape(levels.shape)
+    g = xa - xb
+    found = np.zeros(n)
+    np.maximum.at(found, pair, np.abs(g).max(axis=1))
+    # slope bounds of g and the Piyavskii bound of g and of -g on each cell
+    (a_low, a_high), (b_low, b_high) = _slope_bounds(t, xa, pair), _slope_bounds(t, xb, pair + n)
+    h = np.diff(levels, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf: a cell across a gap, unbounded
+        up, down = a_high - b_low, a_low - b_high
+    top, s_top = _envelope(g[:, :-1], g[:, 1:], h, up, down)
+    bottom, s_bottom = _envelope(-g[:, :-1], -g[:, 1:], h, -down, -up)
+    cell = np.maximum(top, bottom)
+    bound = found.copy()
+    np.maximum.at(bound, pair, cell.max(axis=1))
+    # Newton from the bound's point of every cell whose bound exceeds found
+    panel, j = np.nonzero(cell > found[pair][:, None])
+    if panel.size:
+        s = np.where(top >= bottom, s_top, s_bottom)[panel, j]
+        x = np.stack([xa[panel, j] + s * (xa[panel, j + 1] - xa[panel, j]),
+                      xb[panel, j] + s * (xb[panel, j + 1] - xb[panel, j])])
+        near = (panel, np.maximum(j - 1, 0)), (panel, np.minimum(j + 2, m - 1))
+        box = np.array([[xa[end], xb[end]] for end in near])
+        k = pair[panel]
+        mid = 0.5 * (levels[panel, j] + levels[panel, j + 1])
+        ra, level = _stationary_points(t, q, n, k, mid, x, box)
+        # inside the cells' neighbourhood, short of a jump at its top level
+        level = np.clip(level, levels[near[0]][ra], np.nextafter(levels[near[1]][ra], -np.inf))
+        np.maximum.at(found, k[ra], _gap(q._at, level, k[ra], n))
+    return found, np.maximum(bound, found)
+
+
+def _stationary_points(t: MeasureRows, q: AnalyticQuantile, n: int, k: np.ndarray,
+                       mid: np.ndarray, x: np.ndarray, box: np.ndarray):
+    """Newton for the stationary points of Q_mu - Q_nu in the pairs k
+    (rows k and k + n): the (a, b) = (x[0], x[1]) with F_mu(a) = F_nu(b)
+    and 1/f_mu(a) = 1/f_nu(b), both sides in one array pass.  Each side
+    runs in the angle phi of :func:`newton_roots` on the bracket of its
+    breaks that holds the level mid, where F and 1/f stay smooth at an
+    arcsine end.  Each side moves by the longest of its Newton step and
+    that step's halvings down to 1/16 that stays inside its box (box[0]
+    and box[1] hold the low and high x of each side), and stays where it
+    is if none does.  A root is kept once both steps are within
+    _STEP_TOL times the support scale, or after _SUP_STEPS steps, and
+    dropped on a step that is not finite.  Returns the indices of the
+    roots kept and their levels, the mean of F_mu(a) and F_nu(b) at the
+    last evaluated point."""
+    rows = np.stack([k, k + n])
+    tol = _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n])
+    lo, hi = (t.breaks[i].reshape(rows.shape) for i in q._bracket(np.tile(mid, 2), rows.ravel()))
+    ends = t.ends_at(lo.ravel(), hi.ravel(), rows.ravel(), np.tile(tol, 2))
+    phi0, phi1, h = _phi_map(lo, hi, *(e.reshape(rows.shape) for e in ends))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a nan start is dropped
+        low, phi, high = (np.clip(np.arcsin(np.clip(np.sin(phi0) + (v - lo) / h, -1.0, 1.0)),
+                                  phi0, phi1) for v in (box[0], x, box[1]))
+    # one row per quantity of the open roots, compacted in one take
+    state, idx = np.stack([lo, hi, phi0, phi1, h, phi, low, high]), np.arange(k.size)
+    kept, levels = [], []
+    for step in range(_SUP_STEPS):
+        lo, hi, phi0, phi1, h, phi, low, high = state
+        r = rows[:, idx].ravel()
+        x = _x_of_phi(phi, lo, hi, phi0, phi1, h)
+        F, f, df = (v(x.ravel(), r).reshape(x.shape)
+                    for v in (t.cdf, t.density, t.density_slope))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dF = f * h * np.cos(phi)  # dF/dphi
+            dinv = -df * h * np.cos(phi) / (f * f)  # d(1/f)/dphi
+            G1, G2 = F[0] - F[1], 1.0 / f[0] - 1.0 / f[1]
+            det = dF[1] * dinv[0] - dF[0] * dinv[1]
+            dphi = np.stack([G1 * dinv[1] - dF[1] * G2, G1 * dinv[0] - dF[0] * G2]) / det
+            nxt = phi + _HALVINGS[:, None, None] * dphi
+            fits = (nxt >= low) & (nxt <= high)
+            nxt = np.take_along_axis(nxt, np.argmax(fits, axis=0)[None], axis=0)[0]
+            nxt = np.where(fits.any(axis=0), nxt, phi)
+            xn = _x_of_phi(nxt, lo, hi, phi0, phi1, h)
+        finite = np.isfinite(dphi).all(axis=0)
+        done = finite & ((np.abs(xn - x) <= tol[idx]).all(axis=0) | (step == _SUP_STEPS - 1))
+        kept.append(idx[done])
+        levels.append(0.5 * (F[0] + F[1])[done])
+        go = finite & ~done
+        state[5] = nxt
+        state, idx = state[:, :, go], idx[go]
+        if not idx.size:
+            break
+    return np.concatenate(kept), np.concatenate(levels)
+
+
+def _sup_numeric(t: MeasureRows, n: int) -> np.ndarray:
+    """The found values of :func:`_sup_bracket`."""
+    return _sup_bracket(t, n)[0]
 
 
 def wp_measure_rows(t: MeasureRows, p: float) -> np.ndarray:
     """W_p (W_inf for p = inf) between the rows i and i + n of a table of
     2n measures, for every i < n, with arcsine parts on at least one side:
     Gauss-Legendre on the panels of :func:`_level_cuts` for finite p, and
-    for p = inf the largest of the exact one-sided ends of the panels and
-    of interior samples that zoom in on each panel's maximum.  Every step
-    is one array pass over all pairs, and each pair's value is the one it
-    has alone.  Overflow is left to the caller."""
+    for p = inf the found value of :func:`_sup_bracket`: the largest
+    |Q_mu - Q_nu| on a grid of each panel, with its exact one-sided ends,
+    and at the stationary points found from the grid cells whose bound
+    exceeds it.  Every step is one array pass over all pairs, and each
+    pair's value is the one it has alone.  Overflow is left to the
+    caller."""
     n = t.n // 2
     return _sup_numeric(t, n) if math.isinf(p) else _wp_numeric(t, n, p)
 
@@ -415,9 +551,11 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     """W_inf as the sup of |Q_mu - Q_nu| over [0, 1]: exact over the merged
-    breakpoints of piecewise-affine quantiles; otherwise the largest of the
-    exact one-sided ends of the panels of :func:`_level_cuts` and of
-    interior samples that zoom in on each panel's maximum."""
+    breakpoints of piecewise-affine quantiles; otherwise the largest
+    |Q_mu - Q_nu| on a grid of each panel of :func:`_level_cuts`, with its
+    exact one-sided ends, and at the stationary points of Q_mu - Q_nu that
+    a 2x2 Newton finds from every grid cell whose mean-value bound exceeds
+    the grid's largest value (:func:`_sup_bracket`)."""
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
         return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), math.inf)
     return _finite(_numeric, mu, nu, math.inf)

@@ -247,6 +247,12 @@ BESIDE_A_PART_END = [
               arcsine_parts=(ArcsinePart(0.2, -0.5, 1.375), ArcsinePart(0.2, 0.5, 0.5),
                              ArcsinePart(0.2, -1.75, 0.125))),
 ]
+# the top of the atom at 0 lies within the rounding of F - u of the bracket
+# end 0: every Newton point lands left of it (found by this test)
+ROOT_AT_A_BRACKET_END = Measure1D(
+    atoms=((0.0, 0.493248884818479),),
+    pieces=((-0.001, 0.0, 0.9377465067519425), (0.0, 0.249, 0.9377465067519425)),
+    arcsine_parts=(ArcsinePart(0.2723144884935353, 0.0, 0.001),))
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,6 +260,7 @@ BESIDE_A_PART_END = [
 @example(BESIDE_A_PART_END[0], [])
 @example(BESIDE_A_PART_END[1], [])
 @example(BESIDE_A_PART_END[2], [])
+@example(ROOT_AT_A_BRACKET_END, [])
 def test_newton_quantile_against_bisection(m, drawn):
     q = AnalyticQuantile(m)
     levels = q.s_breaks
@@ -309,6 +316,29 @@ def test_rows_sum_each_measure_term_by_term(measures, drawn):
         rows = np.full(x.size, i)
         np.testing.assert_array_equal(table.cdf(x, rows), cdf)
         np.testing.assert_array_equal(table.density(x, rows), density)
+
+
+def test_density_slope_against_mpmath():
+    """d/dx of the density of three arcsine parts and a piece, against an
+    mpmath derivative of the closed form w / (pi sqrt((x - lo)(hi - x)))
+    with the parts' ends as stored, at generic points and at points from
+    1e-12 to 1e-3 radii inside each end."""
+    import mpmath as mp
+    parts = [(0.4, 0.25, 0.75), (0.3, -0.125, 0.5), (0.2, 1.5, 0.25)]
+    m = Measure1D.from_components(pieces=[(-1.0, 0.0, 0.1)],
+                                  arcsine_parts=[ArcsinePart(*p) for p in parts])
+    ends = [(w, c - r, c + r, r) for w, c, r in parts]
+    x = [-0.55, -0.3, 0.1, 0.6, 0.9, 1.3, 1.6] + [
+        e + sign * d * r for _, lo, hi, r in ends for e, sign in ((lo, 1), (hi, -1))
+        for d in (1e-12, 1e-9, 1e-6, 1e-3)]
+    x = np.array(x)
+    got = m._rows.density_slope(x, np.zeros(x.size, dtype=int))
+    mp.mp.dps = 50
+    for xi, gi in zip(x, got):
+        terms = [mp.diff(lambda y: w / (mp.pi * mp.sqrt((y - lo) * (hi - y))), mp.mpf(xi))
+                 for w, lo, hi, _ in ends if lo < xi < hi]
+        ref = mp.fsum(terms)
+        assert abs(gi - ref) <= 1e-14 * mp.fsum(map(abs, terms)), (xi, gi, ref)
 
 
 class TestAnalyticQuantile:
