@@ -587,10 +587,13 @@ def newton_roots(fun, a, b, t, tol, left, right) -> np.ndarray:
     rather than relative to the bracket, because G rounds like its parts:
     near an arcsine end F is flat on the scale of ulps of that part,
     however small the bracket.  Every argument but fun has one entry per
-    root, so the roots of many measures share one loop.  A root still
-    open after ``_NEWTON_STEPS`` steps raises MeasureError.
+    root, so the roots of many measures share one loop; with no brackets
+    fun is not called.  A root still open after ``_NEWTON_STEPS`` steps
+    raises MeasureError.
     """
     out = np.empty(np.shape(a))
+    if not out.size:
+        return out
     k = np.arange(out.size)
     phi0, phi1, h = _phi_map(a, b, left, right)
     phi = phi0 + np.clip(t, 0.0, 1.0) * (phi1 - phi0)

@@ -42,7 +42,13 @@ translations of shell curves it fell up to 16 % below with 64 mc nodes,
 ``sw_pq_empirical`` is the same q-mean between weighted point clouds.  It
 projects a batch of directions as rows, ``batch @ points.T``, and
 :func:`swgeo.transport1d._wp_atoms` takes the exact 1D W_p of every row
-on the level merge that ``wasserstein_p`` uses.
+on the level merge that ``wasserstein_p`` uses, summed over the intervals
+that carry mass only.  Two clouds of equal weights merge their levels
+once per call, and each batch subtracts their sorted rows directly: a
+cloud whose atoms each cover one interval needs no gather (both, for
+clouds of one size; the larger, when one size divides the other).  Rows
+and q-means are scaled by the same power-of-two rule,
+:func:`swgeo.transport1d._pow2_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -192,17 +198,15 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
 
 
 def _qmean(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """The q-mean of per-direction distances, their max for q = inf.  Where
-    the largest distance lies outside about [2^-500, 2^500], the distances
-    are divided by a power of two near it, so that their q-th powers stay
-    in range: the q-mean of finite distances is at most their max, so it
-    is finite.  Inside, the scale is 1 and changes no bit.  A non-finite
+    """The q-mean of per-direction distances, their max for q = inf.  The
+    distances are divided by the :func:`~swgeo.transport1d._pow2_scale` of
+    the largest, so that their q-th powers stay in range: the q-mean of
+    finite distances is at most their max, so it is finite.  A non-finite
     distance is left for _finite to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         if math.isinf(q):
             return float(vals.max())
-        top = math.frexp(vals.max())[1]
-        scale = math.ldexp(1.0, top - 1) if abs(top) > 500 else 1.0
+        scale = float(transport1d._pow2_scale(vals.max()))
         return scale * float(np.dot(weights, (vals / scale) ** q) ** (1.0 / q))
 
 
@@ -334,9 +338,11 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
 # ------------------------------------------------------------ empirical path
 
 
-# Values per batch of the empirical kernel, rows * (n_X + n_Y): each of its
-# temporaries then holds at most 128 KiB.  On 2000-point clouds this ran
-# faster than 1 << 15, and far faster than the shell kernel's _BATCH_VALUES.
+# Values per batch of the empirical kernel, rows * (n_X + n_Y): the
+# projections then hold 128 KiB, and the level merge of unequal weights
+# rows * (n_X + n_Y + 2) values per temporary.  On 2000-point clouds this
+# ran faster than 1 << 15, and far faster than the shell kernel's
+# _BATCH_VALUES.
 _EMPIRICAL_BATCH_VALUES = 1 << 14
 
 

@@ -6,7 +6,12 @@ per row in ``wp_rows``) and for weighted atoms (``_wp_atoms``), W_inf as
 the sup of quantile differences, displacement interpolation, and the
 constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
-which gives no mass to intervals no wider than MASS_TOL.
+which gives no mass to intervals no wider than MASS_TOL.  The atom
+kernel sums only over the intervals that carry mass; for two clouds of
+equal weights it merges the levels once per call, keeps only those
+intervals and subtracts the sorted rows directly.  It rescales a row by
+a power of two only where its largest difference lies outside about
+[2^-500, 2^500] (``_pow2_scale``, as for the q-means of ``sliced``).
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
@@ -230,24 +235,66 @@ def _sorted_atoms(x: np.ndarray, w: np.ndarray, shared):
     return _take_rows(x, order), _clip_levels(np.cumsum(w[order], axis=1))
 
 
+def _pow2_scale(top):
+    """The divisor that keeps the powers of values at most top, up to
+    about the 500th, in range: 1 where top lies inside about
+    [2^-500, 2^500], which changes no bit, else the power of two just
+    below top.  One per entry of an array top, or the float 1 where all
+    of them lie inside.  A top of 0, inf or nan gives 1."""
+    e = np.frexp(top)[1]
+    if np.abs(e).max() <= 500:
+        return 1.0
+    return np.where(np.abs(e) > 500, np.ldexp(1.0, e - 1), 1.0)
+
+
+def _lp_rows(d: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """(sum of h * d^p)^(1/p) over each row of the differences d >= 0, with
+    h one row of masses shared by all rows or one row per row; a row
+    whose largest d lies outside about [2^-500, 2^500] is divided by the
+    :func:`_pow2_scale` of it first."""
+    scale = _pow2_scale(d.max(axis=1))
+    if np.ndim(scale):
+        d = d / scale[:, None]
+    d **= p
+    return scale * (d @ h if h.ndim == 1 else np.vecdot(d, h)) ** (1.0 / p)
+
+
+def _mass_steps(ia: np.ndarray, n: int):
+    """The steps ia of one side on the intervals that carry mass, or None
+    where they are 0..n-1: the sorted rows then need no gather."""
+    return None if np.array_equal(ia, np.arange(n)) else ia
+
+
 def _wp_atoms(batches, wa: np.ndarray, wb: np.ndarray, p: float) -> np.ndarray:
     """Exact W_p between weighted atoms on R, one value per row: batches
     yields pairs of (rows, n_a) and (rows, n_b) atom positions, with the
     weights wa and wb.  Both quantiles are step functions, so W_p^p is a
-    finite sum over the intervals of :func:`_merge_levels`, here scaled by
-    the largest difference.  Equal weights on both sides merge their
-    levels once."""
+    finite sum of h * d^p over the intervals of :func:`_merge_levels`
+    that carry mass (h > 0), with d the difference of the two atoms on
+    each; see :func:`_lp_rows` for the scale.  Two clouds of equal
+    weights merge their levels once per call and keep only the intervals
+    that carry mass: a side whose atoms each cover one interval is its
+    sorted row itself, and any other side is one gather.  Otherwise
+    every batch merges its rows, and the differences on intervals
+    without mass are set to 0, so that none of them enters the sum or
+    the scale.  A nan position gives nan."""
     la, lb = _equal_levels(wa), _equal_levels(wb)
-    shared = _merge_levels(la, lb) if la is not None and lb is not None else None
+    if la is not None and lb is not None:
+        _, h, ia, ib = _merge_levels(la, lb)
+        mass = h[0] > 0.0
+        h, ia, ib = h[0, mass], _mass_steps(ia[0, mass], wa.size), _mass_steps(ib[0, mass], wb.size)
     vals = []
     for xa, xb in batches:
         sa, la_rows = _sorted_atoms(xa, wa, la)
         sb, lb_rows = _sorted_atoms(xb, wb, lb)
-        _, h, ia, ib = _merge_levels(la_rows, lb_rows) if shared is None else shared
-        d = np.abs(_take_rows(sa, ia) - _take_rows(sb, ib))
-        m = d.max(axis=1, keepdims=True)
-        s = np.sum(h * (d / np.where(m > 0.0, m, 1.0)) ** p, axis=1)
-        vals.append(m[:, 0] * s ** (1.0 / p))
+        if la is None or lb is None:
+            _, h, ia, ib = _merge_levels(la_rows, lb_rows)
+            d = np.abs(_take_rows(sa, ia) - _take_rows(sb, ib))
+            d[h == 0.0] = 0.0
+        else:
+            d = np.abs((sa if ia is None else np.take(sa, ia, axis=1))
+                       - (sb if ib is None else np.take(sb, ib, axis=1)))
+        vals.append(_lp_rows(d, h, p))
     return np.concatenate(vals)
 
 
@@ -260,11 +307,12 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
     both quantiles' breakpoint levels, plus F_mu(x*) and F_nu(x*) at each
     root x* of F_mu - F_nu.  Where Q_mu - Q_nu changes sign both quantiles
     equal some x*, and there the closed-form CDFs cross.  The roots are
-    samples where F_mu - F_nu is 0 and, on each sign change between
-    samples, the root :func:`newton_roots` finds with the difference of
-    the densities as slope, one loop for all pairs; cutting at both CDF
-    values covers a crossing inside an atom.  Returns the sorted distinct
-    cuts of every pair as flat (u, pair)."""
+    the two ends of each run of samples where F_mu - F_nu is 0 (a pair
+    equal on a stretch needs no cut inside it) and, on each sign change
+    between samples, the root :func:`newton_roots` finds with the
+    difference of the densities as slope, one loop for all pairs; cutting
+    at both CDF values covers a crossing inside an atom.  Returns the
+    sorted distinct cuts of every pair as flat (u, pair)."""
     xb, pair = _row_unique(t.breaks, t.break_row % n)
     s = np.arange(_SAMPLES) / _SAMPLES
     # _SAMPLES points on each gap between a pair's breaks; its last break
@@ -293,8 +341,13 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
             lambda y, j: (sign[j] * diff(y, k[j]),
                           sign[j] * (t.density(y, k[j]) - t.density(y, k[j] + n))),
             a, b, ga / (ga - gb), tol, left_a | left_b, right_a | right_b)
-    rx = np.concatenate([x[g == 0.0], x[i][at_a], x[i + 1][at_b], roots])
-    rp = np.concatenate([xp[g == 0.0], ip[at_a], ip[at_b], k])
+    # of a run of zero samples of one pair, only its two ends are cuts
+    zero = g == 0.0
+    inside = np.zeros_like(zero)
+    inside[1:-1] = zero[:-2] & zero[2:] & (xp[:-2] == xp[1:-1]) & (xp[2:] == xp[1:-1])
+    zero &= ~inside
+    rx = np.concatenate([x[zero], x[i][at_a], x[i + 1][at_b], roots])
+    rp = np.concatenate([xp[zero], ip[at_a], ip[at_b], k])
     cuts = np.concatenate([q.s_breaks, t.cdf(rx, rp), t.cdf(rx, rp + n)])
     return _row_unique(np.clip(cuts, 0.0, 1.0), np.concatenate([q.s_row % n, rp, rp]))
 

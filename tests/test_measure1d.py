@@ -15,6 +15,7 @@ from swgeo.measure1d import (
     cdf_eval,
     measure_from_text,
     measure_to_text,
+    newton_roots,
     pushforward_pwl,
     quantile,
     sample,
@@ -287,6 +288,15 @@ def test_newton_quantile_against_bisection(m, drawn):
     ref = bisection_quantile(m, u)
     agree = close(got, ref)
     assert np.all(agree), (u[~agree], got[~agree], ref[~agree])
+
+
+def test_newton_roots_without_brackets_evaluates_nothing():
+    def fun(x, k):
+        raise AssertionError("evaluated with no brackets")
+
+    none = np.empty(0)
+    roots = newton_roots(fun, none, none, none, none, none.astype(bool), none.astype(bool))
+    assert roots.shape == (0,)
 
 
 @settings(max_examples=100, deadline=None)

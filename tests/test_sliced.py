@@ -543,12 +543,56 @@ class TestEmpirical:
     @pytest.mark.parametrize("big,p,q", [(1e308, 2.0, 2.0), (1e308, 1.0, 1.0),
                                          (1e308, 1.5, math.inf)])
     def test_overflowing_clouds_are_refused(self, big, p, q):
-        X = PointCloud(3, np.array([[big, 0.0, 0.0], [0.0, -big, 0.0]]), np.full(2, 0.5))
+        # single points at +-big e1: the coupled difference overflows
+        X = PointCloud(3, np.array([[big, 0.0, 0.0]]), np.ones(1))
         Y = PointCloud(3, -X.points, X.weights)
         with pytest.raises(MeasureError, match="not finite"):
             sw_pq_empirical(X, Y, p, q, self.AXES)
         with pytest.raises(MeasureError, match="not finite"):
             empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p,q,want", [(2.0, 2.0, 8.16496580927726e307),
+                                          (1.0, 1.0, 6.666666666666666e307),
+                                          (1.5, math.inf, 1e308)])
+    def test_differences_without_mass_may_overflow(self, p, q, want):
+        # on e1 and e2 the coupling pairs 1e308 with 0 twice; the cross
+        # difference 1e308 - (-1e308) overflows, but lies on an interval
+        # without mass, so the distances are finite
+        X = PointCloud(3, np.array([[1e308, 0.0, 0.0], [0.0, -1e308, 0.0]]), np.full(2, 0.5))
+        Y = PointCloud(3, -X.points, X.weights)
+        assert sw_pq_empirical(X, Y, p, q, self.AXES) == want
+        assert empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p) == 1e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_unequal_weights_ignore_differences_without_mass(self, p):
+        # every coupled difference is 1e308; 1e308 - (-1e308) at level 1/2
+        # lies on an interval of width 0
+        assert empirical_w1d(np.array([0.0, 0.0, 1e308]), np.array([0.25, 0.25, 0.5]),
+                             np.array([-1e308, 0.0, 0.0]), np.array([0.5, 0.25, 0.25]),
+                             p) == 1e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_tiny_distances_are_scaled(self, equal):
+        # clouds scaled by 2^-1000: d^3.5 underflows unless the rows are
+        # scaled, and the values scale with the clouds
+        rng = np.random.default_rng(3)
+        clouds = []
+        for n in (5, 7):
+            w = np.full(n, 1.0 / n) if equal else rng.uniform(0.1, 1.0, n)
+            clouds.append(PointCloud(3, rng.standard_normal((n, 3)), w / w.sum()))
+        tiny = [PointCloud(3, np.ldexp(c.points, -1000), c.weights) for c in clouds]
+        dirs = mc_directions(3, 16, 0)
+        (xa, wa), (xb, wb) = ((c.points[:, 0], c.weights) for c in tiny)
+        for p in (1.0, 2.0, 3.5):
+            # pytest.approx would also pass anything within 1e-12 absolute
+            want = math.ldexp(sw_pq_empirical(*clouds, p, 2.0, dirs), -1000)
+            assert abs(sw_pq_empirical(*tiny, p, 2.0, dirs) - want) <= 1e-14 * want
+            want = math.ldexp(empirical_w1d(np.ldexp(xa, 1000), wa, np.ldexp(xb, 1000), wb, p),
+                              -1000)
+            assert abs(empirical_w1d(xa, wa, xb, wb, p) - want) <= 1e-14 * want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])

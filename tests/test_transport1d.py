@@ -463,6 +463,23 @@ class TestArcsineMixtures:
         got = wasserstein_inf(Measure1D.arcsine(c, r), Measure1D.uniform(-h, h))
         assert abs(got - ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("atom", [-2.0, -1.0])
+    def test_equal_stretch_takes_no_inner_cuts(self, atom):
+        # F_mu - F_nu is 0 at every sample of the arcsine part, which both
+        # measures share: only the ends of that run of zeros are cuts, so
+        # the panels are [0, 1/2] and [1/2, 1]
+        mu = Measure1D.from_components(atoms=[(-2.0, 0.5)],
+                                       arcsine_parts=[ArcsinePart(0.5, 2.0, 0.83)])
+        nu = Measure1D.from_components(atoms=[(atom, 0.5)],
+                                       arcsine_parts=[ArcsinePart(0.5, 2.0, 0.83)])
+        t = MeasureRows.of([mu, nu])
+        u, _ = swgeo.transport1d._level_cuts(t, AnalyticQuantile(t), 1)
+        assert u.size <= 3
+        move = abs(atom + 2.0)
+        assert wasserstein_p(mu, nu, 1.0) == 0.5 * move
+        assert wasserstein_p(mu, nu, 2.0) == math.sqrt(0.5) * move
+        assert wasserstein_inf(mu, nu) == move
+
     @settings(max_examples=150, deadline=None)
     @given(analytic_mixtures(), analytic_mixtures())
     # found by this test: Q_nu(u-) at the top of the atom, where the gap
