@@ -3,8 +3,8 @@ empirical path for weighted point clouds.
 
 ``sw_pq(a, b, p, q, dirs)`` is the q-mean over a direction set of the 1D
 W_p between the projections of a and b; a value that overflows float64
-raises MeasureError.  The q-mean scales distances outside about
-[2^-500, 2^500] by a power of two, so that their q-th powers stay in
+raises MeasureError.  The q-mean divides the distances by the largest
+where their q-th powers would leave float64 range, so that they stay in
 range.  Three paths compute it:
 
 * centered shell mixtures: when every component of both mixtures is
@@ -47,8 +47,8 @@ that carry mass only.  Two clouds of equal weights merge their levels
 once per call, and each batch subtracts their sorted rows directly: a
 cloud whose atoms each cover one interval needs no gather (both, for
 clouds of one size; the larger, when one size divides the other).  Rows
-and q-means are scaled by the same power-of-two rule,
-:func:`swgeo.transport1d._pow2_scale`.
+and q-means are scaled by the same rule,
+:func:`swgeo.transport1d._power_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -199,14 +199,14 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
 
 def _qmean(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
     """The q-mean of per-direction distances, their max for q = inf.  The
-    distances are divided by the :func:`~swgeo.transport1d._pow2_scale` of
-    the largest, so that their q-th powers stay in range: the q-mean of
+    distances are divided by the :func:`~swgeo.transport1d._power_scale`
+    of the largest, so that their q-th powers stay in range: the q-mean of
     finite distances is at most their max, so it is finite.  A non-finite
     distance is left for _finite to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         if math.isinf(q):
             return float(vals.max())
-        scale = float(transport1d._pow2_scale(vals.max()))
+        scale = float(transport1d._power_scale(vals.max(), q))
         return scale * float(np.dot(weights, (vals / scale) ** q) ** (1.0 / q))
 
 

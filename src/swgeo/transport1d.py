@@ -9,9 +9,9 @@ exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL.  The atom
 kernel sums only over the intervals that carry mass; for two clouds of
 equal weights it merges the levels once per call, keeps only those
-intervals and subtracts the sorted rows directly.  It rescales a row by
-a power of two only where its largest difference lies outside about
-[2^-500, 2^500] (``_pow2_scale``, as for the q-means of ``sliced``).
+intervals and subtracts the sorted rows directly.  It divides a row by
+its largest difference only where the p-th powers would leave float64
+range (``_power_scale``, as for the q-means of ``sliced``).
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
@@ -235,28 +235,33 @@ def _sorted_atoms(x: np.ndarray, w: np.ndarray, shared):
     return _take_rows(x, order), _clip_levels(np.cumsum(w[order], axis=1))
 
 
-def _pow2_scale(top):
-    """The divisor that keeps the powers of values at most top, up to
-    about the 500th, in range: 1 where top lies inside about
-    [2^-500, 2^500], which changes no bit, else the power of two just
-    below top.  One per entry of an array top, or the float 1 where all
-    of them lie inside.  A top of 0, inf or nan gives 1."""
-    e = np.frexp(top)[1]
-    if np.abs(e).max() <= 500:
+def _power_scale(top, p: float):
+    """The divisor that keeps the p-th powers of values at most top in
+    float64 range: 1 where |log2 top| * max(p, 2) is at most about 1000,
+    which changes no bit, else top itself, so that the largest value
+    becomes 1 and its power stays 1 for any p.  For p <= 2 the divisor
+    is 1 inside about [2^-500, 2^500].  One per entry of an array top,
+    or the float 1 where all of them lie inside.  A top of 0, inf or nan
+    gives 1."""
+    out = np.abs(np.frexp(top)[1]) * max(p, 2.0) > 1000.0
+    if not out.any():
         return 1.0
-    return np.where(np.abs(e) > 500, np.ldexp(1.0, e - 1), 1.0)
+    return np.where(out, top, 1.0)
 
 
 def _lp_rows(d: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """(sum of h * d^p)^(1/p) over each row of the differences d >= 0, with
     h one row of masses shared by all rows or one row per row; a row
-    whose largest d lies outside about [2^-500, 2^500] is divided by the
-    :func:`_pow2_scale` of it first."""
-    scale = _pow2_scale(d.max(axis=1))
+    whose d^p would leave float64 range is divided by the
+    :func:`_power_scale` of its largest d first."""
+    scale = _power_scale(d.max(axis=1), p)
     if np.ndim(scale):
         d = d / scale[:, None]
     d **= p
-    return scale * (d @ h if h.ndim == 1 else np.vecdot(d, h)) ** (1.0 / p)
+    if h.ndim == 1:
+        return scale * (d @ h) ** (1.0 / p)
+    d *= h
+    return scale * d.sum(axis=1) ** (1.0 / p)
 
 
 def _mass_steps(ia: np.ndarray, n: int):

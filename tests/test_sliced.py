@@ -595,6 +595,30 @@ class TestEmpirical:
             assert abs(empirical_w1d(xa, wa, xb, wb, p) - want) <= 1e-14 * want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d,p", [(0.01, 200.0), (1e4, 100.0), (1e-97, 3.5), (1e90, 3.5),
+                                     (1.5, 2000.0)])
+    def test_high_powers_are_scaled(self, d, p):
+        # d^p underflows or overflows float64 although d lies well inside
+        # [2^-500, 2^500]: the scale depends on p
+        assert empirical_w1d(np.zeros(1), np.ones(1), np.array([d]), np.ones(1), p) == d
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("equal", [True, False])
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_clouds_scaled_at_high_powers(self, equal, e):
+        # clouds scaled by 2^+-300: d^3.5 and its 3.5-mean leave float64
+        # range unless scaled, and the values scale with the clouds
+        rng = np.random.default_rng(4)
+        clouds = []
+        for n in (5, 7):
+            w = np.full(n, 1.0 / n) if equal else rng.uniform(0.1, 1.0, n)
+            clouds.append(PointCloud(3, rng.standard_normal((n, 3)), w / w.sum()))
+        scaled = [PointCloud(3, np.ldexp(c.points, e), c.weights) for c in clouds]
+        dirs = mc_directions(3, 16, 0)
+        want = math.ldexp(sw_pq_empirical(*clouds, 3.5, 3.5, dirs), e)
+        assert abs(sw_pq_empirical(*scaled, 3.5, 3.5, dirs) - want) <= 1e-14 * want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
     def test_large_q_means_are_scaled(self, q):
         # distances of 1e200 on two axes, whose squares overflow: the
