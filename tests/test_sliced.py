@@ -575,24 +575,26 @@ class TestEmpirical:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("equal", [True, False])
-    def test_tiny_distances_are_scaled(self, equal):
-        # clouds scaled by 2^-1000: d^3.5 underflows unless the rows are
-        # scaled, and the values scale with the clouds
+    @pytest.mark.parametrize("e,q", [(-1000, 2.0), (-300, 3.5), (300, 3.5)])
+    def test_scaled_clouds_scale_their_distances(self, equal, e, q):
+        # clouds scaled by 2^e: d^3.5 and, for q = 3.5, the q-mean leave
+        # float64 range unless scaled, also for 2^+-300, where the rule
+        # depends on the exponent; the values scale with the clouds
         rng = np.random.default_rng(3)
         clouds = []
         for n in (5, 7):
             w = np.full(n, 1.0 / n) if equal else rng.uniform(0.1, 1.0, n)
             clouds.append(PointCloud(3, rng.standard_normal((n, 3)), w / w.sum()))
-        tiny = [PointCloud(3, np.ldexp(c.points, -1000), c.weights) for c in clouds]
+        scaled = [PointCloud(3, np.ldexp(c.points, e), c.weights) for c in clouds]
         dirs = mc_directions(3, 16, 0)
-        (xa, wa), (xb, wb) = ((c.points[:, 0], c.weights) for c in tiny)
+        (xa, wa), (xb, wb) = ((c.points[:, 0], c.weights) for c in clouds)
         for p in (1.0, 2.0, 3.5):
             # pytest.approx would also pass anything within 1e-12 absolute
-            want = math.ldexp(sw_pq_empirical(*clouds, p, 2.0, dirs), -1000)
-            assert abs(sw_pq_empirical(*tiny, p, 2.0, dirs) - want) <= 1e-14 * want
-            want = math.ldexp(empirical_w1d(np.ldexp(xa, 1000), wa, np.ldexp(xb, 1000), wb, p),
-                              -1000)
-            assert abs(empirical_w1d(xa, wa, xb, wb, p) - want) <= 1e-14 * want
+            want = math.ldexp(sw_pq_empirical(*clouds, p, q, dirs), e)
+            assert abs(sw_pq_empirical(*scaled, p, q, dirs) - want) <= 1e-14 * want
+            want = math.ldexp(empirical_w1d(xa, wa, xb, wb, p), e)
+            got = empirical_w1d(np.ldexp(xa, e), wa, np.ldexp(xb, e), wb, p)
+            assert abs(got - want) <= 1e-14 * want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d,p", [(0.01, 200.0), (1e4, 100.0), (1e-97, 3.5), (1e90, 3.5),
@@ -601,22 +603,6 @@ class TestEmpirical:
         # d^p underflows or overflows float64 although d lies well inside
         # [2^-500, 2^500]: the scale depends on p
         assert empirical_w1d(np.zeros(1), np.ones(1), np.array([d]), np.ones(1), p) == d
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("equal", [True, False])
-    @pytest.mark.parametrize("e", [-300, 300])
-    def test_clouds_scaled_at_high_powers(self, equal, e):
-        # clouds scaled by 2^+-300: d^3.5 and its 3.5-mean leave float64
-        # range unless scaled, and the values scale with the clouds
-        rng = np.random.default_rng(4)
-        clouds = []
-        for n in (5, 7):
-            w = np.full(n, 1.0 / n) if equal else rng.uniform(0.1, 1.0, n)
-            clouds.append(PointCloud(3, rng.standard_normal((n, 3)), w / w.sum()))
-        scaled = [PointCloud(3, np.ldexp(c.points, e), c.weights) for c in clouds]
-        dirs = mc_directions(3, 16, 0)
-        want = math.ldexp(sw_pq_empirical(*clouds, 3.5, 3.5, dirs), e)
-        assert abs(sw_pq_empirical(*scaled, 3.5, 3.5, dirs) - want) <= 1e-14 * want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
