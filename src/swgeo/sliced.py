@@ -46,8 +46,12 @@ on the level merge that ``wasserstein_p`` uses, summed over the intervals
 that carry mass only.  Two clouds of equal weights merge their levels
 once per call, and each batch subtracts their sorted rows directly: a
 cloud whose atoms each cover one interval needs no gather (both, for
-clouds of one size; the larger, when one size divides the other).  Rows
-and q-means are scaled by the same rule,
+clouds of one size; the larger, when one size divides the other).  When
+a cloud has unequal weights and p = 1, each row merges no levels: W_1 is
+the integral of |F_X - F_Y|, the sum of |F_X - F_Y| times the gap
+between consecutive points of the joint sorted row, where gaps with
+|F_X - F_Y| <= MASS_TOL carry no mass.  Unequal weights at p != 1 merge
+the levels of every row.  Rows and q-means are scaled by the same rule,
 :func:`swgeo.transport1d._power_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
@@ -339,9 +343,10 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
 
 
 # Values per batch of the empirical kernel, rows * (n_X + n_Y): the
-# projections then hold 128 KiB, and the level merge of unequal weights
-# rows * (n_X + n_Y + 2) values per temporary.  On 2000-point clouds this
-# ran faster than 1 << 15, and far faster than the shell kernel's
+# projections then hold 128 KiB, the level merge of unequal weights at
+# p != 1 rows * (n_X + n_Y + 2) values per temporary, and the joint sort
+# of unequal weights at p = 1 rows * (n_X + n_Y).  On 2000-point clouds
+# this ran faster than 1 << 15, and far faster than the shell kernel's
 # _BATCH_VALUES.
 _EMPIRICAL_BATCH_VALUES = 1 << 14
 
@@ -349,11 +354,16 @@ _EMPIRICAL_BATCH_VALUES = 1 << 14
 def empirical_w1d(xa: np.ndarray, wa: np.ndarray,
                   xb: np.ndarray, wb: np.ndarray, p: float) -> float:
     """Exact W_p between two weighted atomic measures on R: the one-row
-    case of the empirical kernel.  A distance that overflows raises
-    MeasureError."""
-    batch = [(np.asarray(xa, float)[None, :], np.asarray(xb, float)[None, :])]
+    case of the empirical kernel.  Each side must be a valid one-dimensional
+    :class:`PointCloud`, and p finite and >= 1, or MeasureError is raised;
+    so is a distance that overflows."""
+    p, _ = _check_pq(p, 1.0)
+    if not math.isfinite(p):
+        raise MeasureError("empirical_w1d supports finite p only")
+    a, b = (PointCloud(1, np.asarray(x, float)[..., None], w) for x, w in ((xa, wa), (xb, wb)))
+    batch = [(a.points.T, b.points.T)]
     return transport1d._finite(lambda: float(transport1d._wp_atoms(
-        batch, np.asarray(wa, float), np.asarray(wb, float), float(p))[0]))
+        batch, a.weights, b.weights, p)[0]))
 
 
 def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,

@@ -9,9 +9,12 @@ exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL.  The atom
 kernel sums only over the intervals that carry mass; for two clouds of
 equal weights it merges the levels once per call, keeps only those
-intervals and subtracts the sorted rows directly.  It divides a row by
-its largest difference only where the p-th powers would leave float64
-range (``_power_scale``, as for the q-means of ``sliced``).
+intervals and subtracts the sorted rows directly.  For unequal weights
+at p = 1 it merges no levels: W_1 is the integral of |F_mu - F_nu|, one
+sort of the joint row, and a gap where |F_mu - F_nu| <= MASS_TOL
+carries no mass (``_cdf_gap_w1``).  It divides a row by its largest
+difference only where the p-th powers would leave float64 range
+(``_power_scale``, as for the q-means of ``sliced``).
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
@@ -270,37 +273,64 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
+def _cdf_gap_w1(xa: np.ndarray, xb: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """W_1 of each row pair as the integral of |F_a - F_b|: the sum of
+    |F_a - F_b| * gap over the gaps between consecutive positions of the
+    joint row [xa | xb], where F_a - F_b is the running sum of the signed
+    weights [wa | -wb] in the row's sorted order.  A gap where
+    |F_a - F_b| <= MASS_TOL carries no mass, as in :func:`_merge_levels`;
+    it is set to 0, so that it adds nothing even where it overflows.
+    Tied positions leave gaps of 0, so the sort need not be stable."""
+    both = np.concatenate([xa, xb], axis=1)
+    order = np.argsort(both, axis=1)
+    gap = np.diff(_take_rows(both, order), axis=1)
+    f = np.abs(np.cumsum(np.take(signed, order[:, :-1]), axis=1))
+    gap[f <= MASS_TOL] = 0.0
+    return _lp_rows(gap, f, 1.0)
+
+
 def _wp_atoms(batches, wa: np.ndarray, wb: np.ndarray, p: float) -> np.ndarray:
     """Exact W_p between weighted atoms on R, one value per row: batches
     yields pairs of (rows, n_a) and (rows, n_b) atom positions, with the
     weights wa and wb.  Both quantiles are step functions, so W_p^p is a
     finite sum of h * d^p over the intervals of :func:`_merge_levels`
     that carry mass (h > 0), with d the difference of the two atoms on
-    each; see :func:`_lp_rows` for the scale.  Two clouds of equal
-    weights merge their levels once per call and keep only the intervals
-    that carry mass: a side whose atoms each cover one interval is its
-    sorted row itself, and any other side is one gather.  Otherwise
-    every batch merges its rows, and the differences on intervals
-    without mass are set to 0, so that none of them enters the sum or
-    the scale.  A nan position gives nan."""
+    each; see :func:`_lp_rows` for the scale.  One of three paths, by
+    the weights and p:
+
+    * equal weights on both sides: the levels are merged once per call,
+      and only the intervals that carry mass are kept.  A side whose
+      atoms each cover one interval is its sorted row itself, and any
+      other side is one gather.
+    * unequal weights at p = 1: W_1 is the integral of |F_a - F_b|, one
+      sort of the joint row and no merge (:func:`_cdf_gap_w1`).
+    * unequal weights at p != 1: every batch sorts each side and merges
+      its rows, and the differences on intervals without mass are set
+      to 0, so that none of them enters the sum or the scale.
+
+    A nan position gives nan."""
     la, lb = _equal_levels(wa), _equal_levels(wb)
     if la is not None and lb is not None:
         _, h, ia, ib = _merge_levels(la, lb)
         mass = h[0] > 0.0
         h, ia, ib = h[0, mass], _mass_steps(ia[0, mass], wa.size), _mass_steps(ib[0, mass], wb.size)
-    vals = []
-    for xa, xb in batches:
-        sa, la_rows = _sorted_atoms(xa, wa, la)
-        sb, lb_rows = _sorted_atoms(xb, wb, lb)
-        if la is None or lb is None:
+
+        def rows(xa, xb):
+            sa, sb = np.sort(xa, axis=1), np.sort(xb, axis=1)
+            d = np.abs((sa if ia is None else np.take(sa, ia, axis=1))
+                       - (sb if ib is None else np.take(sb, ib, axis=1)))
+            return _lp_rows(d, h, p)
+    elif p == 1.0:
+        rows = functools.partial(_cdf_gap_w1, signed=np.concatenate([wa, -wb]))
+    else:
+        def rows(xa, xb):
+            sa, la_rows = _sorted_atoms(xa, wa, la)
+            sb, lb_rows = _sorted_atoms(xb, wb, lb)
             _, h, ia, ib = _merge_levels(la_rows, lb_rows)
             d = np.abs(_take_rows(sa, ia) - _take_rows(sb, ib))
             d[h == 0.0] = 0.0
-        else:
-            d = np.abs((sa if ia is None else np.take(sa, ia, axis=1))
-                       - (sb if ib is None else np.take(sb, ib, axis=1)))
-        vals.append(_lp_rows(d, h, p))
-    return np.concatenate(vals)
+            return _lp_rows(d, h, p)
+    return np.concatenate([rows(xa, xb) for xa, xb in batches])
 
 
 def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:

@@ -536,6 +536,14 @@ class TestEmpirical:
         assert not np.array_equal(X.weights, Y.weights)
         for p in (1.0, 2.0):
             assert sw_pq_empirical(X, Y, p, 2.0, mc_directions(3, 16, 0)) == 0.0
+        # unequal weights normalized two ways: five of them differ by an
+        # ulp, and at p = 1 so does F_a - F_b between the points
+        w = np.random.default_rng(1).uniform(0.1, 1.0, 7)
+        X = PointCloud(3, points, w / w.sum())
+        Y = PointCloud(3, points, (w / 0.35) / (w / 0.35).sum())
+        assert np.count_nonzero(X.weights != Y.weights) == 5
+        for p in (1.0, 2.0):
+            assert sw_pq_empirical(X, Y, p, 2.0, mc_directions(3, 16, 0)) == 0.0
 
     AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3), "axes")
 
@@ -572,6 +580,31 @@ class TestEmpirical:
         assert empirical_w1d(np.array([0.0, 0.0, 1e308]), np.array([0.25, 0.25, 0.5]),
                              np.array([-1e308, 0.0, 0.0]), np.array([0.5, 0.25, 0.25]),
                              p) == 1e308
+        # a cloud against itself: at p = 1 the joint gap from -1e308 to
+        # 1e308 overflows where F_a - F_b is 0
+        x, w = np.array([-1e308, 1e308]), np.array([0.4, 0.6])
+        assert empirical_w1d(x, w, x, w, p) == 0.0
+        X = PointCloud(3, np.outer(x, [1.0, 0.0, 0.0]), w)
+        for q in (1.0, 2.0):
+            assert sw_pq_empirical(X, X, p, q, self.AXES) == 0.0
+
+    @pytest.mark.parametrize("xa,wa,p,match", [
+        ([0.0, 1.0], [1.5, -0.5], 1.0, "positive"),
+        ([0.0], [0.5], 1.0, "sum to 1"),
+        ([], [], 1.0, "sum to 1"),
+        ([np.nan], [1.0], 1.0, "points and weights must be finite"),
+        ([0.0, 1.0], [1.0], 1.0, "parallel"),
+        ([0.0], [1.0], 0.5, "p must be >= 1"),
+        ([0.0], [1.0], math.inf, "finite p"),
+        ([0.0], [1.0], math.nan, "finite p"),
+    ], ids=["negative-weight", "half-mass", "empty", "nan-point", "length-mismatch",
+            "p-below-one", "p-infinity", "p-nan"])
+    def test_w1d_rejects_invalid_input(self, xa, wa, p, match):
+        # each side is checked as a one-dimensional PointCloud
+        with pytest.raises(MeasureError, match=match):
+            empirical_w1d(np.array(xa), np.array(wa), np.ones(1), np.ones(1), p)
+        with pytest.raises(MeasureError, match=match):
+            empirical_w1d(np.ones(1), np.ones(1), np.array(xa), np.array(wa), p)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("equal", [True, False])
