@@ -478,26 +478,31 @@ class AnalyticQuantile:
     def __init__(self, measures):
         self.table = t = measures._rows if isinstance(measures, Measure1D) else measures
         xb, r = t.breaks, t.break_row
-        levels = t.cdf(xb, r)
+        atom = t._mass > 0.0
+        arow = np.broadcast_to(np.arange(t.n), atom.shape)[atom]
+        # F at the breaks, one ulp right of each and one ulp left of the
+        # next, and at the atoms, in one evaluation
+        levels, tops, ends, at_atoms = np.split(t.cdf(
+            np.concatenate([xb, np.nextafter(xb, np.inf),
+                            np.nextafter(np.append(xb[1:], 0.0), -np.inf), t._pos[atom]]),
+            np.concatenate([r, r, r, arow])), np.cumsum([xb.size] * 3))
         # Bracket k is (xb[k], xb[k+1]) in one row.  Q is xb[k] below
         # _tops[k], F one ulp right of xb[k] (above an atom there), xb[k+1]
         # from _ends[k], F one ulp left of xb[k+1], and the root of F - u
         # in between.  The ulps also take up the rounding of F at an
         # arcsine end.  Past a row's last break every level gives it.
         last = np.append(r[1:] != r[:-1], True)
-        self._tops = np.where(last, np.inf, t.cdf(np.nextafter(xb, np.inf), r))
-        self._ends = np.where(last, np.inf, t.cdf(np.nextafter(np.append(xb[1:], 0.0), -np.inf), r))
+        self._tops = np.where(last, np.inf, tops)
+        self._ends = np.where(last, np.inf, ends)
         self._levels = _spread(levels, r, t.n, np.inf)
         # Q jumps across each massless gap at the level of its upper end
         gap = ~last & (self._tops >= self._ends)
         self._gap_level = _spread(np.append(levels[1:], 0.0)[gap], r[gap], t.n, np.nan)
         self._gap_lo = _spread(xb[gap], r[gap], t.n, np.nan)
-        atom = t._mass > 0.0
-        arow = np.broadcast_to(np.arange(t.n), atom.shape)[atom]
-        tops = t.cdf(t._pos[atom], arow) + t._mass[atom]
         ids = np.arange(t.n)
         self.s_breaks, self.s_row = _row_unique(
-            np.clip(np.concatenate([np.zeros(t.n), np.ones(t.n), levels, tops]), 0.0, 1.0),
+            np.clip(np.concatenate([np.zeros(t.n), np.ones(t.n), levels, at_atoms + t._mass[atom]]),
+                    0.0, 1.0),
             np.concatenate([ids, ids, r, arow]))
 
     def __call__(self, u, r=0, left=False):

@@ -122,9 +122,9 @@ class PointCloud:
 
 def _check_pq(p: float, q: float):
     p, q = float(p), float(q)
-    if p < 1.0:
+    if not p >= 1.0:  # nan too
         raise MeasureError("p must be >= 1")
-    if q < 1.0:
+    if not q >= 1.0:
         raise MeasureError("q must be >= 1")
     return p, q
 
@@ -357,9 +357,9 @@ def empirical_w1d(xa: np.ndarray, wa: np.ndarray,
     case of the empirical kernel.  Each side must be a valid one-dimensional
     :class:`PointCloud`, and p finite and >= 1, or MeasureError is raised;
     so is a distance that overflows."""
-    p, _ = _check_pq(p, 1.0)
-    if not math.isfinite(p):
+    if not math.isfinite(float(p)):
         raise MeasureError("empirical_w1d supports finite p only")
+    p, _ = _check_pq(p, 1.0)
     a, b = (PointCloud(1, np.asarray(x, float)[..., None], w) for x, w in ((xa, wa), (xb, wb)))
     batch = [(a.points.T, b.points.T)]
     return transport1d._finite(lambda: float(transport1d._wp_atoms(

@@ -18,11 +18,14 @@ difference only where the p-th powers would leave float64 range
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
-Gauss-Legendre sum over them.  W_inf is the largest |Q_mu - Q_nu| on one
-grid per panel, with its exact one-sided ends, and at the stationary
-points that a 2x2 Newton on the closed-form CDFs and densities finds from
-every grid cell whose mean-value (Piyavskii) bound exceeds that largest
-value; the bounds bracket the sup (``_sup_bracket``).
+Gauss-Legendre sum over them, whose 16- and 32-node rules share one
+quantile pass before the node count doubles (``_wp_numeric``).  W_inf is
+the largest |Q_mu - Q_nu| on one grid per panel, with its exact one-sided
+ends, and at the stationary points that a 2x2 Newton on the closed-form
+CDFs and densities finds from every grid cell whose mean-value
+(Piyavskii) bound exceeds that largest value; the bounds bracket the sup
+(``_sup_bracket``).  CDF values that do not depend on each other, such
+as both sides of a pair, take one evaluation.
 ``wp_measure_rows`` takes many pairs at once, as the rows of one
 :class:`~swgeo.measure1d.MeasureRows` table, and ``wasserstein_p`` is its
 one-pair case.  A distance that overflows float64 raises MeasureError.
@@ -69,6 +72,7 @@ __all__ = [
 ]
 
 _REL_QUAD_TOL = 1e-10
+# at least 32: the first round of _wp_numeric takes 16 and 32 nodes
 _MAX_NODES = 4096
 # samples per gap between breakpoints in _level_cuts
 _SAMPLES = 64
@@ -355,14 +359,15 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
     step = np.where(pair[1:] == pair[:-1], np.diff(xb), 0.0)
     x = np.append((xb[:-1, None] + step[:, None] * s).ravel(), xb[-1])
     xp = np.append(np.repeat(pair[:-1], _SAMPLES), pair[-1])
-    diff = lambda y, k: t.cdf(y, k) - t.cdf(y, k + n)
+    diff = lambda y, k: np.subtract(*_sides(t.cdf, y, k, n))
     g = diff(x, xp)
     i = np.flatnonzero((g[:-1] * g[1:] < 0.0) & (xp[:-1] == xp[1:]))
     # a sign change already across the first ulp of a sign-change interval
     # (an atom, or the rounding of F at an arcsine end) puts the root at
     # its start, one only across the last ulp at its end
     a, b, ip, sign = x[i], x[i + 1], xp[i], -np.sign(g[i])
-    ga, gb = sign * diff(np.nextafter(a, np.inf), ip), sign * diff(np.nextafter(b, -np.inf), ip)
+    probes = np.concatenate([np.nextafter(a, np.inf), np.nextafter(b, -np.inf)])
+    ga, gb = np.split(np.tile(sign, 2) * diff(probes, np.tile(ip, 2)), 2)
     at_a = ga >= 0.0
     at_b = ~at_a & (gb < 0.0)
     inner = ~(at_a | at_b)
@@ -383,15 +388,22 @@ def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
     zero &= ~inside
     rx = np.concatenate([x[zero], x[i][at_a], x[i + 1][at_b], roots])
     rp = np.concatenate([xp[zero], ip[at_a], ip[at_b], k])
-    cuts = np.concatenate([q.s_breaks, t.cdf(rx, rp), t.cdf(rx, rp + n)])
+    cuts = np.concatenate([q.s_breaks, *_sides(t.cdf, rx, rp, n)])
     return _row_unique(np.clip(cuts, 0.0, 1.0), np.concatenate([q.s_row % n, rp, rp]))
+
+
+def _sides(f, x: np.ndarray, pair: np.ndarray, n: int):
+    """f(x, pair) and f(x, pair + n), the mu and nu sides of the pairs at
+    the points x (flat and parallel), as one evaluation f(points, rows)."""
+    both = f(np.tile(x, 2), np.concatenate([pair, pair + n]))
+    return both[:x.size], both[x.size:]
 
 
 def _gap(f, u: np.ndarray, pair: np.ndarray, n: int) -> np.ndarray:
     """|Q_mu - Q_nu| at the levels u of the pairs (parallel and flat), as
     one evaluation f(levels, rows) of the quantiles of both sides."""
-    both = f(np.tile(u, 2), np.concatenate([pair, pair + n]))
-    return np.abs(both[:u.size] - both[u.size:])
+    a, b = _sides(f, u, pair, n)
+    return np.abs(a - b)
 
 
 def _by_pair(pair: np.ndarray, n: int):
@@ -411,11 +423,31 @@ def _panel_rule(n: int):
     return s * s * (3.0 - 2.0 * s), w / w.sum()
 
 
+def _panel_values(q: AnalyticQuantile, u0: np.ndarray, h: np.ndarray, at: np.ndarray,
+                  n: int, scale: np.ndarray, p: float, counts) -> list:
+    """The integral of (|Q_mu - Q_nu| / scale)^p over each panel [u0, u0 + h]
+    of the pairs at, by the :func:`_panel_rule` of each node count in
+    counts: one array per count, with the nodes of every count in one
+    quantile pass.  Each pair's nodes of each count go through the same
+    matrix product as alone, so its value does not depend on the other
+    pairs or counts."""
+    u = np.concatenate([(u0[:, None] + h[:, None] * _panel_rule(m)[0]).ravel() for m in counts])
+    rows = np.concatenate([np.repeat(at, m) for m in counts])
+    d = (_gap(q._at, u, rows, n) / scale[rows]) ** p
+    out = []
+    for block, m in zip(np.split(d, np.cumsum([at.size * m for m in counts])[:-1]), counts):
+        block, w, val = block.reshape(at.size, m), _panel_rule(m)[1], np.empty(at.size)
+        for run in _by_pair(at, n):
+            val[run] = block[run] @ w
+        out.append(val * h)
+    return out
+
+
 def _wp_numeric(t: MeasureRows, n: int, p: float) -> np.ndarray:
-    """The node count doubles on the panels whose value has not settled to
-    _REL_QUAD_TOL relative; one still unsettled at _MAX_NODES is an error.
-    Each pair's nodes go through the same matrix product as alone, so its
-    value does not depend on the other pairs."""
+    """The first round takes the 16- and 32-node rules in one quantile
+    pass; then the node count doubles on the panels whose value has not
+    settled to _REL_QUAD_TOL relative between the last two rules, and one
+    still unsettled at _MAX_NODES is an error."""
     q = AnalyticQuantile(t)
     u, pair = _level_cuts(t, q, n)
     # A panel no wider than MASS_TOL joins the next one: the nodes are
@@ -429,24 +461,16 @@ def _wp_numeric(t: MeasureRows, n: int, p: float) -> np.ndarray:
     # a power of two near the support size keeps |Q_mu - Q_nu|^p in range
     scale = np.ldexp(1.0, np.frexp(np.maximum(t.extent[:n], t.extent[n:]))[1] - 1)
     total = np.zeros(u0.size)
-    todo, prev, nodes = np.arange(u0.size), None, 16
+    todo, prev, counts = np.arange(u0.size), None, (16, 32)
     while todo.size:
-        if nodes > _MAX_NODES:
+        if counts[-1] > _MAX_NODES:
             raise MeasureError(f"W_p quadrature did not converge with {_MAX_NODES} nodes")
-        x, w = _panel_rule(nodes)
-        at = pair[todo]
-        u = (u0[todo, None] + h[todo, None] * x).ravel()
-        rows = np.repeat(at, nodes)
-        d = ((_gap(q._at, u, rows, n) / scale[rows]) ** p).reshape(todo.size, nodes)
-        val = np.empty(todo.size)
-        for run in _by_pair(at, n):
-            val[run] = d[run] @ w
-        val *= h[todo]
-        if prev is not None:  # a non-finite value is final: the callers refuse it
-            done = ~(np.abs(val - prev) > _REL_QUAD_TOL * np.maximum(np.abs(val), 1e-30))
-            total[todo[done]] = val[done]
-            todo, val = todo[~done], val[~done]
-        prev, nodes = val, 2 * nodes
+        *first, val = _panel_values(q, u0[todo], h[todo], pair[todo], n, scale, p, counts)
+        prev = first[0] if first else prev
+        # a non-finite value is final: the callers refuse it
+        done = ~(np.abs(val - prev) > _REL_QUAD_TOL * np.maximum(np.abs(val), 1e-30))
+        total[todo[done]] = val[done]
+        todo, prev, counts = todo[~done], val[~done], (2 * counts[-1],)
     return np.array([scale[i] * float(total[run].sum()) ** (1.0 / p)
                      for i, run in enumerate(_by_pair(pair, n))])
 

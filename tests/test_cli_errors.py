@@ -55,3 +55,15 @@ def test_sw_refuses_a_distance_that_overflows(runner, tmp_path):
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "Error: sliced distance nan is not finite: the mixtures overflow\n"
+
+
+@pytest.mark.parametrize("option,name", [("--p", "p"), ("--q", "q")])
+def test_sw_rejects_nan_exponents(runner, tmp_path, option, name):
+    # refused as an exponent, not as a distance that overflows
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("shell 1 1 0 0 0 0\n")
+    b.write_text("shell 1 1 0.5 0 0 0\n")
+    result = runner.invoke(main, ["sw", "--shell-file", str(a), "--shell-file", str(b),
+                                  "--quad", "mc", "--dirs", "8", option, "nan"])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {name} must be >= 1\n"

@@ -104,6 +104,14 @@ class TestSwPq:
         with pytest.raises(MeasureError):
             sw_pq(nu, nu, 2.0, 0.0, ds)
 
+    @pytest.mark.parametrize("p,q,match", [(math.nan, 2.0, "p must be >= 1"),
+                                           (2.0, math.nan, "q must be >= 1")])
+    def test_nan_exponents_rejected(self, p, q, match):
+        # refused up front, not as a distance that overflows
+        nu = nu_family(0.5, 0.0, 0.5, 3)
+        with pytest.raises(MeasureError, match=match):
+            sw_pq(nu, nu, p, q, mc_directions(3, 4, 0))
+
 
 def oracle_directions(a, b, q, dirs):
     return _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
@@ -491,6 +499,13 @@ class TestEmpirical:
         X = PointCloud(3, np.zeros((1, 3)), np.array([1.0]))
         with pytest.raises(MeasureError):
             sw_pq_empirical(X, X, math.inf, 2.0, mc_directions(3, 4, 0))
+
+    @pytest.mark.parametrize("p,q,match", [(math.nan, 2.0, "p must be >= 1"),
+                                           (2.0, math.nan, "q must be >= 1")])
+    def test_nan_exponents_rejected(self, p, q, match):
+        X = PointCloud(3, np.zeros((1, 3)), np.array([1.0]))
+        with pytest.raises(MeasureError, match=match):
+            sw_pq_empirical(X, X, p, q, mc_directions(3, 4, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), d=st.integers(2, 4), equal=st.tuples(st.booleans(), st.booleans()),

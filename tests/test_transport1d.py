@@ -540,6 +540,49 @@ class TestArcsineMixtures:
         with pytest.raises(MeasureError, match="did not converge"):
             wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
 
+    @staticmethod
+    def spy_quadrature(monkeypatch):
+        """The node counts that _wp_numeric asks of _panel_rule, in order,
+        and for each of its quantile passes those asked up to it."""
+        passes, counts = [], []
+        gap, rule = swgeo.transport1d._gap, swgeo.transport1d._panel_rule
+
+        def panel_rule(m):
+            if m not in counts:
+                counts.append(m)
+            return rule(m)
+
+        monkeypatch.setattr(swgeo.transport1d, "_gap",
+                            lambda *a: passes.append(list(counts)) or gap(*a))
+        monkeypatch.setattr(swgeo.transport1d, "_panel_rule", panel_rule)
+        return passes, counts
+
+    def test_first_two_rules_share_one_quantile_pass(self, monkeypatch):
+        # every panel of this pair settles at 32 nodes; the value is the
+        # one of a 16-node pass followed by a 32-node pass
+        passes, counts = self.spy_quadrature(monkeypatch)
+        mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
+        assert repr(wasserstein_p(mu, nu, 1.5)) == "0.22724074932458108"
+        assert passes == [[16, 32]] and counts == [16, 32]
+
+    def test_unsettled_panels_double_from_64_nodes(self, monkeypatch):
+        monkeypatch.setattr(swgeo.transport1d, "_REL_QUAD_TOL", 0.0)
+        monkeypatch.setattr(swgeo.transport1d, "_MAX_NODES", 128)
+        passes, counts = self.spy_quadrature(monkeypatch)
+        with pytest.raises(MeasureError, match="did not converge with 128 nodes"):
+            wasserstein_p(Measure1D.arcsine(), Measure1D.uniform(-1, 1), 1.5)
+        assert passes == [[16, 32], [16, 32, 64], [16, 32, 64, 128]]
+
+    def test_rules_of_one_pass_match_separate_passes(self):
+        mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
+        t = MeasureRows.of([mu, mu, nu, Measure1D.uniform(-1, 1)])
+        q = AnalyticQuantile(t)
+        u0, h = np.array([0.0, 0.25, 0.0]), np.array([0.25, 0.75, 1.0])
+        args = (q, u0, h, np.array([0, 0, 1]), 2, np.ones(2), 1.5)
+        both = swgeo.transport1d._panel_values(*args, (16, 32))
+        alone = [swgeo.transport1d._panel_values(*args, (m,))[0] for m in (16, 32)]
+        assert [list(map(repr, v)) for v in both] == [list(map(repr, v)) for v in alone]
+
 
 class TestMeasureRows:
     """wasserstein_p and wasserstein_inf on arcsine mixtures are the
