@@ -523,10 +523,9 @@ def _sup_bracket(t: MeasureRows, n: int):
     m = _SUP_GRID + 2
     levels = lo[:, None] + (hi - lo)[:, None] * (np.arange(m) / (m - 1))
     levels[:, -1] = hi  # Q(hi-) there, both sides in one evaluation
-    rows = np.repeat(pair, m)
     left = np.tile(np.arange(m) == m - 1, 2 * lo.size)
-    both = q._at(np.tile(levels.ravel(), 2), np.concatenate([rows, rows + n]), left)
-    xa, xb = both[:rows.size].reshape(levels.shape), both[rows.size:].reshape(levels.shape)
+    xa, xb = (v.reshape(levels.shape) for v in _sides(
+        lambda u, r: q._at(u, r, left), levels.ravel(), np.repeat(pair, m), n))
     g = xa - xb
     found = np.zeros(n)
     np.maximum.at(found, pair, np.abs(g).max(axis=1))
