@@ -197,7 +197,7 @@ def w_p_mu01(alpha: float, beta: float, p: float) -> float:
     if math.isinf(p):
         raise MeasureError("p must be finite here; W_inf of the endpoints "
                            "is alpha(1+|beta|) (alpha when beta = 0)")
-    if p < 1.0:
+    if not p >= 1.0:  # nan too
         raise MeasureError("p must be >= 1")
     ratio = alpha / (1.0 - alpha)
     bracket1 = ratio ** p * (((1.0 + beta) * (1.0 - alpha)) ** (p + 1.0)

@@ -495,9 +495,13 @@ class AnalyticQuantile:
         self._tops = np.where(last, np.inf, tops)
         self._ends = np.where(last, np.inf, ends)
         self._levels = _spread(levels, r, t.n, np.inf)
-        # Q jumps across each massless gap at the level of its upper end
-        gap = ~last & (self._tops >= self._ends)
-        self._gap_level = _spread(np.append(levels[1:], 0.0)[gap], r[gap], t.n, np.nan)
+        # Q jumps across each massless gap at the level of its upper end,
+        # unless that level lies more than MASS_TOL above the gap's lower
+        # end: the rounding of an arcsine CDF at the upper end put a step
+        # there, and Q(u-) at the step's top is the upper end
+        up = np.append(levels[1:], 0.0)
+        gap = ~last & (self._tops >= self._ends) & (up - self._tops <= MASS_TOL)
+        self._gap_level = _spread(up[gap], r[gap], t.n, np.nan)
         self._gap_lo = _spread(xb[gap], r[gap], t.n, np.nan)
         ids = np.arange(t.n)
         self.s_breaks, self.s_row = _row_unique(
@@ -532,7 +536,8 @@ class AnalyticQuantile:
         """Q at the levels u of the rows r (flat and parallel), and Q(u-)
         where left is set (flat too, or one): the start of the gap Q jumps
         across at u.  At the top of an atom with a gap after it, that is
-        the atom, even where the gap's level rounds an ulp higher."""
+        the atom, even where the gap's level rounds up to MASS_TOL
+        higher."""
         t, xb = self.table, self.table.breaks
         k, k1 = self._bracket(u, r)
         top, end = self._tops[k], self._ends[k]

@@ -265,7 +265,7 @@ def sw_per_direction(a, b, p: float, theta) -> float:
     Measure1D per mixture: the centered paths of sw_pq, and the tests'
     oracle for its batched paths."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # nan too
         raise MeasureError("p must be >= 1")
     if isinstance(a, ShellMixture):
         ma, mb = radon_project(a, theta), radon_project(b, theta)
@@ -308,7 +308,7 @@ def w_p_radial(a: ShellMixture, b: ShellMixture, p: float) -> float:
     W_p = (inner_mass * (1 - r_inner)^p)^{1/p}; W_inf = 1 - r_inner
     (the displacement of the inner shell)."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # nan too
         raise MeasureError("p must be >= 1")
     w_in, r_in = _split_radial_pair(a, b)
     if w_in == 0.0:

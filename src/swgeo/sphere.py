@@ -125,7 +125,7 @@ def c_dq(d: int, q: float, method: str = "beta", n: int = 64,
     q = float(q)
     if d < 3:
         raise MeasureError("c_dq is defined for d >= 3")
-    if q < 1.0:
+    if not q >= 1.0:  # nan too
         raise MeasureError("q must be >= 1")
     if math.isinf(q) or d == 3:
         return 1.0

@@ -24,7 +24,9 @@ the largest |Q_mu - Q_nu| on one grid per panel, with its exact one-sided
 ends, and at the stationary points that a 2x2 Newton on the closed-form
 CDFs and densities finds from every grid cell whose mean-value
 (Piyavskii) bound exceeds that largest value; the bounds bracket the sup
-(``_sup_bracket``).  CDF values that do not depend on each other, such
+(``_sup_bracket``).  A start whose 2x2 system is singular, where
+Q_mu'' = Q_nu'' as everywhere on a translated pair, is dropped at its
+first point: the Newton cannot move it.  CDF values that do not depend on each other, such
 as both sides of a pair, take one evaluation.
 ``wp_measure_rows`` takes many pairs at once, as the rows of one
 :class:`~swgeo.measure1d.MeasureRows` table, and ``wasserstein_p`` is its
@@ -81,6 +83,10 @@ _SUP_GRID = 32
 _SUP_STEPS = 8
 # the fractions of a Newton step tried in turn to stay inside its box
 _HALVINGS = 0.5 ** np.arange(5)
+# a start of the W_inf Newton whose Jacobian determinant is at most this
+# fraction of the sum of its two terms' moduli is singular: translated
+# pairs leave at most 545 eps, the closed-form interior maxima about 1
+_SINGULAR = 1e-9
 
 
 def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
@@ -514,8 +520,11 @@ def _sup_bracket(t: MeasureRows, n: int):
     whose bound exceeds the found max, :func:`_stationary_points` solves
     F_mu(a) = F_nu(b), f_mu(a) = f_nu(b), the conditions of a stationary
     point of g, inside the x-ranges of the cell and its neighbours, and
-    |g| is evaluated at the level of each root.  Each pair's values come
-    from its own cells and roots only."""
+    |g| is evaluated at the level of each root.  A start whose system is
+    singular keeps no root, so no level is evaluated for it; the bound
+    does not depend on the starts, and a translated pair, whose g is
+    constant, gets its found value from the grid alone.  Each pair's
+    values come from its own cells and roots only."""
     q = AnalyticQuantile(t)
     u, pair = _level_cuts(t, q, n)
     mass = (np.diff(u) > MASS_TOL) & (pair[1:] == pair[:-1])  # as in _merge_levels
@@ -550,9 +559,10 @@ def _sup_bracket(t: MeasureRows, n: int):
         k = pair[panel]
         mid = 0.5 * (levels[panel, j] + levels[panel, j + 1])
         ra, level = _stationary_points(t, q, n, k, mid, x, box)
-        # inside the cells' neighbourhood, short of a jump at its top level
-        level = np.clip(level, levels[near[0]][ra], np.nextafter(levels[near[1]][ra], -np.inf))
-        np.maximum.at(found, k[ra], _gap(q._at, level, k[ra], n))
+        if ra.size:
+            # inside the cells' neighbourhood, short of a jump at its top level
+            level = np.clip(level, levels[near[0]][ra], np.nextafter(levels[near[1]][ra], -np.inf))
+            np.maximum.at(found, k[ra], _gap(q._at, level, k[ra], n))
     return found, np.maximum(bound, found)
 
 
@@ -568,7 +578,11 @@ def _stationary_points(t: MeasureRows, q: AnalyticQuantile, n: int, k: np.ndarra
     and box[1] hold the low and high x of each side), and stays where it
     is if none does.  A root is kept once both steps are within
     _STEP_TOL times the support scale, or after _SUP_STEPS steps, and
-    dropped on a step that is not finite.  Returns the indices of the
+    dropped on a step that is not finite.  A start is dropped at its
+    first point where the Jacobian's determinant is at most _SINGULAR
+    times the sum of the moduli of its two terms: there Q_mu'' = Q_nu''
+    to working accuracy (the ratio is |Q_mu'' - Q_nu''| / (|Q_mu''| +
+    |Q_nu''|)), as at every start of a translated pair.  Returns the indices of the
     roots kept and their levels, the mean of F_mu(a) and F_nu(b) at the
     last evaluated point."""
     rows = np.stack([k, k + n])
@@ -592,14 +606,18 @@ def _stationary_points(t: MeasureRows, q: AnalyticQuantile, n: int, k: np.ndarra
             dF = f * h * np.cos(phi)  # dF/dphi
             dinv = -df * h * np.cos(phi) / (f * f)  # d(1/f)/dphi
             G1, G2 = F[0] - F[1], 1.0 / f[0] - 1.0 / f[1]
-            det = dF[1] * dinv[0] - dF[0] * dinv[1]
+            terms = dF[1] * dinv[0], dF[0] * dinv[1]
+            det = terms[0] - terms[1]
+            # Q_mu'' = Q_nu'' to working accuracy at a start: the Newton
+            # cannot move it, and a nan bound (inf * 0) drops nothing
+            regular = step > 0 or ~(np.abs(det) <= _SINGULAR * (np.abs(terms[0]) + np.abs(terms[1])))
             dphi = np.stack([G1 * dinv[1] - dF[1] * G2, G1 * dinv[0] - dF[0] * G2]) / det
             nxt = phi + _HALVINGS[:, None, None] * dphi
             fits = (nxt >= low) & (nxt <= high)
             nxt = np.take_along_axis(nxt, np.argmax(fits, axis=0)[None], axis=0)[0]
             nxt = np.where(fits.any(axis=0), nxt, phi)
             xn = _x_of_phi(nxt, lo, hi, phi0, phi1, h)
-        finite = np.isfinite(dphi).all(axis=0)
+        finite = np.isfinite(dphi).all(axis=0) & regular
         done = finite & ((np.abs(xn - x) <= tol[idx]).all(axis=0) | (step == _SUP_STEPS - 1))
         kept.append(idx[done])
         levels.append(0.5 * (F[0] + F[1])[done])
@@ -653,8 +671,8 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
     p = float(p)
     if math.isinf(p):
         raise MeasureError("use wasserstein_inf for p = infinity")
-    if p < 1.0:
-        raise MeasureError("wasserstein_p requires p >= 1")
+    if not p >= 1.0:  # nan too
+        raise MeasureError("p must be >= 1")
     if mu.is_discrete_mixture and nu.is_discrete_mixture:
         return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), p)
     return _finite(_numeric, mu, nu, p)

@@ -57,6 +57,23 @@ def test_sw_refuses_a_distance_that_overflows(runner, tmp_path):
         assert result.stderr == "Error: sliced distance nan is not finite: the mixtures overflow\n"
 
 
+def test_cdq_rejects_a_nan_exponent(runner):
+    result = runner.invoke(main, ["cdq", "--q", "nan"])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: q must be >= 1\n"
+
+
+def test_wp_rejects_a_nan_exponent(runner, tmp_path):
+    # refused as an exponent, not as a distance that overflows
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("atom 0 1\n")
+    b.write_text("atom 1 1\n")
+    result = runner.invoke(main, ["wp", "--measure-file", str(a), "--measure-file", str(b),
+                                  "--p", "nan"])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: p must be >= 1\n"
+
+
 @pytest.mark.parametrize("option,name", [("--p", "p"), ("--q", "q")])
 def test_sw_rejects_nan_exponents(runner, tmp_path, option, name):
     # refused as an exponent, not as a distance that overflows

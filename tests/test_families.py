@@ -100,6 +100,10 @@ class TestEndpointDistance:
         with pytest.raises(MeasureError):
             w_p_mu01(0.5, 0.0, math.inf)
 
+    def test_rejects_nan_p(self):
+        with pytest.raises(MeasureError, match="p must be >= 1"):
+            w_p_mu01(0.5, 0.0, math.nan)
+
     def test_collapsed_form(self):
         # the two-bracket expression equals
         # alpha^p ((1+b)^{p+1} + (1-b)^{p+1}) / (2(p+1))

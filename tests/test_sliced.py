@@ -112,6 +112,13 @@ class TestSwPq:
         with pytest.raises(MeasureError, match=match):
             sw_pq(nu, nu, p, q, mc_directions(3, 4, 0))
 
+    def test_nan_p_rejected_by_single_distances(self):
+        a, b = nu_family(0.5, 0.0, 0.5, 3), nu_family(0.5, 0.0, 0.0, 3)
+        for distance in (lambda: w_p_radial(a, b, math.nan),
+                         lambda: sw_per_direction(a, b, math.nan, np.array([1.0, 0.0, 0.0]))):
+            with pytest.raises(MeasureError, match="p must be >= 1"):
+                distance()
+
 
 def oracle_directions(a, b, q, dirs):
     return _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas

@@ -123,5 +123,7 @@ class TestCdq:
             c_dq(2, 2.0)
         with pytest.raises(MeasureError):
             c_dq(4, 0.5)
+        with pytest.raises(MeasureError, match="q must be >= 1"):
+            c_dq(4, math.nan)
         with pytest.raises(MeasureError):
             c_dq(4, 2.0, method="mc")  # seed required

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import swgeo.measure1d
 import swgeo.transport1d
-from swgeo.families import circle_family, circle_project, mu_curve, mu_family, w_p_mu01
+from swgeo.families import (
+    CircleMixture,
+    circle_family,
+    circle_project,
+    mu_curve,
+    mu_family,
+    w_p_mu01,
+)
 from swgeo.measure1d import (
     MASS_TOL,
     AnalyticQuantile,
@@ -187,8 +194,9 @@ class TestWassersteinP:
 
     def test_rejects_bad_p(self):
         u = Measure1D.uniform(-1, 1)
-        with pytest.raises(MeasureError):
-            wasserstein_p(u, u, 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(MeasureError, match="p must be >= 1"):
+                wasserstein_p(u, u, p)
         with pytest.raises(MeasureError):
             wasserstein_p(u, u, math.inf)
 
@@ -449,19 +457,94 @@ class TestArcsineMixtures:
         assert abs(wasserstein_inf(mu, nu) - ref) <= 1e-15 * ref
         assert abs(wasserstein_inf(nu, mu) - ref) <= 1e-15 * ref
 
+    @staticmethod
+    def spy_stationary(monkeypatch):
+        """(starts, roots kept) of every _stationary_points call."""
+        calls, search = [], swgeo.transport1d._stationary_points
+
+        def spy(*args):
+            kept, levels = search(*args)
+            calls.append((args[3].size, kept.size))
+            return kept, levels
+
+        monkeypatch.setattr(swgeo.transport1d, "_stationary_points", spy)
+        return calls
+
     @pytest.mark.parametrize("c, r, h", [(0.0, 1.0, 0.5), (0.1, 2.0, 0.7), (0.3, 0.5, 0.1),
                                          (0.05, 1.5, 0.3)])
-    def test_interior_sup_against_closed_form(self, c, r, h):
+    def test_interior_sup_against_closed_form(self, c, r, h, monkeypatch):
         # Q_mu - Q_nu = c - r cos(pi u) + h - 2 h u is stationary where
         # sin(pi u) = k = 2h / (pi r); for c >= 0 and h < r its largest
         # modulus is interior, c + r sqrt(1 - k^2) - (2h/pi) acos(k).  A
         # grid of the panel alone misses it by 7e-5 to 3.6e-4 relative.
+        # Q_nu'' = 0 and Q_mu'' != 0 there, so no start is singular and
+        # the stationary search keeps the root that reaches it.
         import mpmath as mp
         mp.mp.dps = 30
+        calls = self.spy_stationary(monkeypatch)
         k = 2 * mp.mpf(h) / (mp.pi * r)
         ref = c + r * mp.sqrt(1 - k * k) - (2 * mp.mpf(h) / mp.pi) * mp.acos(k)
         got = wasserstein_inf(Measure1D.arcsine(c, r), Measure1D.uniform(-h, h))
         assert abs(got - ref) <= 1e-15 * ref
+        assert sum(kept for _, kept in calls) >= 1
+
+    def test_translated_circle_projections_keep_no_root(self, monkeypatch):
+        # three circles and their translate by v, as in the mixture pairs
+        # of the circle benchmark: Q_mu - Q_nu = theta.v at every level,
+        # so Q_mu'' = Q_nu'' at every start of the stationary search, which
+        # keeps no root and evaluates no quantile at a root's level
+        calls = self.spy_stationary(monkeypatch)
+        gap = swgeo.transport1d._gap
+        passes = []
+        monkeypatch.setattr(swgeo.transport1d, "_gap", lambda *a: passes.append(1) or gap(*a))
+        comps = ((0.5, 0.8, np.array([0.1, -0.2])), (0.3, 0.6, np.array([-0.3, 0.25])),
+                 (0.2, 0.9, np.array([0.05, 0.4])))
+        v, theta = np.array([0.35, -0.6]), np.array([math.cos(0.7), math.sin(0.7)])
+        mu = circle_project(CircleMixture(comps), theta)
+        nu = circle_project(CircleMixture(tuple((w, r, c + v) for w, r, c in comps)), theta)
+        got = wasserstein_inf(mu, nu)
+        scale = max(abs(e) for m in (mu, nu) for e in m.support)
+        assert abs(got - abs(theta @ v)) <= 4 * EPS * scale
+        assert calls and all(starts > 0 and kept == 0 for starts, kept in calls)
+        assert not passes
+
+    @settings(max_examples=150, deadline=None)
+    @given(analytic_mixtures(), st.sampled_from([k / 4 for k in range(-8, 9) if k]))
+    def test_translated_pair_is_its_shift(self, mu, v):
+        """W_inf(mu, mu + v) = |v|, within 4 ulps of the support scale and
+        16 eps over the smallest density of each measure, as in
+        test_sup_bracket_holds_the_scanned_sup; found <= bound.  The
+        translate must be exact in floats: every position, and each arcsine
+        part's ends as c - r and c + r, moves by v without rounding.  An
+        inexact translate is no translate to working accuracy: rounding
+        the parts' ends moves their CDF levels by the arcsine staircase,
+        up to 1e-8, and across a gap of one side that moves W_inf by the
+        gap's width."""
+        ends = [(pt.center + v) + s * pt.radius == (pt.center + s * pt.radius) + v
+                for pt in mu.arcsine_parts for s in (-1.0, 1.0)]
+        points = ([x for x, _ in mu.atoms] + [e for lo, hi, _ in mu.pieces for e in (lo, hi)]
+                  + [pt.center for pt in mu.arcsine_parts])
+        assume(all(ends) and all((x + v) - v == x for x in points))
+        nu = mu.shifted(v)
+        found, bound = swgeo.transport1d._sup_bracket(MeasureRows.of([mu, nu]), 1)
+        assert found[0] <= bound[0]
+        known = 4 * EPS * max(abs(e) for m in (mu, nu) for e in m.support)
+        for m in (mu, nu):
+            least = min([rho for _, _, rho in m.pieces]
+                        + [pt.weight / (math.pi * pt.radius) for pt in m.arcsine_parts])
+            known += 16 * EPS / least
+        assert abs(found[0] - abs(v)) <= known
+
+    def test_left_limit_at_a_step_of_the_arcsine_staircase(self):
+        # nu's arcsine CDF at its left end 0.009000000000000001 rounds to
+        # 5.3e-9 above the atom's mass, so Q_nu jumps across the gap after
+        # the atom at the atom's top level and steps at that end 5.3e-9
+        # higher; Q_nu(u-) at the step's top is that end, not the atom
+        mu = Measure1D.from_components(atoms=[(-1.75, 0.6012787440086247)], arcsine_parts=[
+            ArcsinePart(0.30063937200431234, 0.0, 0.001), ArcsinePart(0.09808188398706287, 0.0, 0.001)])
+        nu = mu.shifted(0.01)
+        assert abs(wasserstein_inf(mu, nu) - 0.01) <= 4 * EPS * 1.75
+        assert abs(wasserstein_inf(nu, mu) - 0.01) <= 4 * EPS * 1.75
 
     @pytest.mark.parametrize("atom", [-2.0, -1.0])
     def test_equal_stretch_takes_no_inner_cuts(self, atom):
