@@ -26,8 +26,8 @@ CDFs and densities finds from every grid cell whose mean-value
 (Piyavskii) bound exceeds that largest value; the bounds bracket the sup
 (``_sup_bracket``).  A start whose 2x2 system is singular, where
 Q_mu'' = Q_nu'' as everywhere on a translated pair, is dropped at its
-first point: the Newton cannot move it.  CDF values that do not depend on each other, such
-as both sides of a pair, take one evaluation.
+first point: the Newton cannot move it.  CDF values that do not depend
+on each other, such as both sides of a pair, take one evaluation.
 ``wp_measure_rows`` takes many pairs at once, as the rows of one
 :class:`~swgeo.measure1d.MeasureRows` table, and ``wasserstein_p`` is its
 one-pair case.  A distance that overflows float64 raises MeasureError.
@@ -84,8 +84,9 @@ _SUP_STEPS = 8
 # the fractions of a Newton step tried in turn to stay inside its box
 _HALVINGS = 0.5 ** np.arange(5)
 # a start of the W_inf Newton whose Jacobian determinant is at most this
-# fraction of the sum of its two terms' moduli is singular: translated
-# pairs leave at most 545 eps, the closed-form interior maxima about 1
+# fraction of the sum of its two terms' moduli is singular: the starts of
+# translated circle pairs leave at most 545 eps (1.2e-13), those of the
+# closed-form interior maxima of the tests about 1
 _SINGULAR = 1e-9
 
 
@@ -580,11 +581,11 @@ def _stationary_points(t: MeasureRows, q: AnalyticQuantile, n: int, k: np.ndarra
     _STEP_TOL times the support scale, or after _SUP_STEPS steps, and
     dropped on a step that is not finite.  A start is dropped at its
     first point where the Jacobian's determinant is at most _SINGULAR
-    times the sum of the moduli of its two terms: there Q_mu'' = Q_nu''
-    to working accuracy (the ratio is |Q_mu'' - Q_nu''| / (|Q_mu''| +
-    |Q_nu''|)), as at every start of a translated pair.  Returns the indices of the
-    roots kept and their levels, the mean of F_mu(a) and F_nu(b) at the
-    last evaluated point."""
+    times the sum of the moduli of its two terms, a ratio equal to
+    |Q_mu'' - Q_nu''| / (|Q_mu''| + |Q_nu''|): there Q_mu'' = Q_nu'' to
+    working accuracy, as at every start of a translated pair.  Returns
+    the indices of the roots kept and their levels, the mean of F_mu(a)
+    and F_nu(b) at the last evaluated point."""
     rows = np.stack([k, k + n])
     tol = _STEP_TOL * np.maximum(t.extent[k], t.extent[k + n])
     lo, hi = (t.breaks[i].reshape(rows.shape) for i in q._bracket(np.tile(mid, 2), rows.ravel()))

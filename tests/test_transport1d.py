@@ -519,7 +519,10 @@ class TestArcsineMixtures:
         inexact translate is no translate to working accuracy: rounding
         the parts' ends moves their CDF levels by the arcsine staircase,
         up to 1e-8, and across a gap of one side that moves W_inf by the
-        gap's width."""
+        gap's width.  The stationary search may keep a root here, where
+        Q'' is no more than rounding on both sides (an arcsine center, a
+        point within rounding of an arcsine end, a part too light for its
+        quantile to resolve the shift); the circle pairs above keep none."""
         ends = [(pt.center + v) + s * pt.radius == (pt.center + s * pt.radius) + v
                 for pt in mu.arcsine_parts for s in (-1.0, 1.0)]
         points = ([x for x, _ in mu.atoms] + [e for lo, hi, _ in mu.pieces for e in (lo, hi)]
@@ -540,8 +543,9 @@ class TestArcsineMixtures:
         # 5.3e-9 above the atom's mass, so Q_nu jumps across the gap after
         # the atom at the atom's top level and steps at that end 5.3e-9
         # higher; Q_nu(u-) at the step's top is that end, not the atom
-        mu = Measure1D.from_components(atoms=[(-1.75, 0.6012787440086247)], arcsine_parts=[
-            ArcsinePart(0.30063937200431234, 0.0, 0.001), ArcsinePart(0.09808188398706287, 0.0, 0.001)])
+        mu = Measure1D.from_components(atoms=[(-1.75, 0.6012787440086247)],
+                                       arcsine_parts=[ArcsinePart(0.30063937200431234, 0.0, 0.001),
+                                                      ArcsinePart(0.09808188398706287, 0.0, 0.001)])
         nu = mu.shifted(0.01)
         assert abs(wasserstein_inf(mu, nu) - 0.01) <= 4 * EPS * 1.75
         assert abs(wasserstein_inf(nu, mu) - 0.01) <= 4 * EPS * 1.75
