@@ -5,7 +5,8 @@ randomness is involved): reruns produce byte-identical output.  CSV files
 start with a provenance line ``# swgeo <command> <version> <flags>``,
 then a header row, then data rows with reals printed to 17 significant
 digits.  Flag precedence is command line > ``--config`` file (key=value
-lines) > built-in defaults.
+lines) > built-in defaults.  Each command imports the library modules it
+calls, so ``--version`` and the light commands load none they do not use.
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .families import (
-    circle_family,
-    mixture_control_curve,
-    mu_curve,
-    mu_family,
-    nu_family,
-    shell_from_text,
-    shell_masses,
-    transformed_nu_curve,
-)
-from .measure1d import MeasureError, measure_from_text
-from .sliced import sw_pq, w_inf_circle, w_p_radial
-from .sphere import beta_directions, c_dq, mc_directions
-from .svg import LinePlot
-from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
 
 # --------------------------------------------------------------- param types
 
@@ -175,6 +161,7 @@ def _flags(ctx) -> dict:
 
 
 def _build_dirs(d: int, quad: str, n: int, seed: int):
+    from .sphere import beta_directions, mc_directions
     return beta_directions(d, n) if quad == "beta" else mc_directions(d, n, seed)
 
 
@@ -198,7 +185,10 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except MeasureError as exc:
+        except ValueError as exc:  # imported here: a command may not load measure1d
+            from .measure1d import MeasureError
+            if not isinstance(exc, MeasureError):
+                raise
             raise click.ClickException(str(exc)) from exc
 
 
@@ -223,6 +213,7 @@ def main():
 @click.pass_context
 def density(ctx, alpha, beta, t, format, out):
     """Density breakpoints of the 1D interpolating family at given times."""
+    from .families import mu_family
     measures = [(ti, mu_family(alpha, beta, ti)) for ti in t]
 
     if format == "csv":
@@ -235,6 +226,7 @@ def density(ctx, alpha, beta, t, format, out):
         _emit(out, _csv("density", _flags(ctx), ["t", "kind", "x0", "x1", "value"], rows))
         return
 
+    from .svg import LinePlot
     plot = LinePlot(title=f"density of the interpolating family  "
                           f"alpha={alpha:g} beta={beta:g}",
                     xlabel="x", ylabel="density")
@@ -278,6 +270,8 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
 
     The ratio grows like t^(1/p - 1) as t -> 0, so the two metrics are
     not bi-Lipschitz equivalent; the fitted log-log slope is appended."""
+    from .families import nu_family
+    from .sliced import sw_pq, w_p_radial
     if not (p > 1.0):
         raise click.ClickException(
             "p must be > 1 (or inf): at p = 1 the ratio exponent 1/p - 1 "
@@ -313,6 +307,8 @@ def holder(ctx, alpha, p, d, t_grid, out):
 
     The curve moves like t^{1/p} in W_p (Holder of order 1/p, not
     Lipschitz); the fitted exponent and the 1/p target are appended."""
+    from .families import nu_family
+    from .sliced import w_p_radial
     if math.isinf(p) or not (p > 1.0):
         raise click.ClickException("p must be finite and > 1 for the exponent fit")
     if any(t <= 0.0 for t in t_grid):
@@ -337,6 +333,7 @@ def hopping(ctx, alpha, t_grid, out):
     The supports are disjoint spheres, so the growing inner mass reaches
     its shell by jumping between components, not by flowing through the
     gap."""
+    from .families import shell_masses
     rows = []
     for t in t_grid:
         outer, inner = shell_masses(alpha, t)
@@ -358,6 +355,9 @@ def circle(ctx, t_grid, q, dirs, seed, out):
 
     Both candidate closed forms sin(pi t / 2) and 2 sin(t) / pi are
     tabulated next to the computed value; the matching one is marked."""
+    from .families import circle_family
+    from .sliced import sw_pq, w_inf_circle
+    from .sphere import mc_directions
     if any(not (0.0 < t <= 1.0) for t in t_grid):
         raise click.ClickException("t values must lie in (0, 1]")
     ds = mc_directions(2, dirs, seed)
@@ -394,6 +394,7 @@ def circle(ctx, t_grid, q, dirs, seed, out):
 @click.pass_context
 def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out):
     """Table of the direction-averaging constant C(d, q) by both methods."""
+    from .sphere import c_dq
     rows = []
     for d in d_list:
         for q in q_list:
@@ -409,6 +410,7 @@ def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out):
 def _parse_family(spec: str, d_default: int):
     """Family spec: 'mu:alpha=..;beta=..', 'nu:alpha=..;x=x1,x2,x3;d=..'
     with optional 'a=..;y=..;z=..' transform keys, or 'control'."""
+    from .families import mixture_control_curve, mu_curve, transformed_nu_curve
     spec = spec.strip()
     if spec == "control":
         return ("1d", mixture_control_curve())
@@ -444,7 +446,7 @@ def _parse_family(spec: str, d_default: int):
             zv = np.zeros(d) if z is None else np.array(_parse_float_list(z))
             return ("shell", transformed_nu_curve(alpha, x, d, a, yv, zv), d)
         raise ValueError(f"unknown family kind {kind!r}")
-    except (KeyError, ValueError, MeasureError) as exc:
+    except (KeyError, ValueError) as exc:
         raise click.ClickException(f"unparseable family spec {spec!r}: {exc}") from exc
 
 
@@ -469,12 +471,14 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
 
     Exits nonzero when the deviation exceeds the tolerance, so the check
     can gate CI directly."""
+    from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
     parsed = _parse_family(family, d_default=3)
     if parsed[0] == "1d":
         curve = parsed[1]
         dist = (wasserstein_inf if math.isinf(p)
                 else lambda a, b: wasserstein_p(a, b, p))
     else:
+        from .sliced import sw_pq
         curve, d = parsed[1], parsed[2]
         ds = _build_dirs(d, quad, dirs, seed)
         dist = lambda a, b: sw_pq(a, b, p, q, ds)
@@ -496,6 +500,8 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
 @click.option("--out", default="-", show_default=True)
 def wp(measure_files, p, out):
     """1D distance between two measures given in the text format."""
+    from .measure1d import measure_from_text
+    from .transport1d import wasserstein_inf, wasserstein_p
     if len(measure_files) != 2:
         raise click.ClickException("exactly two --measure-file arguments are required")
     ma = measure_from_text(_read_file(measure_files[0]))
@@ -517,6 +523,9 @@ def wp(measure_files, p, out):
 @click.option("--out", default="-", show_default=True)
 def sw(shell_files, p, q, dirs, quad, seed, out):
     """Sliced distance between two shell mixtures given in the text format."""
+    from .families import shell_from_text
+    from .measure1d import MeasureError
+    from .sliced import sw_pq
     if len(shell_files) != 2:
         raise click.ClickException("exactly two --shell-file arguments are required")
     a = shell_from_text(_read_file(shell_files[0]))

@@ -71,6 +71,8 @@ class ArcsinePart:
     radius: float = 1.0
 
     def __post_init__(self):
+        for v in (self.weight, self.center, self.radius):
+            _as_float(v)
         if not (self.weight > 0.0):
             raise MeasureError("arcsine weight must be positive")
         if not (self.radius > 0.0):
@@ -245,11 +247,14 @@ class Measure1D:
         return Measure1D.from_components(atoms, pieces, parts)
 
     def shifted(self, c: float) -> "Measure1D":
-        """Pushforward under x -> x + c."""
+        """Pushforward under x -> x + c.  A piece whose width rounds to a new
+        value gets the density that keeps its mass."""
         c = _as_float(c)
+        moved = [(lo, hi, lo + c, hi + c, rho) for lo, hi, rho in self.pieces]
         return Measure1D.from_components(
             [(p + c, m) for p, m in self.atoms],
-            [(lo + c, hi + c, rho) for lo, hi, rho in self.pieces],
+            [(a, b, rho if b - a == hi - lo else rho * (hi - lo) / (b - a))
+             for lo, hi, a, b, rho in moved],
             [ArcsinePart(pt.weight, pt.center + c, pt.radius)
              for pt in self.arcsine_parts])
 

@@ -68,6 +68,28 @@ class TestConstruction:
                            (0.5, Measure1D.dirac(0.2))])
         assert m.isclose(mixed_atom_measure())
 
+    @pytest.mark.parametrize("fields", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                        (1.0, 0.0, math.inf), (math.inf, 0.0, 1.0)])
+    def test_arcsine_part_rejects_non_finite_fields(self, fields):
+        with pytest.raises(MeasureError, match="non-finite value"):
+            ArcsinePart(*fields)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), NON_FINITE)
+def test_constructors_reject_non_finite_values(data, bad):
+    """One non-finite field anywhere in an atom, a piece or an arcsine part
+    is refused as such, by ArcsinePart or by Measure1D.from_components."""
+    fields = [[0.2, 0.25], [-1.0, 0.0, 0.25], [0.25, 0.5, 0.5]]  # atom, piece, part
+    kind = data.draw(st.integers(0, 2))
+    fields[kind][data.draw(st.integers(0, len(fields[kind]) - 1))] = bad
+    with pytest.raises(MeasureError, match="non-finite value"):
+        Measure1D.from_components([tuple(fields[0])], [tuple(fields[1])],
+                                  [ArcsinePart(*fields[2])])
+
 
 # ------------------------------------------------------------------------ cdf
 
@@ -455,3 +477,18 @@ class TestTransforms:
     def test_shifted(self):
         m = Measure1D.uniform(-1, 1).shifted(3.0)
         assert m.isclose(Measure1D.uniform(2.0, 4.0))
+
+    @pytest.mark.parametrize("c", [1.7601568569932668, -1.76, 2500.0])
+    def test_shifted_keeps_a_narrow_dense_piece_mass(self, c):
+        # lo + c and hi + c round, so the width moves by up to an ulp of the
+        # new ends: keeping the density of 315 moved the mass by 630 ulps
+        m = Measure1D.from_components([(-0.5, 1.0 - 315.0 * (0.101 - 0.1))],
+                                      [(0.1, 0.101, 315.0)])
+        (lo, hi, rho), = m.pieces
+        (lo2, hi2, rho2), = m.shifted(c).pieces
+        assert hi2 - lo2 != hi - lo
+        assert abs(rho2 * (hi2 - lo2) - rho * (hi - lo)) <= 2 * math.ulp(rho * (hi - lo))
+
+    def test_shifted_keeps_the_density_of_an_exact_translate(self):
+        m = Measure1D.from_components([(-0.5, 0.75)], [(0.25, 0.5, 1.0)]).shifted(0.375)
+        assert m.pieces == ((0.625, 0.875, 1.0),)
