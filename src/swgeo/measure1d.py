@@ -250,11 +250,12 @@ class Measure1D:
         """Pushforward under x -> x + c.  A piece whose width rounds to a new
         value gets the density that keeps its mass."""
         c = _as_float(c)
-        moved = [(lo, hi, lo + c, hi + c, rho) for lo, hi, rho in self.pieces]
+        pieces = []
+        for lo, hi, rho in self.pieces:
+            a, b = lo + c, hi + c
+            pieces.append((a, b, rho if b - a == hi - lo else rho * (hi - lo) / (b - a)))
         return Measure1D.from_components(
-            [(p + c, m) for p, m in self.atoms],
-            [(a, b, rho if b - a == hi - lo else rho * (hi - lo) / (b - a))
-             for lo, hi, a, b, rho in moved],
+            [(p + c, m) for p, m in self.atoms], pieces,
             [ArcsinePart(pt.weight, pt.center + c, pt.radius)
              for pt in self.arcsine_parts])
 

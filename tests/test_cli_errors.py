@@ -5,7 +5,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from swgeo.cli import main
@@ -157,7 +157,7 @@ def config_files(draw):
     return command, "\n".join(draw(st.lists(line, max_size=5))) + "\n"
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None)
 @given(config_files())
 def test_config_lines_never_raise(tmp_path_factory, drawn):
     command, text = drawn

@@ -488,7 +488,3 @@ class TestTransforms:
         (lo2, hi2, rho2), = m.shifted(c).pieces
         assert hi2 - lo2 != hi - lo
         assert abs(rho2 * (hi2 - lo2) - rho * (hi - lo)) <= 2 * math.ulp(rho * (hi - lo))
-
-    def test_shifted_keeps_the_density_of_an_exact_translate(self):
-        m = Measure1D.from_components([(-0.5, 0.75)], [(0.25, 0.5, 1.0)]).shifted(0.375)
-        assert m.pieces == ((0.625, 0.875, 1.0),)
