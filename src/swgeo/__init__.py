@@ -19,7 +19,7 @@ _SOURCE = {name: module for module, names in {
                  "cdf_eval measure_from_text measure_to_text pushforward_pwl quantile "
                  "sample",
     "sliced": "PointCloud empirical_w1d sample_shell sliced_geodesic_deviation sw_pq "
-              "sw_pq_empirical sw_per_direction w_inf_circle w_p_radial",
+              "sw_pq_empirical w_inf_circle w_p_radial",
     "sphere": "DirectionSet beta_directions c_dq mc_directions",
     "transport1d": "geodesic_deviation interpolate optimal_map wasserstein_inf "
                    "wasserstein_p",

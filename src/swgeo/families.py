@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .measure1d import (MASS_TOL, ArcsinePart, Measure1D, MeasureError, MeasureRows,
-                        _canonicalize)
+                        _canonicalize, quantile_rows)
 
 __all__ = [
     "ShellMixture",
@@ -57,7 +57,7 @@ def _check_unit(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise MeasureError("direction must be a 1-D vector")
-    if abs(np.linalg.norm(theta) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(theta) - 1.0) <= _UNIT_TOL:  # nan too
         raise MeasureError("direction must be a unit vector (within 1e-12)")
     return theta
 
@@ -362,38 +362,30 @@ def radon_project(sm: ShellMixture, theta) -> Measure1D:
 def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Quantile functions of the projections of sm onto every row of the
-    unit-row matrix thetas, as polylines (s, x) of shape (n, 4K) for K
-    components, in the :class:`QuantileFn` encoding (a repeated s is a
-    support gap, a repeated x an atom).
-
-    The projections are those of :func:`radon_project`, for all rows at
-    once.  The CDF is affine between consecutive interval endpoints, so
-    the quantile joins the points (F(e-), e) and (F(e+), e) over the
-    sorted endpoints e, each CDF value summed over the components
-    directly rather than accumulated along the line.
-    """
+    unit-row matrix thetas, as the polylines (s, x) of
+    :func:`~swgeo.measure1d.quantile_rows`, of shape (n, 4K) for K
+    components: the projections of :func:`radon_project`, for all rows at
+    once, each shell the density w / (hi - lo) on its interval (an atom
+    keeps its mass w / 1)."""
     w = np.array([w for w, _, _ in sm.components])
     lo, hi = _projected_intervals(sm, thetas)  # (n, K)
-    atom = lo == hi
-    ends = np.sort(np.concatenate([lo, hi], axis=1), axis=1)  # (n, 2K)
-    e = ends[:, :, None]
-    spread = np.clip((e - lo[:, None]) / np.where(atom, 1.0, hi - lo)[:, None], 0.0, 1.0)
-    below = np.where(atom[:, None], e > lo[:, None], spread) @ w
-    upto = np.where(atom[:, None], e >= lo[:, None], spread) @ w
-    s = np.stack([below, upto], axis=2).reshape(ends.shape[0], -1)
-    s[:, -1] = 1.0
-    s = np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1]  # clamp mass roundoff
-    return s, np.repeat(ends, 2, axis=1)
+    return quantile_rows(lo, hi, w / np.where(lo == hi, 1.0, hi - lo))
+
+
+def _circle_loci(cm: CircleMixture, thetas: np.ndarray) -> np.ndarray:
+    """theta.c for every row theta of thetas and center c of cm, shape
+    (n, K).  Each is one dot product as np.dot takes it (a stacked
+    1 x 2 @ 2 x 1 matmul calls it), whatever the number of rows."""
+    c = np.array([c for _, _, c in cm.components])
+    return (thetas[:, None, None, :] @ c[None, :, :, None])[:, :, 0, 0]
 
 
 def _circle_parts(cm: CircleMixture, thetas: np.ndarray):
     """The projections of cm onto every row of thetas, one list each of
     atoms (position, mass) and arcsine parts (weight, center, radius) per
-    row.  Each theta.c is one dot product as np.dot takes it (a stacked
-    1 x 2 @ 2 x 1 matmul calls it), whatever the number of rows."""
-    w, r, c = (np.array(v) for v in zip(*cm.components))
-    loc = (thetas[:, None, None, :] @ c[None, :, :, None])[:, :, 0, 0].tolist()
-    comps = list(zip(w.tolist(), r.tolist()))
+    row, centered at :func:`_circle_loci`."""
+    loc = _circle_loci(cm, thetas).tolist()
+    comps = [(w, r) for w, r, _ in cm.components]
     return ([[(x, wi) for x, (wi, ri) in zip(row, comps) if ri <= _RADIUS_EPS] for row in loc],
             [[(wi, x, ri) for x, (wi, ri) in zip(row, comps) if ri > _RADIUS_EPS] for row in loc])
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "MeasureRows",
     "AnalyticQuantile",
     "newton_roots",
+    "quantile_rows",
     "PiecewiseLinearMap",
     "cdf_eval",
     "quantile",
@@ -59,6 +60,13 @@ def _as_float(x) -> float:
     if not math.isfinite(v):
         raise MeasureError(f"non-finite value {x!r}")
     return v
+
+
+def _generator(seed) -> np.random.Generator:
+    """numpy's PCG64 generator for seed; a negative seed raises MeasureError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise MeasureError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -167,24 +175,6 @@ class Measure1D:
         """Arcsine catalog measure on (center - radius, center + radius)."""
         return cls.from_components(arcsine_parts=[ArcsinePart(1.0, center, radius)])
 
-    @classmethod
-    def mix(cls, components: Iterable[tuple[float, "Measure1D"]]) -> "Measure1D":
-        """Convex combination sum_i w_i * m_i (weights must sum to 1)."""
-        atoms: list[tuple[float, float]] = []
-        pieces: list[tuple[float, float, float]] = []
-        parts: list[ArcsinePart] = []
-        for w, m in components:
-            w = _as_float(w)
-            if w == 0.0:
-                continue
-            if w < 0.0:
-                raise MeasureError("mixture weights must be nonnegative")
-            atoms.extend((p, w * mass) for p, mass in m.atoms)
-            pieces.extend((lo, hi, w * rho) for lo, hi, rho in m.pieces)
-            parts.extend(ArcsinePart(w * a.weight, a.center, a.radius)
-                         for a in m.arcsine_parts)
-        return cls.from_components(atoms, pieces, parts)
-
     # ----------------------------------------------------------- properties
 
     @property
@@ -217,17 +207,20 @@ class Measure1D:
 
     def quantile_fn(self):
         """Generalized-inverse CDF: exact :class:`QuantileFn` for discrete
-        mixtures, an :class:`AnalyticQuantile` evaluator otherwise."""
-        if self.is_discrete_mixture:
-            return _build_quantile(self)
-        return AnalyticQuantile(self)
+        mixtures, the one-row case of :func:`quantile_rows` without its
+        repeated points; an :class:`AnalyticQuantile` evaluator otherwise."""
+        if not self.is_discrete_mixture:
+            return AnalyticQuantile(self)
+        comps = [(pos, pos, mass) for pos, mass in self.atoms] + list(self.pieces)
+        (s,), (x,) = quantile_rows(*np.array(comps).T[:, None])
+        keep = np.append(True, (s[1:] != s[:-1]) | (x[1:] != x[:-1]))
+        return QuantileFn(s[keep], x[keep])
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse-CDF sampling (numpy PCG64 generator)."""
         if n < 1:
             raise MeasureError("sample size must be >= 1")
-        rng = np.random.default_rng(seed)
-        u = rng.random(n)
+        u = _generator(seed).random(n)
         return np.asarray(self.quantile_fn()(u), dtype=float)
 
     # -------------------------------------------------------------- algebra
@@ -259,25 +252,6 @@ class Measure1D:
             [ArcsinePart(pt.weight, pt.center + c, pt.radius)
              for pt in self.arcsine_parts])
 
-    # ------------------------------------------------------------- equality
-
-    def isclose(self, other: "Measure1D", tol: float = 1e-12) -> bool:
-        """Breakpoint-level comparison of canonical forms."""
-        if len(self.atoms) != len(other.atoms) or len(self.pieces) != len(other.pieces) \
-                or len(self.arcsine_parts) != len(other.arcsine_parts):
-            return False
-        for (p1, m1), (p2, m2) in zip(self.atoms, other.atoms):
-            if abs(p1 - p2) > tol or abs(m1 - m2) > tol:
-                return False
-        for (lo1, hi1, r1), (lo2, hi2, r2) in zip(self.pieces, other.pieces):
-            if abs(lo1 - lo2) > tol or abs(hi1 - hi2) > tol or abs(r1 - r2) > tol:
-                return False
-        for a1, a2 in zip(self.arcsine_parts, other.arcsine_parts):
-            if abs(a1.weight - a2.weight) > tol or abs(a1.center - a2.center) > tol \
-                    or abs(a1.radius - a2.radius) > tol:
-                return False
-        return True
-
 
 # ------------------------------------------------------------------ quantiles
 
@@ -302,7 +276,7 @@ class QuantileFn:
         object.__setattr__(self, "x", x)
         if s.ndim != 1 or s.shape != x.shape or s.size < 2:
             raise MeasureError("quantile breakpoints must be parallel 1-D arrays")
-        if np.any(np.diff(s) < 0) or np.any(np.diff(x) < 0):
+        if np.any(s[1:] < s[:-1]) or np.any(x[1:] < x[:-1]):  # no overflowing diff
             raise MeasureError("quantile breakpoints must be nondecreasing")
         if s[0] != 0.0 or s[-1] != 1.0:
             raise MeasureError("quantile s-range must be exactly [0, 1]")
@@ -523,10 +497,6 @@ class AnalyticQuantile:
         out = self._at(u.ravel(), np.broadcast_to(r, u.shape).ravel(), left).reshape(u.shape)
         return float(out) if scalar else out
 
-    def left_limit(self, u, r=0):
-        """Q(u-): the start of the gap Q jumps across at level u, else Q(u)."""
-        return self(u, r, left=True)
-
     def _bracket(self, u: np.ndarray, r: np.ndarray):
         """The flat indices of the breaks of the bracket that holds the
         level u in row r (flat and parallel): the left one, and the right
@@ -662,23 +632,37 @@ def _x_of_phi(phi, a, b, phi0, phi1, h):
     return e + 2.0 * h * np.cos(0.5 * (phi + pe)) * np.sin(0.5 * (phi - pe))
 
 
-def _build_quantile(m: Measure1D) -> QuantileFn:
-    """Exact piecewise-affine quantile of a discrete mixture.  Canonical
-    atoms (lo = hi) and pieces are disjoint, so over them in sorted order
-    the quantile joins (cum_k, lo_k) to (cum_k+1, hi_k) for the cumulative
-    masses cum; a point repeating the one before it is dropped."""
-    points: list[tuple[float, float]] = []
-    cum = 0.0
-    for lo, hi, mass in sorted([(pos, pos, mass) for pos, mass in m.atoms]
-                               + [(lo, hi, rho * (hi - lo)) for lo, hi, rho in m.pieces]):
-        for point in ((cum, lo), (cum + mass, hi)):
-            if not points or point != points[-1]:
-                points.append(point)
-        cum += mass
-    s, x = map(np.array, zip(*points))
-    s[-1] = 1.0
-    s = np.minimum.accumulate(s[::-1])[::-1]  # clamp tiny cumsum overshoots
-    return QuantileFn(s, x)
+def quantile_rows(lo: np.ndarray, hi: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile polylines (s, x) of measures given as rows of K components,
+    of shape (n, 4K), in the :class:`QuantileFn` encoding.  Component k of
+    a row is an atom of mass v where lo == hi, and the density v on
+    [lo, hi] otherwise; v has the shape of lo, or one row for all.
+
+    Over each row's sorted endpoints e the quantile joins (F(e-), e) to
+    (F(e+), e), and F accumulates along the row as a sum of masses: the
+    atoms at each e (summed over the components first), then the next
+    interval's, the density of the intervals that cover it times its width.
+    A mass is taken only where that density is positive, so a gap whose
+    width overflows adds nothing.  Every point equal to a row's last one
+    gets level 1, and the levels are clamped to at most those after them.
+    """
+    e = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
+    first = np.ones(e.shape, dtype=bool)
+    first[:, 1:] = e[:, 1:] != e[:, :-1]
+    a, b = e[:, :-1], e[:, 1:]
+    atom = lo == hi
+    steps = np.zeros((len(e), 2 * e.shape[1]))
+    atoms, rho = steps[:, 1::2], np.zeros(a.shape)
+    masses, densities = np.where(atom, v, 0.0), np.where(atom, 0.0, v)
+    for lk, hk, mk, vk in zip(*(c.T[:, :, None] for c in (lo, hi, masses, densities))):
+        atoms += np.where(first & (e == lk), mk, 0.0)
+        rho += np.where((lk <= a) & (hk >= b), vk, 0.0)
+    on = rho > 0.0
+    np.multiply(rho, np.subtract(b, a, where=on, out=np.zeros(a.shape)), where=on,
+                out=steps[:, 2::2])
+    s, x = np.cumsum(steps, axis=1), np.repeat(e, 2, axis=1)
+    s[(s == s[:, -1:]) & (x == x[:, -1:])] = 1.0
+    return np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1], x
 
 
 # --------------------------------------------------------- piecewise-linear map
@@ -710,14 +694,6 @@ class PiecewiseLinearMap:
             raise MeasureError("map x-breakpoints must be nondecreasing")
         if np.any(np.diff(ys) < 0) or self.left_slope < 0 or self.right_slope < 0:
             raise MeasureError("map must be monotone nondecreasing")
-
-    @classmethod
-    def from_breakpoints(cls, pts: Sequence[tuple[float, float]],
-                         left_slope: float = 0.0,
-                         right_slope: float = 0.0) -> "PiecewiseLinearMap":
-        xs = np.array([p[0] for p in pts], dtype=float)
-        ys = np.array([p[1] for p in pts], dtype=float)
-        return cls(xs, ys, left_slope, right_slope)
 
     @classmethod
     def identity(cls, lo: float = -1.0, hi: float = 1.0) -> "PiecewiseLinearMap":

@@ -5,31 +5,27 @@ empirical path for weighted point clouds.
 W_p between the projections of a and b; a value that overflows float64
 raises MeasureError.  The q-mean divides the distances by the largest
 where their q-th powers would leave float64 range, so that they stay in
-range.  Three paths compute it:
+range.  Two batched kernels compute it, each over every direction in
+array passes, and no Measure1D is built on the way:
 
-* centered shell mixtures: when every component of both mixtures is
-  centered at the origin, the projected quantiles scale linearly with
-  s(theta), so W_p(proj a, proj b) = s(theta) * V with V computed once at
-  theta = e1.  The q-mean then reduces to a moment of s(theta) over the
-  nodes.
-* all other shell mixtures (the production path): one array pass over
-  every direction.  :func:`swgeo.families.radon_quantile_rows` builds the
-  projected quantiles as rows of a polyline array, and
+* shell mixtures project to unions of intervals and atoms.
+  :func:`swgeo.families.radon_quantile_rows` builds their quantiles as
+  the polyline rows of :func:`swgeo.measure1d.quantile_rows`, and
   :func:`swgeo.transport1d.wp_rows`, the exact kernel behind
-  ``wasserstein_p``, merges and integrates the rows; no per-direction
-  Measure1D is built.
-* circle mixtures project to arcsine mixtures.  Centered ones take the
-  centered path with s(theta) = 1.  For off-center ones
+  ``wasserstein_p``, merges and integrates the rows.  Circle mixtures of
+  points only project to atoms and take the same kernel.
+* other circle mixtures project to arcsine mixtures.
   :func:`swgeo.families.circle_rows` builds the projections onto every
   direction as rows of one table, and
   :func:`swgeo.transport1d.wp_measure_rows`, the numeric kernel behind
   ``wasserstein_p``, takes all directions and both sides in one Newton
-  loop per step, in batches of rows.  Mixtures of points only project to
-  atoms and go direction by direction through the exact path.
+  loop per step, in batches of rows.
 
-``sw_per_direction``, the path of the centered cases, projects onto one
-theta with ``radon_project`` (or ``circle_project``) and then takes
-``wasserstein_p``; the tests use it as the oracle for the batched paths.
+Centered mixtures, whose components are all centered at the origin, take
+a shortcut: their projected quantiles scale linearly with s(theta) for
+shells and do not depend on theta for circles, so W_p(proj a, proj b) =
+s(theta) * V (s = 1 for circles) with V the kernel's one row at e1.  The
+q-mean then reduces to a moment of s(theta) over the nodes.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
@@ -68,11 +64,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import families, transport1d
-from .families import CircleMixture, ShellMixture, circle_project, radon_project
+from . import families, measure1d, transport1d
+from .families import CircleMixture, ShellMixture
 from .measure1d import MASS_TOL, MeasureError
 from .sphere import DirectionSet
-from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
+from .transport1d import pairwise_deviation
 
 __all__ = [
     "PointCloud",
@@ -187,17 +183,16 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         raise MeasureError(f"dimension mismatch: a={a.dim}, b={b.dim}, dirs={dirs.dim}")
 
     shell = isinstance(a, ShellMixture)
+    distances = _shell_distances if shell else _circle_distances
     if _is_centered(a) and _is_centered(b):
         # projections scale with s(theta) for shells and do not depend on
         # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
-        v = sw_per_direction(a, b, p, np.eye(a.dim)[0])
+        v = float(distances(a, b, p, np.eye(a.dim)[:1])[0])
         s = dirs.s_values() if shell else np.ones(dirs.n)
         val = v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-        distances = _shell_distances if shell else _circle_distances
-        vals = distances(a, b, p, thetas)
-        val = _qmean(vals, dirs.weights, q)
+        val = _qmean(distances(a, b, p, thetas), dirs.weights, q)
     return _finite(val, "mixtures")
 
 
@@ -220,22 +215,34 @@ def _finite(val: float, what: str) -> float:
     return val
 
 
-# Values per batch of the shell kernel: its largest temporaries hold
-# rows * 2K * K values for K components.
+# Values per batch of the polyline kernel: its largest temporaries hold
+# rows * 8K values for K components, the merged levels of two rows.
 _BATCH_VALUES = 1 << 18
+
+
+def _polyline_distances(rows, a, b, p: float, thetas: np.ndarray) -> np.ndarray:
+    """Exact 1D distance between the quantile polylines rows(a, batch) and
+    rows(b, batch) of the projections of a and b, for every row of thetas,
+    as array passes over batches of rows."""
+    step = max(1, _BATCH_VALUES // (8 * max(len(a.components), len(b.components))))
+    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
+        return np.concatenate([
+            transport1d.wp_rows(*rows(a, batch), *rows(b, batch), p)
+            for batch in np.split(thetas, range(step, len(thetas), step))])
 
 
 def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
                      thetas: np.ndarray) -> np.ndarray:
     """1D distance between the projections of a and b onto every row of
-    thetas, as array passes over batches of rows."""
-    k = max(len(a.components), len(b.components))
-    step = max(1, _BATCH_VALUES // (2 * k * k))
-    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
-        return np.concatenate([
-            transport1d.wp_rows(*families.radon_quantile_rows(a, batch),
-                                *families.radon_quantile_rows(b, batch), p)
-            for batch in np.split(thetas, range(step, len(thetas), step))])
+    thetas, on the polylines of :func:`~swgeo.families.radon_quantile_rows`."""
+    return _polyline_distances(families.radon_quantile_rows, a, b, p, thetas)
+
+
+def _point_rows(cm: CircleMixture, thetas: np.ndarray):
+    """The quantile polylines of the projections of a circle mixture of
+    points onto every row of thetas: one atom per point."""
+    loc = families._circle_loci(cm, thetas)
+    return measure1d.quantile_rows(loc, loc, np.array([w for w, _, _ in cm.components]))
 
 
 # Values per pair of projections with K components and per K^2, for
@@ -249,33 +256,15 @@ def _circle_distances(a: CircleMixture, b: CircleMixture, p: float,
     """1D distance between the projections of a and b onto every row of
     thetas.  Arcsine projections go through the numeric kernel as the
     rows of one table per batch of rows; two mixtures of point masses
-    project to atoms only and take the exact per-direction path."""
+    project to atoms only and take the exact polyline kernel."""
     if all(r <= families._RADIUS_EPS for m in (a, b) for _, r, _ in m.components):
-        return np.array([sw_per_direction(a, b, p, theta) for theta in thetas])
+        return _polyline_distances(_point_rows, a, b, p, thetas)
     k = max(len(a.components), len(b.components))
     step = max(1, _BATCH_VALUES // (_ARCSINE_PAIR_VALUES * k * k))
     with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
         return np.concatenate([
             transport1d.wp_measure_rows(families.circle_rows((a, b), batch), p)
             for batch in np.split(thetas, range(step, len(thetas), step))])
-
-
-def sw_per_direction(a, b, p: float, theta) -> float:
-    """W_p between the projections of a and b onto a single direction, one
-    Measure1D per mixture: the centered paths of sw_pq, and the tests'
-    oracle for its batched paths."""
-    p = float(p)
-    if not p >= 1.0:  # nan too
-        raise MeasureError("p must be >= 1")
-    if isinstance(a, ShellMixture):
-        ma, mb = radon_project(a, theta), radon_project(b, theta)
-    elif isinstance(a, CircleMixture):
-        ma, mb = circle_project(a, theta), circle_project(b, theta)
-    else:
-        raise MeasureError(f"unsupported mixture type {type(a).__name__}")
-    if math.isinf(p):
-        return wasserstein_inf(ma, mb)
-    return wasserstein_p(ma, mb, p)
 
 
 # -------------------------------------------------------------- radial W_p
@@ -419,7 +408,7 @@ def sample_shell(sm: ShellMixture, n: int, seed: int) -> PointCloud:
     """
     if n < len(sm.components):
         raise MeasureError(f"sample size {n} is smaller than the number of components")
-    rng = np.random.default_rng(seed)
+    rng = measure1d._generator(seed)
     counts = _allocate_counts(n, [w for w, _, _ in sm.components])
     pts = np.empty((n, sm.dim))
     wts = np.empty(n)

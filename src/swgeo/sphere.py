@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure1d import MASS_TOL, MeasureError
+from .measure1d import MASS_TOL, MeasureError, _generator
 
 __all__ = ["DirectionSet", "mc_directions", "beta_directions", "c_dq"]
 
@@ -74,7 +74,7 @@ def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
         raise MeasureError("dimension must be >= 2")
     if n < 1:
         raise MeasureError("node count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     thetas = rng.standard_normal((n, d))
     norms = np.linalg.norm(thetas, axis=1)
     while np.any(norms < 1e-12):  # essentially unreachable; keeps division safe

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from helpers import mix
 from swgeo.cli import main
 from swgeo.measure1d import Measure1D, measure_to_text
 from swgeo.families import nu_family, shell_to_text
@@ -128,7 +129,7 @@ def test_wp_command_reads_measure_files(runner, tmp_path):
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"
     fa.write_text(measure_to_text(Measure1D.uniform(-1, 1)))
-    fb.write_text(measure_to_text(Measure1D.mix(
+    fb.write_text(measure_to_text(mix(
         [(0.5, Measure1D.uniform(-1, 1)), (0.5, Measure1D.dirac(0.0))])))
     out = run_ok(runner, ["wp", "--measure-file", str(fa),
                           "--measure-file", str(fb), "--p", "2"])

@@ -91,6 +91,25 @@ def test_sw_rejects_nan_exponents(runner, tmp_path, option, name):
     assert result.stderr == f"Error: {name} must be >= 1\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["circle"], ["cdq"], ["nonequiv", "--quad", "mc"],
+    ["geodesic-check", "--family", "nu:alpha=0.5;x=0.2,0,0;d=4", "--quad", "mc"],
+    ["sw", "--quad", "mc"],
+])
+def test_negative_seed_exits_1_with_one_line(runner, tmp_path, args):
+    # numpy refuses a negative seed with a ValueError; the library refuses
+    # it as a MeasureError, so the command ends with its Error line
+    if args[0] == "sw":
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("shell 1 1 0 0 0 0\n")
+        b.write_text("shell 1 1 0.5 0 0 0\n")
+        args = [*args, "--shell-file", str(a), "--shell-file", str(b)]
+    result = runner.invoke(main, [*args, "--seed", "-1"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: seed must be >= 0, got -1\n"
+
+
 # one input per command that raises MeasureError inside the command, and
 # its message; a fresh interpreter runs the command's own imports only
 MEASURE_ERRORS = {

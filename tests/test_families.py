@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swgeo.families
+from helpers import isclose, mix, sw_per_direction
 from swgeo.families import (
     CircleMixture,
     ShellMixture,
@@ -21,7 +22,7 @@ from swgeo.families import (
     w_p_mu01,
 )
 from swgeo.measure1d import Measure1D, MeasureError
-from swgeo.sliced import _shell_distances, sw_per_direction
+from swgeo.sliced import _shell_distances
 from swgeo.sphere import mc_directions
 from swgeo.transport1d import wasserstein_p
 
@@ -56,7 +57,7 @@ class TestMuFamily:
             (-1.0, -0.34, 0.5 / 1.1),
             (-0.34, 0.56, 1.0 / 1.8),
             (0.56, 1.0, 0.5 / 1.1)])
-        assert m.isclose(expect, tol=1e-12)
+        assert isclose(m, expect, tol=1e-12)
 
     def test_total_mass_and_monotone_cdf(self):
         m = mu_family(0.7, -0.6, 0.35)
@@ -215,6 +216,14 @@ class TestSOfTheta:
         with pytest.raises(MeasureError):
             s_of_theta(np.array([1.0, 1.0, 0.0]))
 
+    def test_rejects_nan_direction(self):
+        # |nan - 1| > tol is false: the check must not let a nan norm through
+        theta = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(MeasureError, match="unit vector"):
+            s_of_theta(theta)
+        with pytest.raises(MeasureError, match="unit vector"):
+            radon_project(ShellMixture.single(3, 1.0), theta)
+
     def test_identically_one_in_dimension_three(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -228,7 +237,7 @@ class TestRadonProject:
     def test_unit_shell_projects_to_uniform(self):
         sm = ShellMixture.single(3, 1.0)
         m = radon_project(sm, unit_vec(3))
-        assert m.isclose(Measure1D.uniform(-1, 1))
+        assert isclose(m, Measure1D.uniform(-1, 1))
 
     def test_point_mass_projects_to_atom(self):
         x = np.array([0.2, -0.3, 0.1])
@@ -240,9 +249,9 @@ class TestRadonProject:
     def test_family_projection_structure(self):
         nu = nu_family(0.5, 0.0, 0.5, 3)
         m = radon_project(nu, unit_vec(3))
-        expect = Measure1D.mix([(2.0 / 3.0, Measure1D.uniform(-1, 1)),
+        expect = mix([(2.0 / 3.0, Measure1D.uniform(-1, 1)),
                                 (1.0 / 3.0, Measure1D.uniform(-0.25, 0.25))])
-        assert m.isclose(expect, tol=1e-12)
+        assert isclose(m, expect, tol=1e-12)
         scaled_family = mu_family(0.5, 0.0, 0.5)  # s(theta) = 1 here
         grid = np.linspace(-1, 1, 1001)
         assert np.max(np.abs(m.cdf(grid) - scaled_family.cdf(grid))) < 1e-12
@@ -324,7 +333,7 @@ class TestTransforms:
         moved = translate(sm, unit_vec(4, 3))
         theta = np.zeros(4)
         theta[:3] = random_unit(np.random.default_rng(9), 3)
-        assert radon_project(moved, theta).isclose(radon_project(sm, theta))
+        assert isclose(radon_project(moved, theta), radon_project(sm, theta))
 
     def test_dilation_covariance(self):
         rng = np.random.default_rng(17)
@@ -333,7 +342,7 @@ class TestTransforms:
             theta = random_unit(rng, 4)
             lhs = radon_project(dilate(nu, a), theta)
             rhs = radon_project(nu, theta).scaled(a)
-            assert lhs.isclose(rhs, tol=1e-12)
+            assert isclose(lhs, rhs, tol=1e-12)
 
     def test_translation_covariance(self):
         rng = np.random.default_rng(18)
@@ -342,14 +351,14 @@ class TestTransforms:
         theta = random_unit(rng, 4)
         lhs = radon_project(translate(nu, v), theta)
         rhs = radon_project(nu, theta).shifted(float(theta @ v))
-        assert lhs.isclose(rhs, tol=1e-12)
+        assert isclose(lhs, rhs, tol=1e-12)
 
 
 class TestCircleProject:
     def test_unit_circle_gives_arcsine(self):
         cm = CircleMixture(((1.0, 1.0, np.zeros(2)),))
         m = circle_project(cm, unit_vec(2))
-        assert m.isclose(Measure1D.arcsine())
+        assert isclose(m, Measure1D.arcsine())
 
     def test_family_projection(self):
         m = circle_project(circle_family(0.3), unit_vec(2, 1))

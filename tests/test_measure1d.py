@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import from_breakpoints, isclose, left_limit, mix
 from swgeo.measure1d import (
     AnalyticQuantile,
     MeasureRows,
@@ -15,9 +16,11 @@ from swgeo.measure1d import (
     cdf_eval,
     measure_from_text,
     measure_to_text,
+    QuantileFn,
     newton_roots,
     pushforward_pwl,
     quantile,
+    quantile_rows,
     sample,
 )
 
@@ -64,9 +67,9 @@ class TestConstruction:
         assert m.pieces == ((-1.0, 1.0, 0.5),)
 
     def test_mix(self):
-        m = Measure1D.mix([(0.5, Measure1D.uniform(-1, 1)),
+        m = mix([(0.5, Measure1D.uniform(-1, 1)),
                            (0.5, Measure1D.dirac(0.2))])
-        assert m.isclose(mixed_atom_measure())
+        assert isclose(m, mixed_atom_measure())
 
     @pytest.mark.parametrize("fields", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
                                         (1.0, 0.0, math.inf), (math.inf, 0.0, 1.0)])
@@ -125,8 +128,8 @@ class TestQuantile:
 
     def test_atom_mixture_matches_piecewise_formula(self):
         # alpha = 0.5, beta = 0.2: affine up to 0.3, flat at 0.2 until 0.8
-        q = quantile(Measure1D.mix([(0.5, Measure1D.uniform(-1, 1)),
-                                    (0.5, Measure1D.dirac(0.2))]))
+        q = quantile(mix([(0.5, Measure1D.uniform(-1, 1)),
+                          (0.5, Measure1D.dirac(0.2))]))
         s = np.linspace(0, 1, 2001)
         ref = np.where(s < 0.3, -1 + 4 * s,
                        np.where(s <= 0.8, 0.2, -1 + 4 * (s - 0.5)))
@@ -200,7 +203,7 @@ def test_quantile_nondecreasing(m):
 @settings(max_examples=40, deadline=None)
 @given(discrete_mixtures(), st.floats(-3, 3), st.floats(0.1, 2.5))
 def test_pushforward_preserves_mass(m, shift, scale):
-    T = PiecewiseLinearMap.from_breakpoints(
+    T = from_breakpoints(
         [(-12.0, shift - 12 * scale), (12.0, shift + 12 * scale)],
         left_slope=scale, right_slope=scale)
     image = pushforward_pwl(m, T)
@@ -378,7 +381,7 @@ class TestAnalyticQuantile:
         # the bisection returned its last bracket's midpoint, an ulp above
         # the atom: 0.30000000000000004 and -0.44999999999999996
         for pos in (0.3, -0.45):
-            m = Measure1D.mix([(0.5, Measure1D.dirac(pos)), (0.5, Measure1D.arcsine())])
+            m = mix([(0.5, Measure1D.dirac(pos)), (0.5, Measure1D.arcsine())])
             assert AnalyticQuantile(m)(0.6) == pos
 
     def test_gap_resolves_to_its_upper_end(self):
@@ -386,7 +389,7 @@ class TestAnalyticQuantile:
                                                      ArcsinePart(0.5, 1.5, 0.5)])
         q = AnalyticQuantile(m)
         assert q(0.5) == 1.0
-        assert q.left_limit(np.array([0.5]))[0] == -1.0
+        assert left_limit(q, np.array([0.5]))[0] == -1.0
         assert q(np.nextafter(0.5, 0.0)) == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -395,18 +398,18 @@ class TestAnalyticQuantile:
 
 class TestPushforward:
     def test_dilation(self):
-        T = PiecewiseLinearMap.from_breakpoints([(-1.0, -2.0), (1.0, 2.0)])
+        T = from_breakpoints([(-1.0, -2.0), (1.0, 2.0)])
         out = pushforward_pwl(Measure1D.uniform(-1, 1), T)
-        assert out.isclose(Measure1D.uniform(-2, 2))
+        assert isclose(out, Measure1D.uniform(-2, 2))
 
     def test_flat_stretch_collapses_to_atom(self):
         # map with a constant 0 stretch over [-0.5, 0.5]
-        T = PiecewiseLinearMap.from_breakpoints(
+        T = from_breakpoints(
             [(-1.0, -1.0), (-0.5, 0.0), (0.5, 0.0), (1.0, 1.0)])
         out = pushforward_pwl(Measure1D.uniform(-1, 1), T)
         expect = Measure1D.from_components(atoms=[(0.0, 0.5)],
                                            pieces=[(-1.0, 1.0, 0.25)])
-        assert out.isclose(expect)
+        assert isclose(out, expect)
 
     def test_identity_is_exact(self):
         m = Measure1D.from_components(atoms=[(0.3, 0.25)],
@@ -416,11 +419,106 @@ class TestPushforward:
 
     def test_rejects_non_monotone(self):
         with pytest.raises(MeasureError):
-            PiecewiseLinearMap.from_breakpoints([(0.0, 1.0), (1.0, 0.0)])
+            from_breakpoints([(0.0, 1.0), (1.0, 0.0)])
 
     def test_rejects_analytic(self):
         with pytest.raises(MeasureError):
             pushforward_pwl(Measure1D.arcsine(), PiecewiseLinearMap.identity())
+
+
+@st.composite
+def component_rows(draw):
+    """1-3 rows of K components (lo, hi, mass), lo == hi an atom: free
+    atoms and intervals, atoms at +-1e308, atoms at an end of an earlier
+    component (on an earlier atom, they coincide), and intervals nested
+    in, touching or equal to an earlier one, so that a row's top point
+    often repeats.  Each row's masses sum to 1."""
+    k = draw(st.integers(1, 4))
+    kinds = ["atom", "interval", "far atom", "end atom", "nested", "touching", "equal"]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        comps = []
+        for _ in range(k):
+            kind = draw(st.sampled_from(kinds if comps else kinds[:3]))
+            if comps:
+                plo, phi, _ = comps[draw(st.integers(0, len(comps) - 1))]
+            if kind == "atom":
+                lo = hi = draw(st.floats(-10, 10))
+            elif kind == "interval":
+                lo = draw(st.floats(-10, 10))
+                hi = lo + draw(st.floats(1e-3, 5))
+            elif kind == "far atom":
+                lo = hi = draw(st.sampled_from([-1e308, 1e308]))
+            elif kind == "end atom":
+                lo = hi = draw(st.sampled_from([plo, phi]))
+            elif kind == "nested":
+                lo = plo + (phi - plo) * draw(st.floats(0, 0.5))
+                hi = phi - (phi - plo) * draw(st.floats(0, 0.5))
+            elif kind == "touching":
+                lo, hi = phi, phi + draw(st.floats(1e-3, 5))
+            else:
+                lo, hi = plo, phi
+            comps.append((lo, hi, draw(st.floats(0.05, 1.0))))
+        total = sum(m for _, _, m in comps)
+        rows.append([(lo, hi, m / total) for lo, hi, m in comps])
+    return np.array(rows)
+
+
+def _order_key(x):
+    """Floats as int64 keys in the same order, adjacent floats adjacent."""
+    i = x.view(np.int64)
+    return np.where(i < 0, -(i & 0x7FFFFFFFFFFFFFFF), i)
+
+
+def _from_key(k):
+    return np.where(k < 0, (-k) | np.int64(-2 ** 63), k).view(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_rows())
+@example(np.array([[(-1e308, -1e308, 0.25), (0.0, 1.0, 0.5), (1e308, 1e308, 0.25)],
+                   [(-1e308, -1e308, 0.5), (1e308, 1e308, 0.25), (1e308, 1e308, 0.25)]]))
+@example(np.array([[(0.0, 1.0, 0.5), (0.5, 1.0, 0.25), (1.0, 1.0, 0.25)]]))
+def test_quantile_rows_against_bisection(rows):
+    lo, hi, m = rows.transpose(2, 0, 1)
+    atom = lo == hi
+    s, x = quantile_rows(lo, hi, np.where(atom, m, m / np.where(atom, 1.0, hi - lo)))
+
+    def cdf(y, r):
+        # F(y), the mass of (-inf, y) in the rows r: the atoms below y plus
+        # sum_k m_k clip((y - lo_k) / (hi_k - lo_k), 0, 1) over the intervals
+        a, b, w = lo[r], hi[r], m[r]
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = np.clip((y[:, None] - a) / np.where(atom[r], 1.0, b - a), 0.0, 1.0)
+        return (np.where(atom[r], a < y[:, None], part) * w).sum(axis=1)
+
+    r = np.repeat(np.arange(len(s)), s.shape[1])
+    # every point joins F(e-) to F(e+) at an endpoint e, in order
+    np.testing.assert_array_equal(x, np.repeat(np.sort(np.concatenate([lo, hi], axis=1)), 2, axis=1))
+    assert np.all(np.diff(s, axis=1) >= 0.0) and np.all(s[:, 0] == 0.0)
+    assert np.all(cdf(x.ravel(), r) <= s.ravel() + 1e-12)
+    assert np.all(s.ravel() <= cdf(np.nextafter(x.ravel(), np.inf), r) + 1e-12)
+    # a top point that repeats is at level 1 each time
+    assert np.all(s[x == x[:, -1:]] != np.nextafter(1.0, 0.0)) and np.all(s[:, -1] == 1.0)
+    # Q(u) = sup{x : F(x) <= u} by bisection over the floats, at levels
+    # inside each segment, against the polylines
+    u, ur = [], []
+    for i, (si, xi) in enumerate(zip(s, x)):
+        q = QuantileFn(si, xi)
+        j = np.flatnonzero(np.diff(si) > 1e-9)
+        levels = (si[j, None] + np.diff(si)[j, None] * np.array([0.25, 0.5, 0.75])).ravel()
+        u.append(levels)
+        ur.append(np.full(levels.size, i))
+        got = q(levels) if i == 0 else np.append(got, q(levels))
+    u, ur = np.concatenate(u), np.concatenate(ur)
+    below = _order_key(x[ur, 0])
+    above = _order_key(np.nextafter(x[ur, -1], np.inf))
+    for _ in range(70):
+        mid = below // 2 + above // 2 + ((below & 1) + (above & 1)) // 2
+        ok = cdf(_from_key(mid), ur) <= u
+        below, above = np.where(ok, mid, below), np.where(ok, above, mid)
+    want = _from_key(below)
+    assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
 
 
 # ------------------------------------------------------------------- sampling
@@ -445,6 +543,10 @@ class TestSampling:
         b = sample(mixed_atom_measure(), 100, seed=5)
         np.testing.assert_array_equal(a, b)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
+            sample(mixed_atom_measure(), 10, seed=-1)
+
 
 # -------------------------------------------------------------- serialization
 
@@ -467,16 +569,16 @@ class TestTextFormat:
 class TestTransforms:
     def test_scaled(self):
         m = mixed_atom_measure().scaled(2.0)
-        assert m.isclose(Measure1D.from_components(
+        assert isclose(m, Measure1D.from_components(
             atoms=[(0.4, 0.5)], pieces=[(-2.0, 2.0, 0.125)]))
 
     def test_scaled_negative_reflects(self):
         m = Measure1D.from_components(pieces=[(0.0, 1.0, 1.0)]).scaled(-1.0)
-        assert m.isclose(Measure1D.uniform(-1.0, 0.0))
+        assert isclose(m, Measure1D.uniform(-1.0, 0.0))
 
     def test_shifted(self):
         m = Measure1D.uniform(-1, 1).shifted(3.0)
-        assert m.isclose(Measure1D.uniform(2.0, 4.0))
+        assert isclose(m, Measure1D.uniform(2.0, 4.0))
 
     @pytest.mark.parametrize("c", [1.7601568569932668, -1.76, 2500.0])
     def test_shifted_keeps_a_narrow_dense_piece_mass(self, c):

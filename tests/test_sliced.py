@@ -6,7 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import swgeo.families
 import swgeo.sliced
+import swgeo.transport1d
+from helpers import loop_oracle, oracle_directions, sw_per_direction
 from swgeo.families import (
     _RADIUS_EPS,
     CircleMixture,
@@ -20,11 +23,9 @@ from swgeo.families import (
 from swgeo.measure1d import Measure1D, MeasureError
 from swgeo.sliced import (
     PointCloud,
-    _sup_directions,
     empirical_w1d,
     sample_shell,
     sliced_geodesic_deviation,
-    sw_per_direction,
     sw_pq,
     sw_pq_empirical,
     w_inf_circle,
@@ -37,6 +38,19 @@ from swgeo.transport1d import wasserstein_inf, wasserstein_p
 def random_unit(rng, d):
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def refuse_per_direction_path(monkeypatch):
+    """Make every step of the per-direction chain, radon_project or
+    circle_project -> Measure1D -> wasserstein_p or wasserstein_inf, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-direction path taken")
+
+    for module, name in ((swgeo.families, "radon_project"), (swgeo.families, "circle_project"),
+                         (swgeo.transport1d, "wasserstein_p"),
+                         (swgeo.transport1d, "wasserstein_inf")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Measure1D, "from_components", classmethod(refuse))
 
 
 class TestSwPq:
@@ -118,19 +132,6 @@ class TestSwPq:
                          lambda: sw_per_direction(a, b, math.nan, np.array([1.0, 0.0, 0.0]))):
             with pytest.raises(MeasureError, match="p must be >= 1"):
                 distance()
-
-
-def oracle_directions(a, b, q, dirs):
-    return _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-
-
-def loop_oracle(a, b, p, q, dirs):
-    """sw_pq by the per-direction path: one projection -> wasserstein_p
-    chain per direction, over the same direction (or sup candidate) set,
-    and the same q-mean."""
-    vals = np.array([sw_per_direction(a, b, p, th)
-                     for th in oracle_directions(a, b, q, dirs)])
-    return swgeo.sliced._qmean(vals, dirs.weights, q)
 
 
 def support_radius(*mixtures):
@@ -221,13 +222,10 @@ class TestBatchedShellKernel:
         dirs = mc_directions(4, 32, seed=5)
         want = {q: loop_oracle(a, b, 2.0, q, dirs) for q in (2.0, math.inf)}
 
-        def refuse(*args):
-            raise AssertionError("radon_project called")
-
-        monkeypatch.setattr(swgeo.sliced, "radon_project", refuse)
+        refuse_per_direction_path(monkeypatch)
         for q, value in want.items():
             assert sw_pq(a, b, 2.0, q, dirs) == pytest.approx(value, rel=1e-12)
-        with pytest.raises(AssertionError, match="radon_project called"):
+        with pytest.raises(AssertionError, match="per-direction path taken"):
             sw_per_direction(a, b, 2.0, dirs.thetas[0])
 
     def test_narrow_inner_shell_before_t1(self):
@@ -349,15 +347,16 @@ class TestCircle:
 
     def test_centered_circles_take_one_direction(self, monkeypatch):
         # a centered circle mixture projects to the same measure on every theta
-        calls = []
-        one = swgeo.sliced.sw_per_direction
-        monkeypatch.setattr(swgeo.sliced, "sw_per_direction",
-                            lambda *args: calls.append(args) or one(*args))
+        rows = []
+        distances = swgeo.sliced._circle_distances
+        monkeypatch.setattr(swgeo.sliced, "_circle_distances",
+                            lambda a, b, p, thetas: rows.append(len(thetas))
+                            or distances(a, b, p, thetas))
         c0, ct = circle_family(0.0), circle_family(0.3)
         for q in (1.0, 2.0, math.inf):
             got = sw_pq(ct, c0, math.inf, q, mc_directions(2, 16, seed=4))
             assert got == pytest.approx(math.sin(0.15 * math.pi), rel=1e-15)
-        assert len(calls) == 3
+        assert rows == [1, 1, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), pair=circle_pair(), rows=st.sampled_from([1, 2, 7]),
@@ -388,13 +387,54 @@ class TestCircle:
         dirs = mc_directions(2, 6, seed=3)
         want = {(p, q): loop_oracle(a, b, p, q, dirs) for p in (1.5, math.inf) for q in (2.0, math.inf)}
 
-        def refuse(*args):
-            raise AssertionError("per-direction path taken")
-
-        for name in ("circle_project", "wasserstein_p", "wasserstein_inf"):
-            monkeypatch.setattr(swgeo.sliced, name, refuse)
+        refuse_per_direction_path(monkeypatch)
         for (p, q), value in want.items():
             assert sw_pq(a, b, p, q, dirs) == value
+
+
+def point_circles(*points):
+    """A circle mixture of (weight, x, y) points."""
+    return CircleMixture(tuple((w, 0.0, np.array([x, y])) for w, x, y in points))
+
+
+def centered_shell_value(a, b, p, q, dirs):
+    # nu(0.5) against nu(0), alpha = 0.4, by the closed form t alpha / (p + 1)^(1/p),
+    # times the q-mean of s(theta) over dirs
+    v = 0.5 * 0.4 / (p + 1.0) ** (1.0 / p)
+    return v if math.isinf(q) else v * float(np.dot(dirs.weights, dirs.s_values() ** q)) ** (1.0 / q)
+
+
+def point_circle_value(a, b, p, q, dirs):
+    # two points against one point: W_p^p on theta is the weighted sum of
+    # the p-th powers of the projected offsets
+    d = np.abs(oracle_directions(a, b, q, dirs) @ np.array([[0.5, 0.25], [-1.0, 0.5]]).T)
+    vals = d.max(axis=1) if math.isinf(p) else (d ** p @ [0.25, 0.75]) ** (1.0 / p)
+    return swgeo.sliced._qmean(vals, dirs.weights, q)
+
+
+# centered pairs and point-only circle pairs, each with its value in
+# closed form as a function of (a, b, p, q, dirs)
+CLOSED_FORM_CASES = {
+    "centered shells": (lambda: (nu_family(0.4, 0.0, 0.5, 4), nu_family(0.4, 0.0, 0.0, 4)),
+                        centered_shell_value),
+    "centered circles": (lambda: (circle_family(0.3), circle_family(0.0)),
+                         lambda a, b, p, q, dirs: math.sin(0.15 * math.pi)),
+    "point circles": (lambda: (point_circles((0.25, 0.5, 0.25), (0.75, -1.0, 0.5)),
+                               point_circles((1.0, 0.0, 0.0))), point_circle_value),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_sw_pq_takes_no_per_direction_path(case, monkeypatch):
+    pair, value = CLOSED_FORM_CASES[case]
+    a, b = pair()
+    dirs = mc_directions(a.dim, 24, seed=6)
+    # the closed form of the centered circles is W_inf's
+    ps = (math.inf,) if case == "centered circles" else (1.5, math.inf)
+    want = {(p, q): value(a, b, p, q, dirs) for p in ps for q in (2.0, math.inf)}
+    refuse_per_direction_path(monkeypatch)
+    for (p, q), v in want.items():
+        assert sw_pq(a, b, p, q, dirs) == pytest.approx(v, rel=1e-12)
 
 
 class TestWpRadial:
@@ -690,6 +730,10 @@ class TestPointCloudValidation:
 
 
 class TestSampleShell:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
+            sample_shell(ShellMixture.single(3, 1.0), 10, seed=-1)
+
     def test_point_component_yields_copies(self):
         x = np.array([0.2, 0.1, -0.3])
         cloud = sample_shell(ShellMixture.single(3, 0.0, x), 25, seed=0)

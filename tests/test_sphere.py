@@ -44,6 +44,10 @@ class TestMcDirections:
         ds = mc_directions(4, 12345, seed=0)
         assert abs(ds.weights.sum() - 1.0) <= 1e-12
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(MeasureError, match="seed must be >= 0, got -3"):
+            mc_directions(3, 8, seed=np.int64(-3))
+
 
 class TestDirectionSetValidation:
     def test_rejects_nan_node(self):
