@@ -23,6 +23,7 @@ each row with the arithmetic it has alone; a Measure1D is one row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -60,6 +61,15 @@ def _as_float(x) -> float:
     if not math.isfinite(v):
         raise MeasureError(f"non-finite value {x!r}")
     return v
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: a Python or numpy integer.  Anything else, such as
+    2.5, raises MeasureError instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MeasureError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _generator(seed) -> np.random.Generator:
@@ -218,6 +228,7 @@ class Measure1D:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse-CDF sampling (numpy PCG64 generator)."""
+        n = _integer(n, "sample size")
         if n < 1:
             raise MeasureError("sample size must be >= 1")
         u = _generator(seed).random(n)

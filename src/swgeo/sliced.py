@@ -35,11 +35,15 @@ for centered shells and circles, and a lower bound otherwise: on moving
 translations of shell curves it fell up to 16 % below with 64 mc nodes,
 10 % with 256, and 49 % with 1024, where the cap drops better nodes.
 
-``sw_pq_empirical`` is the same q-mean between weighted point clouds.  It
-projects a batch of directions as rows, ``batch @ points.T``, and
-:func:`swgeo.transport1d._wp_atoms` takes the exact 1D W_p of every row
-on the level merge that ``wasserstein_p`` uses, summed over the intervals
-that carry mass only.  Two clouds of equal weights merge their levels
+``sw_pq_empirical`` is the same q-mean between weighted point clouds.
+:func:`swgeo.transport1d._wp_atoms` takes the directions and returns the
+exact 1D W_p of every one, on the level merge that ``wasserstein_p``
+uses, summed over the intervals that carry mass only.  It projects each
+batch of directions into one buffer that it allocates once per call,
+the two clouds side by side in each row, and sorts and subtracts in
+place there and in workspaces also allocated once per call: no
+temporary grows with the direction count or is allocated per batch,
+except the argsorts of weighted clouds.  Two clouds of equal weights merge their levels
 once per call, and each batch subtracts their sorted rows directly: a
 cloud whose atoms each cover one interval needs no gather (both, for
 clouds of one size; the larger, when one size divides the other).  When
@@ -331,36 +335,46 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
 # ------------------------------------------------------------ empirical path
 
 
-# Values per batch of the empirical kernel, rows * (n_X + n_Y): the
-# projections then hold 128 KiB, the level merge of unequal weights at
-# p != 1 rows * (n_X + n_Y + 2) values per temporary, and the joint sort
-# of unequal weights at p = 1 rows * (n_X + n_Y).  On 2000-point clouds
-# this ran faster than 1 << 15, and far faster than the shell kernel's
-# _BATCH_VALUES.
+# Values per batch of the empirical kernel, rows * (n_X + n_Y): its
+# projection buffer then holds 128 KiB, the workspaces of the level merge
+# of unequal weights at p != 1 rows * (n_X + n_Y + 2) values each, and
+# those of the joint sort of unequal weights at p = 1 rows * (n_X + n_Y).
+# The kernel allocates them once per call.  Changing the size moves
+# values in their last ulps, since BLAS results depend on the shape of a
+# batch: a one-row batch projects through gemv rather than gemm, and the
+# equal-weight row sums d @ h go through a gemv that takes four rows at
+# a time and the rest apart.  At benchmark seed 1, 2 of the 16
+# empirical-clouds values differ between 1 << 14 and 1 << 10, e.g.
+# 0.31847376582981046 against ...035, both uniform-weight ops.
 _EMPIRICAL_BATCH_VALUES = 1 << 14
+
+
+def _empirical_rows(X: PointCloud, Y: PointCloud, p: float, thetas: np.ndarray) -> np.ndarray:
+    """Exact 1D W_p between the projections of X and Y onto every row of
+    thetas, through the empirical kernel in batches of rows."""
+    rows = max(1, _EMPIRICAL_BATCH_VALUES // (X.n + Y.n))
+    return transport1d._wp_atoms(thetas, X.points, X.weights, Y.points, Y.weights, p, rows)
 
 
 def empirical_w1d(xa: np.ndarray, wa: np.ndarray,
                   xb: np.ndarray, wb: np.ndarray, p: float) -> float:
     """Exact W_p between two weighted atomic measures on R: the one-row
-    case of the empirical kernel.  Each side must be a valid one-dimensional
-    :class:`PointCloud`, and p finite and >= 1, or MeasureError is raised;
-    so is a distance that overflows."""
+    call of the empirical kernel, with the direction [1.0].  Each side
+    must be a valid one-dimensional :class:`PointCloud`, and p finite and
+    >= 1, or MeasureError is raised; so is a distance that overflows."""
     if not math.isfinite(float(p)):
         raise MeasureError("empirical_w1d supports finite p only")
     p, _ = _check_pq(p, 1.0)
     a, b = (PointCloud(1, np.asarray(x, float)[..., None], w) for x, w in ((xa, wa), (xb, wb)))
-    batch = [(a.points.T, b.points.T)]
-    return transport1d._finite(lambda: float(transport1d._wp_atoms(
-        batch, a.weights, b.weights, p)[0]))
+    return transport1d._finite(lambda: float(_empirical_rows(a, b, p, np.ones((1, 1)))[0]))
 
 
 def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,
                     dirs: DirectionSet) -> float:
     """Sliced distance between weighted point clouds: exact 1D W_p between
     the projected atoms, then the q-mean over nodes.  The directions go
-    through the empirical kernel in batches of rows, ``batch @ points.T``.
-    A distance that overflows raises MeasureError.
+    through the empirical kernel in batches of rows.  A distance that
+    overflows raises MeasureError.
 
     p = infinity is rejected: the sup of empirical quantile differences is
     dominated by sampling noise and carries no information about the
@@ -371,12 +385,8 @@ def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,
         raise MeasureError("empirical sliced distances support finite p only")
     if X.dim != Y.dim or X.dim != dirs.dim:
         raise MeasureError("dimension mismatch between clouds and directions")
-    thetas = dirs.thetas
-    step = max(1, _EMPIRICAL_BATCH_VALUES // (X.n + Y.n))
-    batches = ((batch @ X.points.T, batch @ Y.points.T)
-               for batch in np.split(thetas, range(step, len(thetas), step)))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        vals = transport1d._wp_atoms(batches, X.weights, Y.weights, p)
+        vals = _empirical_rows(X, Y, p, dirs.thetas)
     return _finite(_qmean(vals, dirs.weights, q), "clouds")
 
 
@@ -406,6 +416,7 @@ def sample_shell(sm: ShellMixture, n: int, seed: int) -> PointCloud:
     draws embedded in span{e1, e2, e3}, scaled by the radius and shifted
     by the center.
     """
+    n = measure1d._integer(n, "sample size")
     if n < len(sm.components):
         raise MeasureError(f"sample size {n} is smaller than the number of components")
     rng = measure1d._generator(seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure1d import MASS_TOL, MeasureError, _generator
+from .measure1d import MASS_TOL, MeasureError, _generator, _integer
 
 __all__ = ["DirectionSet", "mc_directions", "beta_directions", "c_dq"]
 
@@ -69,7 +69,7 @@ class DirectionSet:
 def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
     """n uniform directions on S^{d-1}: normalized Gaussian draws with
     equal weights 1/n; deterministic for fixed (d, n, seed)."""
-    d, n = int(d), int(n)
+    d, n = _integer(d, "dimension"), _integer(n, "node count")
     if d < 2:
         raise MeasureError("dimension must be >= 2")
     if n < 1:
@@ -91,7 +91,7 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     s(theta).  For d = 3 the single node e1 is exact (s is identically 1);
     for d >= 4 the nodes are Gauss-Legendre in the substituted angle, each
     realized as the unit vector s e1 + sqrt(1-s^2) e4."""
-    d, n = int(d), int(n)
+    d, n = _integer(d, "dimension"), _integer(n, "node count")
     if d < 3:
         raise MeasureError("beta quadrature needs ambient dimension >= 3")
     if n < 1:
@@ -121,7 +121,7 @@ def c_dq(d: int, q: float, method: str = "beta", n: int = 64,
     method "beta" (deterministic quadrature, the default) or "mc"
     (Monte Carlo with the given seed, kept as the independent check).
     """
-    d = int(d)
+    d = _integer(d, "dimension")
     q = float(q)
     if d < 3:
         raise MeasureError("c_dq is defined for d >= 3")

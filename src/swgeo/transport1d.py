@@ -7,12 +7,15 @@ the sup of quantile differences, displacement interpolation, and the
 constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL.  The atom
-kernel sums only over the intervals that carry mass; for two clouds of
+kernel takes directions and two point clouds, projects the directions
+in batches into one buffer that it allocates once per call, and works
+in place there and in workspaces also allocated once per call.
+It sums only over the intervals that carry mass; for two clouds of
 equal weights it merges the levels once per call, keeps only those
 intervals and subtracts the sorted rows directly.  For unequal weights
 at p = 1 it merges no levels: W_1 is the integral of |F_mu - F_nu|, one
 sort of the joint row, and a gap where |F_mu - F_nu| <= MASS_TOL
-carries no mass (``_cdf_gap_w1``).  It divides a row by its largest
+carries no mass (``_cdf_gap_path``).  It divides a row by its largest
 difference only where the p-th powers would leave float64 range
 (``_power_scale``, as for the q-means of ``sliced``).
 
@@ -150,32 +153,58 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
 
 
-def _merge_levels(la: np.ndarray, lb: np.ndarray):
+class _Workspace:
+    """Flat buffers that one call allocates once and every batch reuses.
+    ws(name, r, m) is the first r rows of m values of the buffer called
+    name, C-contiguous, as a fresh (r, m) array would be.  The buffer is
+    allocated at its first use for the call's largest batch of rows, and
+    again where a later use needs wider rows."""
+
+    def __init__(self, rows: int):
+        self.rows, self.bufs = rows, {}
+
+    def __call__(self, name: str, r: int, m: int, dtype=float) -> np.ndarray:
+        buf = self.bufs.get(name)
+        if buf is None or buf.size < self.rows * m:
+            buf = self.bufs[name] = np.empty(self.rows * m, dtype)
+        return buf[:r * m].reshape(r, m)
+
+
+def _merge_levels(la: np.ndarray, lb: np.ndarray, ws: _Workspace | None = None):
     """The one merge of two runs of levels, rows or one shared row each.
     A run rises from 0 to 1, and step i of its side spans its levels i
     and i + 1: a segment of a quantile polyline, or an atom.  Returns the
     merged levels u, the mass of each interval [u_j, u_j+1] and the index
-    of the step of a and of b that covers it.
+    of the step of a and of b that covers it, as arrays of the workspace
+    ws (fresh ones by default).
 
     An interval no wider than MASS_TOL carries no mass: equal cumulative
     masses summed in different orders leave such slivers, where one side
     has stepped and the other not yet.
     """
     na, nb = la.shape[1], lb.shape[1]
-    both = np.empty((max(len(la), len(lb)), na + nb))
+    r, k = max(len(la), len(lb)), na + nb
+    ws = _Workspace(r) if ws is None else ws
+    both = ws("levels", r, k)
     both[:, :na], both[:, na:] = la, lb
     order = np.argsort(both, axis=1, kind="stable")  # two sorted runs: a linear merge
-    u = _take_rows(both, order)
-    h = u[:, 1:] - u[:, :-1]
     # The stable merge keeps each side's levels in order, a's first at a
     # tie, so the interval j that starts at level i of a lies on step i of
     # a and step j - i - 1 of b, and likewise for b.  The indices are
     # clipped on intervals of width 0 (before b's first level, after a's
     # last) and in rows with a nan level, whose nan widths stay.
-    order, j = order[:, :-1], np.arange(na + nb - 1)
-    ia = np.where(order < na, order, j + na - 1 - order)
-    return (u, np.where(h <= MASS_TOL, 0.0, h), np.minimum(np.maximum(ia, 0), na - 2),
-            np.minimum(np.maximum(j - 1 - ia, 0), nb - 2))
+    step, j = order[:, :-1], np.arange(k - 1)
+    mask = ws("mask", r, k - 1, bool)
+    ia = np.subtract(j + na - 1, step, out=ws("ia", r, k - 1, np.intp))
+    np.copyto(ia, step, where=np.less(step, na, out=mask))
+    ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
+    np.clip(ia, 0, na - 2, out=ia)
+    np.clip(ib, 0, nb - 2, out=ib)
+    order += np.arange(0, r * k, k)[:, None]
+    u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
+    h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
+    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
+    return u, h, ia, ib
 
 
 def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
@@ -222,13 +251,13 @@ def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
     return M * _segment_lp(d0 / scale, d1 / scale, h, p) ** (1.0 / p)
 
 
-def _clip_levels(cum: np.ndarray) -> np.ndarray:
-    """The levels of atoms with cumulative masses cum (positive): 0, then
-    cum clipped to 1, the last one at 1."""
-    levels = np.empty((len(cum), cum.shape[1] + 1))
-    np.minimum(cum, 1.0, out=levels[:, 1:])
-    levels[:, 0], levels[:, -1] = 0.0, 1.0
-    return levels
+def _clip_levels(cum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, one column wider than cum, the levels of atoms with
+    cumulative masses cum (positive): 0, then cum clipped to 1, the last
+    one at 1."""
+    np.minimum(cum, 1.0, out=out[:, 1:])
+    out[:, 0], out[:, -1] = 0.0, 1.0
+    return out
 
 
 def _equal_levels(w: np.ndarray):
@@ -236,17 +265,7 @@ def _equal_levels(w: np.ndarray):
     of atoms since no sort reorders them; None for unequal weights."""
     if not np.all(w == w[0]):
         return None
-    return _clip_levels(np.arange(1, w.size + 1)[None, :] * w[0])
-
-
-def _sorted_atoms(x: np.ndarray, w: np.ndarray, shared):
-    """Each row of x sorted, with its cumulative levels: the shared row
-    for equal weights, else the cumsums of the reordered weights.  Tied
-    points share one quantile value, so the sort need not be stable."""
-    if shared is not None:
-        return np.sort(x, axis=1), shared
-    order = np.argsort(x, axis=1)
-    return _take_rows(x, order), _clip_levels(np.cumsum(w[order], axis=1))
+    return _clip_levels(np.arange(1, w.size + 1)[None, :] * w[0], np.empty((1, w.size + 1)))
 
 
 def _power_scale(top, p: float):
@@ -267,11 +286,12 @@ def _lp_rows(d: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """(sum of h * d^p)^(1/p) over each row of the differences d >= 0, with
     h one row of masses shared by all rows or one row per row; a row
     whose d^p would leave float64 range is divided by the
-    :func:`_power_scale` of its largest d first."""
+    :func:`_power_scale` of its largest d first.  d is overwritten."""
     scale = _power_scale(d.max(axis=1), p)
     if np.ndim(scale):
-        d = d / scale[:, None]
-    d **= p
+        d /= scale[:, None]
+    if p != 1.0:
+        d **= p
     if h.ndim == 1:
         return scale * (d @ h) ** (1.0 / p)
     d *= h
@@ -284,64 +304,125 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
-def _cdf_gap_w1(xa: np.ndarray, xb: np.ndarray, signed: np.ndarray) -> np.ndarray:
+def _equal_path(na: int, h: np.ndarray, ia, ib, p: float, x: np.ndarray, ws: _Workspace):
+    """Equal weights: sort both column blocks of x in place, then subtract
+    the sorted rows on the intervals of masses h that carry mass, after
+    the gather ia or ib of a side whose atoms cover more than one."""
+    sa, sb = x[:, :na], x[:, na:]
+    sa.sort(axis=1)
+    sb.sort(axis=1)
+    d = ws("d", len(x), h.size)
+    if ia is not None:
+        sa = np.take(sa, ia, axis=1, out=d, mode="clip")
+    if ib is not None:
+        out = d if ia is None else ws("gather", len(x), h.size)
+        sb = np.take(sb, ib, axis=1, out=out, mode="clip")
+    np.abs(np.subtract(sa, sb, out=d), out=d)
+    return _lp_rows(d, h, p)
+
+
+def _cdf_gap_path(signed: np.ndarray, x: np.ndarray, ws: _Workspace):
     """W_1 of each row pair as the integral of |F_a - F_b|: the sum of
     |F_a - F_b| * gap over the gaps between consecutive positions of the
-    joint row [xa | xb], where F_a - F_b is the running sum of the signed
-    weights [wa | -wb] in the row's sorted order.  A gap where
+    joint row x = [xa | xb], where F_a - F_b is the running sum of the
+    signed weights [wa | -wb] in the row's sorted order.  A gap where
     |F_a - F_b| <= MASS_TOL carries no mass, as in :func:`_merge_levels`;
     it is set to 0, so that it adds nothing even where it overflows.
     Tied positions leave gaps of 0, so the sort need not be stable."""
-    both = np.concatenate([xa, xb], axis=1)
-    order = np.argsort(both, axis=1)
-    gap = np.diff(_take_rows(both, order), axis=1)
-    f = np.abs(np.cumsum(np.take(signed, order[:, :-1]), axis=1))
-    gap[f <= MASS_TOL] = 0.0
+    r, n = x.shape
+    order = np.argsort(x, axis=1)
+    f = np.take(signed, order[:, :-1], out=ws("f", r, n - 1), mode="clip")
+    np.cumsum(f, axis=1, out=f)
+    np.abs(f, out=f)
+    order += np.arange(0, r * n, n)[:, None]
+    srt = np.take(x.reshape(-1), order, out=ws("sorted", r, n), mode="clip")
+    gap = np.subtract(srt[:, 1:], srt[:, :-1], out=ws("gap", r, n - 1))
+    np.copyto(gap, 0.0, where=np.less_equal(f, MASS_TOL, out=ws("mask", r, n - 1, bool)))
     return _lp_rows(gap, f, 1.0)
 
 
-def _wp_atoms(batches, wa: np.ndarray, wb: np.ndarray, p: float) -> np.ndarray:
-    """Exact W_p between weighted atoms on R, one value per row: batches
-    yields pairs of (rows, n_a) and (rows, n_b) atom positions, with the
-    weights wa and wb.  Both quantiles are step functions, so W_p^p is a
-    finite sum of h * d^p over the intervals of :func:`_merge_levels`
-    that carry mass (h > 0), with d the difference of the two atoms on
-    each; see :func:`_lp_rows` for the scale.  One of three paths, by
-    the weights and p:
+def _merge_path(wa: np.ndarray, la, wb: np.ndarray, lb, p: float, x: np.ndarray,
+                ws: _Workspace):
+    """Unequal weights at p != 1: sort each column block of x in place,
+    with its levels la or lb (the shared row of equal weights, or None:
+    the cumsums of the reordered weights), merge the levels of both
+    sides in the workspace, and sum h * d^p over the intervals that carry
+    mass; the differences on the others are set to 0, so that none of
+    them enters the sum or the scale."""
+    r, n = x.shape
+    flat, starts = x.reshape(-1), np.arange(0, r * n, n)[:, None]
+    levels = []
+    for lo, w, shared in ((0, wa, la), (wa.size, wb, lb)):
+        side = x[:, lo:lo + w.size]
+        if shared is not None:
+            side.sort(axis=1)
+            levels.append(shared)
+            continue
+        # tied points share one quantile value, so the sort need not be stable
+        order = np.argsort(side, axis=1)
+        cum = np.take(w, order, out=ws("cum", r, w.size), mode="clip")
+        np.cumsum(cum, axis=1, out=cum)
+        levels.append(_clip_levels(cum, ws(f"levels {lo}", r, w.size + 1)))
+        order += starts + lo
+        np.copyto(side, np.take(flat, order, out=ws("sorted", r, w.size), mode="clip"))
+    _, h, ia, ib = _merge_levels(*levels, ws)
+    ia += starts
+    ib += starts + wa.size
+    d = np.take(flat, ia, out=ws("d", r, h.shape[1]), mode="clip")
+    g = np.take(flat, ib, out=ws("gather", r, h.shape[1]), mode="clip")
+    np.abs(np.subtract(d, g, out=d), out=d)
+    np.copyto(d, 0.0, where=np.equal(h, 0.0, out=ws("mask", r, h.shape[1], bool)))
+    return _lp_rows(d, h, p)
+
+
+def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
+              xb: np.ndarray, wb: np.ndarray, p: float, rows: int) -> np.ndarray:
+    """Exact W_p between the projections of two weighted point clouds onto
+    every row of thetas, one value per row: xa (n_a, d) and xb (n_b, d)
+    are the points, wa and wb their weights.  Both quantiles are step
+    functions, so W_p^p is a finite sum of h * d^p over the intervals of
+    :func:`_merge_levels` that carry mass (h > 0), with d the difference
+    of the two atoms on each; see :func:`_lp_rows` for the scale.
+
+    Each batch of at most rows directions is projected into one
+    (rows, n_a + n_b) buffer that the call allocates once, xa's
+    projections in its first n_a columns, by one matmul per cloud.  One
+    matmul of both clouds stacked would move values in their last ulps
+    on small clouds, since BLAS picks its kernels by the shape of the
+    matrices.  Every path then works in place on that buffer and on
+    workspaces allocated once per call (:class:`_Workspace`).  One of
+    three paths, by the weights and p:
 
     * equal weights on both sides: the levels are merged once per call,
       and only the intervals that carry mass are kept.  A side whose
       atoms each cover one interval is its sorted row itself, and any
-      other side is one gather.
+      other side is one gather (:func:`_equal_path`).
     * unequal weights at p = 1: W_1 is the integral of |F_a - F_b|, one
-      sort of the joint row and no merge (:func:`_cdf_gap_w1`).
+      sort of the joint row and no merge (:func:`_cdf_gap_path`).
     * unequal weights at p != 1: every batch sorts each side and merges
-      its rows, and the differences on intervals without mass are set
-      to 0, so that none of them enters the sum or the scale.
+      its levels (:func:`_merge_path`).
 
     A nan position gives nan."""
+    na, nb = wa.size, wb.size
     la, lb = _equal_levels(wa), _equal_levels(wb)
     if la is not None and lb is not None:
         _, h, ia, ib = _merge_levels(la, lb)
         mass = h[0] > 0.0
-        h, ia, ib = h[0, mass], _mass_steps(ia[0, mass], wa.size), _mass_steps(ib[0, mass], wb.size)
-
-        def rows(xa, xb):
-            sa, sb = np.sort(xa, axis=1), np.sort(xb, axis=1)
-            d = np.abs((sa if ia is None else np.take(sa, ia, axis=1))
-                       - (sb if ib is None else np.take(sb, ib, axis=1)))
-            return _lp_rows(d, h, p)
+        path = functools.partial(_equal_path, na, h[0, mass], _mass_steps(ia[0, mass], na),
+                                 _mass_steps(ib[0, mass], nb), p)
     elif p == 1.0:
-        rows = functools.partial(_cdf_gap_w1, signed=np.concatenate([wa, -wb]))
+        path = functools.partial(_cdf_gap_path, np.concatenate([wa, -wb]))
     else:
-        def rows(xa, xb):
-            sa, la_rows = _sorted_atoms(xa, wa, la)
-            sb, lb_rows = _sorted_atoms(xb, wb, lb)
-            _, h, ia, ib = _merge_levels(la_rows, lb_rows)
-            d = np.abs(_take_rows(sa, ia) - _take_rows(sb, ib))
-            d[h == 0.0] = 0.0
-            return _lp_rows(d, h, p)
-    return np.concatenate([rows(xa, xb) for xa, xb in batches])
+        path = functools.partial(_merge_path, wa, la, wb, lb, p)
+    ws = _Workspace(min(rows, len(thetas)))
+    out = np.empty(len(thetas))
+    for i in range(0, len(thetas), ws.rows):
+        batch = thetas[i:i + ws.rows]
+        x = ws("proj", len(batch), na + nb)
+        np.matmul(batch, xa.T, out=x[:, :na])
+        np.matmul(batch, xb.T, out=x[:, na:])
+        out[i:i + len(batch)] = path(x, ws)
+    return out
 
 
 def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:

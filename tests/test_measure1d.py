@@ -547,6 +547,10 @@ class TestSampling:
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
             sample(mixed_atom_measure(), 10, seed=-1)
 
+    def test_rejects_non_integral_size(self):
+        with pytest.raises(MeasureError, match="sample size must be an integer, got 2.5"):
+            sample(mixed_atom_measure(), 2.5, seed=0)
+
 
 # -------------------------------------------------------------- serialization
 

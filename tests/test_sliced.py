@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -571,6 +572,46 @@ class TestEmpirical:
         scale = max(1.0, np.abs(X.points).max(), np.abs(Y.points).max()) * math.sqrt(d)
         assert abs(got - want) <= 1e-12 * want + 1e-14 * scale
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("path,ps", [("equal", [1.0, 1.5, 2.0]), ("cdf-gap", [1.0]),
+                                         ("merge", [1.5, 2.0])])
+    def test_w1d_is_the_one_row_call(self, data, path, ps):
+        # empirical_w1d is sw_pq_empirical on 1-D clouds with the one
+        # direction [1.0], at q = 1, bit for bit, on each of the paths
+        X = data.draw(point_cloud(1, path == "equal"))
+        Y = data.draw(point_cloud(1, path == "equal" or data.draw(st.booleans())))
+        p = data.draw(st.sampled_from(ps))
+        one = DirectionSet(1, np.ones((1, 1)), np.ones(1), "e1")
+        got = empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+        assert repr(got) == repr(sw_pq_empirical(X, Y, p, 1.0, one))
+
+    @pytest.mark.parametrize("weighted,p", [(False, 2.0), (True, 1.0), (True, 2.0)],
+                             ids=["equal", "cdf-gap", "merge"])
+    def test_peak_memory_does_not_grow_with_directions(self, weighted, p):
+        # the kernel allocates its workspaces once per call and reuses them
+        # for every batch of directions: from 256 to 4096 directions, the
+        # peak of one call on 2000-point clouds may grow by the output, 8
+        # bytes per direction, and 4 KiB of slack.  A list of per-batch
+        # results and their concatenation grew it by about 72 bytes per
+        # direction.
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.5, 1.5, 2000) if weighted else np.ones(2000)
+        X = PointCloud(5, rng.standard_normal((2000, 5)), w / w.sum())
+        Y = PointCloud(5, rng.standard_normal((2000, 5)), np.full(2000, 1 / 2000))
+        peaks = []
+        for m in (256, 4096):
+            dirs = mc_directions(5, m, 1)
+            sw_pq_empirical(X, Y, p, 2.0, dirs)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sw_pq_empirical(X, Y, p, 2.0, dirs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * (4096 - 256) + 4096
+
     def test_equal_weight_clouds_match_sorted_matching(self):
         # 500 and 2000 equal-weight points: per direction, W_p pairs the
         # sorted projections once each of the 500 is repeated four times
@@ -733,6 +774,11 @@ class TestSampleShell:
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
             sample_shell(ShellMixture.single(3, 1.0), 10, seed=-1)
+
+    def test_rejects_non_integral_count(self):
+        with pytest.raises(MeasureError, match="sample size must be an integer, got 2.5"):
+            sample_shell(ShellMixture.single(3, 1.0), 2.5, 0)
+        assert sample_shell(ShellMixture.single(3, 1.0), np.int64(3), 0).n == 3
 
     def test_point_component_yields_copies(self):
         x = np.array([0.2, 0.1, -0.3])

@@ -48,6 +48,14 @@ class TestMcDirections:
         with pytest.raises(MeasureError, match="seed must be >= 0, got -3"):
             mc_directions(3, 8, seed=np.int64(-3))
 
+    def test_rejects_non_integral_count_and_dimension(self):
+        # int() truncated these: 2.5 directions gave 2
+        with pytest.raises(MeasureError, match="node count must be an integer, got 2.5"):
+            mc_directions(3, 2.5, 0)
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 3.5"):
+            mc_directions(3.5, 2, 0)
+        assert mc_directions(np.int64(3), np.int32(2), 0).thetas.shape == (2, 3)
+
 
 class TestDirectionSetValidation:
     def test_rejects_nan_node(self):
@@ -76,6 +84,15 @@ class TestBetaDirections:
     def test_rejects_low_dimension(self):
         with pytest.raises(MeasureError):
             beta_directions(2, 16)
+
+    def test_rejects_non_integral_count_and_dimension(self):
+        with pytest.raises(MeasureError, match="node count must be an integer, got 2.5"):
+            beta_directions(4, 2.5)
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 4.0"):
+            beta_directions(4.0, 2)
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 4.5"):
+            c_dq(4.5, 2.0)
+        assert beta_directions(np.int64(4), np.int64(2)).thetas.shape == (2, 4)
 
 
 class TestCdq:
