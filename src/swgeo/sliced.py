@@ -39,11 +39,10 @@ translations of shell curves it fell up to 16 % below with 64 mc nodes,
 :func:`swgeo.transport1d._wp_atoms` takes the directions and returns the
 exact 1D W_p of every one, on the level merge that ``wasserstein_p``
 uses, summed over the intervals that carry mass only.  It projects each
-batch of directions into one buffer that it allocates once per call,
-the two clouds side by side in each row, and sorts and subtracts in
-place there and in workspaces also allocated once per call: no
-temporary grows with the direction count or is allocated per batch,
-except the argsorts of weighted clouds.  Two clouds of equal weights merge their levels
+batch of directions into buffers that it allocates once per call, and
+sorts and subtracts in place there and in workspaces also allocated
+once per call: no temporary grows with the direction count or is
+allocated per batch, except the argsorts of weighted clouds.  Two clouds of equal weights merge their levels
 once per call, and each batch subtracts their sorted rows directly: a
 cloud whose atoms each cover one interval needs no gather (both, for
 clouds of one size; the larger, when one size divides the other).  When

@@ -8,8 +8,8 @@ constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL.  The atom
 kernel takes directions and two point clouds, projects the directions
-in batches into one buffer that it allocates once per call, and works
-in place there and in workspaces also allocated once per call.
+in batches into buffers that it allocates once per call, and works in
+place there and in workspaces also allocated once per call.
 It sums only over the intervals that carry mass; for two clouds of
 equal weights it merges the levels once per call, keeps only those
 intervals and subtracts the sorted rows directly.  For unequal weights
@@ -304,56 +304,78 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
-def _equal_path(na: int, h: np.ndarray, ia, ib, p: float, x: np.ndarray, ws: _Workspace):
-    """Equal weights: sort both column blocks of x in place, then subtract
-    the sorted rows on the intervals of masses h that carry mass, after
-    the gather ia or ib of a side whose atoms cover more than one."""
-    sa, sb = x[:, :na], x[:, na:]
+def _rows_from(r: int, m: int) -> np.ndarray:
+    """The flat index of the first of m values in each of r rows."""
+    return np.arange(0, r * m, m)[:, None]
+
+
+def _project(batch: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The projections of the points x onto every row of batch, written
+    into out: one matmul per cloud, as ``batch @ x.T`` takes it.  One
+    matmul of two clouds stacked would move values in their last ulps on
+    small clouds, since BLAS picks its kernels by the shapes."""
+    return np.matmul(batch, x.T, out=out)
+
+
+def _equal_path(xa: np.ndarray, xb: np.ndarray, h: np.ndarray, ia, ib, p: float,
+                batch: np.ndarray, ws: _Workspace):
+    """Equal weights: project each cloud into its own buffer and sort it
+    in place, then subtract the sorted rows on the intervals of masses h
+    that carry mass, after the gather ia or ib of a side whose atoms
+    cover more than one."""
+    r = len(batch)
+    sa = _project(batch, xa, ws("a", r, len(xa)))
+    sb = _project(batch, xb, ws("b", r, len(xb)))
     sa.sort(axis=1)
     sb.sort(axis=1)
-    d = ws("d", len(x), h.size)
+    d = ws("d", r, h.size)
     if ia is not None:
         sa = np.take(sa, ia, axis=1, out=d, mode="clip")
     if ib is not None:
-        out = d if ia is None else ws("gather", len(x), h.size)
+        out = d if ia is None else ws("gather", r, h.size)
         sb = np.take(sb, ib, axis=1, out=out, mode="clip")
     np.abs(np.subtract(sa, sb, out=d), out=d)
     return _lp_rows(d, h, p)
 
 
-def _cdf_gap_path(signed: np.ndarray, x: np.ndarray, ws: _Workspace):
+def _cdf_gap_path(xa: np.ndarray, xb: np.ndarray, signed: np.ndarray,
+                  batch: np.ndarray, ws: _Workspace):
     """W_1 of each row pair as the integral of |F_a - F_b|: the sum of
     |F_a - F_b| * gap over the gaps between consecutive positions of the
-    joint row x = [xa | xb], where F_a - F_b is the running sum of the
-    signed weights [wa | -wb] in the row's sorted order.  A gap where
-    |F_a - F_b| <= MASS_TOL carries no mass, as in :func:`_merge_levels`;
-    it is set to 0, so that it adds nothing even where it overflows.
-    Tied positions leave gaps of 0, so the sort need not be stable."""
-    r, n = x.shape
+    joint row [xa | xb] of projections, where F_a - F_b is the running
+    sum of the signed weights [wa | -wb] in the row's sorted order.  A
+    gap where |F_a - F_b| <= MASS_TOL carries no mass, as in
+    :func:`_merge_levels`; it is set to 0, so that it adds nothing even
+    where it overflows.  Tied positions leave gaps of 0, so the sort need
+    not be stable."""
+    r, n = len(batch), signed.size
+    x = ws("joint", r, n)
+    _project(batch, xa, x[:, :len(xa)])
+    _project(batch, xb, x[:, len(xa):])
     order = np.argsort(x, axis=1)
     f = np.take(signed, order[:, :-1], out=ws("f", r, n - 1), mode="clip")
     np.cumsum(f, axis=1, out=f)
     np.abs(f, out=f)
-    order += np.arange(0, r * n, n)[:, None]
+    order += _rows_from(r, n)
     srt = np.take(x.reshape(-1), order, out=ws("sorted", r, n), mode="clip")
     gap = np.subtract(srt[:, 1:], srt[:, :-1], out=ws("gap", r, n - 1))
     np.copyto(gap, 0.0, where=np.less_equal(f, MASS_TOL, out=ws("mask", r, n - 1, bool)))
     return _lp_rows(gap, f, 1.0)
 
 
-def _merge_path(wa: np.ndarray, la, wb: np.ndarray, lb, p: float, x: np.ndarray,
-                ws: _Workspace):
-    """Unequal weights at p != 1: sort each column block of x in place,
-    with its levels la or lb (the shared row of equal weights, or None:
-    the cumsums of the reordered weights), merge the levels of both
-    sides in the workspace, and sum h * d^p over the intervals that carry
-    mass; the differences on the others are set to 0, so that none of
-    them enters the sum or the scale."""
-    r, n = x.shape
-    flat, starts = x.reshape(-1), np.arange(0, r * n, n)[:, None]
-    levels = []
-    for lo, w, shared in ((0, wa, la), (wa.size, wb, lb)):
-        side = x[:, lo:lo + w.size]
+def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarray, lb,
+                p: float, batch: np.ndarray, ws: _Workspace):
+    """Unequal weights at p != 1: project each cloud into its own buffer
+    and sort it in place, with its levels la or lb (the shared row of
+    equal weights, or None: the cumsums of the reordered weights), merge
+    the levels of both sides in the workspace, and sum h * d^p over the
+    intervals that carry mass; the differences on the others are set to
+    0, so that none of them enters the sum or the scale."""
+    r = len(batch)
+    sides, levels = [], []
+    for name, x, w, shared in (("a", xa, wa, la), ("b", xb, wb, lb)):
+        side = _project(batch, x, ws(name, r, w.size))
+        sides.append(side)
         if shared is not None:
             side.sort(axis=1)
             levels.append(shared)
@@ -362,14 +384,14 @@ def _merge_path(wa: np.ndarray, la, wb: np.ndarray, lb, p: float, x: np.ndarray,
         order = np.argsort(side, axis=1)
         cum = np.take(w, order, out=ws("cum", r, w.size), mode="clip")
         np.cumsum(cum, axis=1, out=cum)
-        levels.append(_clip_levels(cum, ws(f"levels {lo}", r, w.size + 1)))
-        order += starts + lo
-        np.copyto(side, np.take(flat, order, out=ws("sorted", r, w.size), mode="clip"))
+        levels.append(_clip_levels(cum, ws(f"levels {name}", r, w.size + 1)))
+        order += _rows_from(r, w.size)
+        np.copyto(side, np.take(side.reshape(-1), order, out=ws("sorted", r, w.size), mode="clip"))
     _, h, ia, ib = _merge_levels(*levels, ws)
-    ia += starts
-    ib += starts + wa.size
-    d = np.take(flat, ia, out=ws("d", r, h.shape[1]), mode="clip")
-    g = np.take(flat, ib, out=ws("gather", r, h.shape[1]), mode="clip")
+    ia += _rows_from(r, wa.size)
+    ib += _rows_from(r, wb.size)
+    d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, h.shape[1]), mode="clip")
+    g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, h.shape[1]), mode="clip")
     np.abs(np.subtract(d, g, out=d), out=d)
     np.copyto(d, 0.0, where=np.equal(h, 0.0, out=ws("mask", r, h.shape[1], bool)))
     return _lp_rows(d, h, p)
@@ -384,14 +406,11 @@ def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
     :func:`_merge_levels` that carry mass (h > 0), with d the difference
     of the two atoms on each; see :func:`_lp_rows` for the scale.
 
-    Each batch of at most rows directions is projected into one
-    (rows, n_a + n_b) buffer that the call allocates once, xa's
-    projections in its first n_a columns, by one matmul per cloud.  One
-    matmul of both clouds stacked would move values in their last ulps
-    on small clouds, since BLAS picks its kernels by the shape of the
-    matrices.  Every path then works in place on that buffer and on
-    workspaces allocated once per call (:class:`_Workspace`).  One of
-    three paths, by the weights and p:
+    The directions go through in batches of at most rows.  Each path
+    projects a batch (:func:`_project`) into buffers that the call
+    allocates once, and works in place there and on the other
+    workspaces of the call (:class:`_Workspace`).  One of three paths,
+    by the weights and p:
 
     * equal weights on both sides: the levels are merged once per call,
       and only the intervals that carry mass are kept.  A side whose
@@ -408,20 +427,16 @@ def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
     if la is not None and lb is not None:
         _, h, ia, ib = _merge_levels(la, lb)
         mass = h[0] > 0.0
-        path = functools.partial(_equal_path, na, h[0, mass], _mass_steps(ia[0, mass], na),
+        path = functools.partial(_equal_path, xa, xb, h[0, mass], _mass_steps(ia[0, mass], na),
                                  _mass_steps(ib[0, mass], nb), p)
     elif p == 1.0:
-        path = functools.partial(_cdf_gap_path, np.concatenate([wa, -wb]))
+        path = functools.partial(_cdf_gap_path, xa, xb, np.concatenate([wa, -wb]))
     else:
-        path = functools.partial(_merge_path, wa, la, wb, lb, p)
+        path = functools.partial(_merge_path, xa, wa, la, xb, wb, lb, p)
     ws = _Workspace(min(rows, len(thetas)))
     out = np.empty(len(thetas))
     for i in range(0, len(thetas), ws.rows):
-        batch = thetas[i:i + ws.rows]
-        x = ws("proj", len(batch), na + nb)
-        np.matmul(batch, xa.T, out=x[:, :na])
-        np.matmul(batch, xb.T, out=x[:, na:])
-        out[i:i + len(batch)] = path(x, ws)
+        out[i:i + ws.rows] = path(thetas[i:i + ws.rows], ws)
     return out
 
 
