@@ -150,7 +150,12 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if len(idx) == 1:
         return np.take(a, idx[0], axis=-1)
     *lead, rows, m = a.shape
-    return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
+    return np.take(a.reshape(*lead, rows * m), idx + _rows_from(rows, m), axis=-1)
+
+
+def _rows_from(r: int, m: int) -> np.ndarray:
+    """The flat index of the first of m values in each of r rows."""
+    return np.arange(0, r * m, m)[:, None]
 
 
 class _Workspace:
@@ -200,7 +205,7 @@ def _merge_levels(la: np.ndarray, lb: np.ndarray, ws: _Workspace | None = None):
     ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
     np.clip(ia, 0, na - 2, out=ia)
     np.clip(ib, 0, nb - 2, out=ib)
-    order += np.arange(0, r * k, k)[:, None]
+    order += _rows_from(r, k)
     u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
     h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
     np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
@@ -304,19 +309,6 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
-def _rows_from(r: int, m: int) -> np.ndarray:
-    """The flat index of the first of m values in each of r rows."""
-    return np.arange(0, r * m, m)[:, None]
-
-
-def _project(batch: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The projections of the points x onto every row of batch, written
-    into out: one matmul per cloud, as ``batch @ x.T`` takes it.  One
-    matmul of two clouds stacked would move values in their last ulps on
-    small clouds, since BLAS picks its kernels by the shapes."""
-    return np.matmul(batch, x.T, out=out)
-
-
 def _equal_path(xa: np.ndarray, xb: np.ndarray, h: np.ndarray, ia, ib, p: float,
                 batch: np.ndarray, ws: _Workspace):
     """Equal weights: project each cloud into its own buffer and sort it
@@ -324,8 +316,8 @@ def _equal_path(xa: np.ndarray, xb: np.ndarray, h: np.ndarray, ia, ib, p: float,
     that carry mass, after the gather ia or ib of a side whose atoms
     cover more than one."""
     r = len(batch)
-    sa = _project(batch, xa, ws("a", r, len(xa)))
-    sb = _project(batch, xb, ws("b", r, len(xb)))
+    sa = np.matmul(batch, xa.T, out=ws("a", r, len(xa)))
+    sb = np.matmul(batch, xb.T, out=ws("b", r, len(xb)))
     sa.sort(axis=1)
     sb.sort(axis=1)
     d = ws("d", r, h.size)
@@ -350,8 +342,8 @@ def _cdf_gap_path(xa: np.ndarray, xb: np.ndarray, signed: np.ndarray,
     not be stable."""
     r, n = len(batch), signed.size
     x = ws("joint", r, n)
-    _project(batch, xa, x[:, :len(xa)])
-    _project(batch, xb, x[:, len(xa):])
+    np.matmul(batch, xa.T, out=x[:, :len(xa)])
+    np.matmul(batch, xb.T, out=x[:, len(xa):])
     order = np.argsort(x, axis=1)
     f = np.take(signed, order[:, :-1], out=ws("f", r, n - 1), mode="clip")
     np.cumsum(f, axis=1, out=f)
@@ -374,7 +366,7 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
     r = len(batch)
     sides, levels = [], []
     for name, x, w, shared in (("a", xa, wa, la), ("b", xb, wb, lb)):
-        side = _project(batch, x, ws(name, r, w.size))
+        side = np.matmul(batch, x.T, out=ws(name, r, w.size))
         sides.append(side)
         if shared is not None:
             side.sort(axis=1)
@@ -407,10 +399,12 @@ def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
     of the two atoms on each; see :func:`_lp_rows` for the scale.
 
     The directions go through in batches of at most rows.  Each path
-    projects a batch (:func:`_project`) into buffers that the call
-    allocates once, and works in place there and on the other
-    workspaces of the call (:class:`_Workspace`).  One of three paths,
-    by the weights and p:
+    projects a batch into buffers that the call allocates once, one
+    matmul per cloud as ``batch @ x.T`` takes it, and works in place
+    there and on the other workspaces of the call (:class:`_Workspace`).
+    One matmul of both clouds stacked would move values in their last
+    ulps on small clouds, since BLAS picks its kernels by the shapes.
+    One of three paths, by the weights and p:
 
     * equal weights on both sides: the levels are merged once per call,
       and only the intervals that carry mass are kept.  A side whose
