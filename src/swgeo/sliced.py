@@ -42,10 +42,11 @@ uses, summed over the intervals that carry mass only.  It projects each
 batch of directions into buffers that it allocates once per call, and
 sorts and subtracts in place there and in workspaces also allocated
 once per call: no temporary grows with the direction count or is
-allocated per batch, except the argsorts of weighted clouds.  Two clouds of equal weights merge their levels
-once per call, and each batch subtracts their sorted rows directly: a
-cloud whose atoms each cover one interval needs no gather (both, for
-clouds of one size; the larger, when one size divides the other).  When
+allocated per batch, except the argsorts of weighted clouds.  Two
+clouds of equal weights merge their levels once per call, and each
+batch subtracts their sorted rows directly: a cloud whose atoms each
+cover one interval needs no gather (both, for clouds of one size; the
+larger, when one size divides the other).  When
 a cloud has unequal weights and p = 1, each row merges no levels: W_1 is
 the integral of |F_X - F_Y|, the sum of |F_X - F_Y| times the gap
 between consecutive points of the joint sorted row, where gaps with
@@ -335,7 +336,7 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
 
 
 # Values per batch of the empirical kernel, rows * (n_X + n_Y): its
-# projection buffer then holds 128 KiB, the workspaces of the level merge
+# projection buffers then hold 128 KiB, the workspaces of the level merge
 # of unequal weights at p != 1 rows * (n_X + n_Y + 2) values each, and
 # those of the joint sort of unequal weights at p = 1 rows * (n_X + n_Y).
 # The kernel allocates them once per call.  Changing the size moves

@@ -203,8 +203,8 @@ def _merge_levels(la: np.ndarray, lb: np.ndarray, ws: _Workspace | None = None):
     ia = np.subtract(j + na - 1, step, out=ws("ia", r, k - 1, np.intp))
     np.copyto(ia, step, where=np.less(step, na, out=mask))
     ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
-    np.clip(ia, 0, na - 2, out=ia)
-    np.clip(ib, 0, nb - 2, out=ib)
+    np.minimum(np.maximum(ia, 0, out=ia), na - 2, out=ia)
+    np.minimum(np.maximum(ib, 0, out=ib), nb - 2, out=ib)
     order += _rows_from(r, k)
     u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
     h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
