@@ -150,66 +150,35 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if len(idx) == 1:
         return np.take(a, idx[0], axis=-1)
     *lead, rows, m = a.shape
-    return np.take(a.reshape(*lead, rows * m), idx + _rows_from(rows, m), axis=-1)
+    return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
 
 
-def _rows_from(r: int, m: int) -> np.ndarray:
-    """The flat index of the first of m values in each of r rows."""
-    return np.arange(0, r * m, m)[:, None]
-
-
-class _Workspace:
-    """Flat buffers that one call allocates once and every batch reuses.
-    ws(name, r, m) is the first r rows of m values of the buffer called
-    name, C-contiguous, as a fresh (r, m) array would be.  The buffer is
-    allocated at its first use for the call's largest batch of rows, and
-    again where a later use needs wider rows."""
-
-    def __init__(self, rows: int):
-        self.rows, self.bufs = rows, {}
-
-    def __call__(self, name: str, r: int, m: int, dtype=float) -> np.ndarray:
-        buf = self.bufs.get(name)
-        if buf is None or buf.size < self.rows * m:
-            buf = self.bufs[name] = np.empty(self.rows * m, dtype)
-        return buf[:r * m].reshape(r, m)
-
-
-def _merge_levels(la: np.ndarray, lb: np.ndarray, ws: _Workspace | None = None):
+def _merge_levels(la: np.ndarray, lb: np.ndarray):
     """The one merge of two runs of levels, rows or one shared row each.
     A run rises from 0 to 1, and step i of its side spans its levels i
     and i + 1: a segment of a quantile polyline, or an atom.  Returns the
     merged levels u, the mass of each interval [u_j, u_j+1] and the index
-    of the step of a and of b that covers it, as arrays of the workspace
-    ws (fresh ones by default).
+    of the step of a and of b that covers it.
 
     An interval no wider than MASS_TOL carries no mass: equal cumulative
     masses summed in different orders leave such slivers, where one side
     has stepped and the other not yet.
     """
     na, nb = la.shape[1], lb.shape[1]
-    r, k = max(len(la), len(lb)), na + nb
-    ws = _Workspace(r) if ws is None else ws
-    both = ws("levels", r, k)
+    both = np.empty((max(len(la), len(lb)), na + nb))
     both[:, :na], both[:, na:] = la, lb
     order = np.argsort(both, axis=1, kind="stable")  # two sorted runs: a linear merge
+    u = _take_rows(both, order)
+    h = u[:, 1:] - u[:, :-1]
     # The stable merge keeps each side's levels in order, a's first at a
     # tie, so the interval j that starts at level i of a lies on step i of
     # a and step j - i - 1 of b, and likewise for b.  The indices are
     # clipped on intervals of width 0 (before b's first level, after a's
     # last) and in rows with a nan level, whose nan widths stay.
-    step, j = order[:, :-1], np.arange(k - 1)
-    mask = ws("mask", r, k - 1, bool)
-    ia = np.subtract(j + na - 1, step, out=ws("ia", r, k - 1, np.intp))
-    np.copyto(ia, step, where=np.less(step, na, out=mask))
-    ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
-    np.minimum(np.maximum(ia, 0, out=ia), na - 2, out=ia)
-    np.minimum(np.maximum(ib, 0, out=ib), nb - 2, out=ib)
-    order += _rows_from(r, k)
-    u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
-    h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
-    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
-    return u, h, ia, ib
+    order, j = order[:, :-1], np.arange(na + nb - 1)
+    ia = np.where(order < na, order, j + na - 1 - order)
+    return (u, np.where(h <= MASS_TOL, 0.0, h), np.minimum(np.maximum(ia, 0), na - 2),
+            np.minimum(np.maximum(j - 1 - ia, 0), nb - 2))
 
 
 def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
@@ -309,6 +278,28 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
+def _rows_from(r: int, m: int) -> np.ndarray:
+    """The flat index of the first of m values in each of r rows."""
+    return np.arange(0, r * m, m)[:, None]
+
+
+class _Workspace:
+    """Flat buffers that one call allocates once and every batch reuses.
+    ws(name, r, m) is the first r rows of m values of the buffer called
+    name, C-contiguous, as a fresh (r, m) array would be.  The buffer is
+    allocated at its first use for the call's largest batch of rows, and
+    again where a later use needs wider rows."""
+
+    def __init__(self, rows: int):
+        self.rows, self.bufs = rows, {}
+
+    def __call__(self, name: str, r: int, m: int, dtype=float) -> np.ndarray:
+        buf = self.bufs.get(name)
+        if buf is None or buf.size < self.rows * m:
+            buf = self.bufs[name] = np.empty(self.rows * m, dtype)
+        return buf[:r * m].reshape(r, m)
+
+
 def _equal_path(xa: np.ndarray, xb: np.ndarray, h: np.ndarray, ia, ib, p: float,
                 batch: np.ndarray, ws: _Workspace):
     """Equal weights: project each cloud into its own buffer and sort it
@@ -360,32 +351,50 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
     """Unequal weights at p != 1: project each cloud into its own buffer
     and sort it in place, with its levels la or lb (the shared row of
     equal weights, or None: the cumsums of the reordered weights), merge
-    the levels of both sides in the workspace, and sum h * d^p over the
-    intervals that carry mass; the differences on the others are set to
-    0, so that none of them enters the sum or the scale."""
-    r = len(batch)
-    sides, levels = [], []
-    for name, x, w, shared in (("a", xa, wa, la), ("b", xb, wb, lb)):
+    the levels of both sides as :func:`_merge_levels` does, in the
+    workspace, and sum h * d^p over the intervals that carry mass; the
+    differences on the others are set to 0, so that none of them enters
+    the sum or the scale.
+
+    The merge is written out here rather than shared: taking its arrays
+    from a workspace made the one small merge per batch of the shell
+    kernel slower (shell-offcenter p50 +3 %)."""
+    r, na, nb = len(batch), wa.size, wb.size
+    k = na + nb + 2  # the levels of both sides
+    both = ws("levels", r, k)
+    sides = []
+    for name, x, w, shared, levels in (("a", xa, wa, la, both[:, :na + 1]),
+                                       ("b", xb, wb, lb, both[:, na + 1:])):
         side = np.matmul(batch, x.T, out=ws(name, r, w.size))
         sides.append(side)
         if shared is not None:
             side.sort(axis=1)
-            levels.append(shared)
+            levels[...] = shared
             continue
         # tied points share one quantile value, so the sort need not be stable
         order = np.argsort(side, axis=1)
         cum = np.take(w, order, out=ws("cum", r, w.size), mode="clip")
-        np.cumsum(cum, axis=1, out=cum)
-        levels.append(_clip_levels(cum, ws(f"levels {name}", r, w.size + 1)))
+        _clip_levels(np.cumsum(cum, axis=1, out=cum), levels)
         order += _rows_from(r, w.size)
         np.copyto(side, np.take(side.reshape(-1), order, out=ws("sorted", r, w.size), mode="clip"))
-    _, h, ia, ib = _merge_levels(*levels, ws)
-    ia += _rows_from(r, wa.size)
-    ib += _rows_from(r, wb.size)
-    d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, h.shape[1]), mode="clip")
-    g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, h.shape[1]), mode="clip")
+    order = np.argsort(both, axis=1, kind="stable")
+    step, j = order[:, :-1], np.arange(k - 1)
+    mask = ws("mask", r, k - 1, bool)
+    ia = np.subtract(j + na, step, out=ws("ia", r, k - 1, np.intp))
+    np.copyto(ia, step, where=np.less(step, na + 1, out=mask))
+    ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
+    np.minimum(np.maximum(ia, 0, out=ia), na - 1, out=ia)
+    np.minimum(np.maximum(ib, 0, out=ib), nb - 1, out=ib)
+    order += _rows_from(r, k)
+    u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
+    h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
+    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
+    ia += _rows_from(r, na)
+    ib += _rows_from(r, nb)
+    d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, k - 1), mode="clip")
+    g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, k - 1), mode="clip")
     np.abs(np.subtract(d, g, out=d), out=d)
-    np.copyto(d, 0.0, where=np.equal(h, 0.0, out=ws("mask", r, h.shape[1], bool)))
+    np.copyto(d, 0.0, where=np.equal(h, 0.0, out=mask))
     return _lp_rows(d, h, p)
 
 
