@@ -350,18 +350,13 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
                 p: float, batch: np.ndarray, ws: _Workspace):
     """Unequal weights at p != 1: project each cloud into its own buffer
     and sort it in place, with its levels la or lb (the shared row of
-    equal weights, or None: the cumsums of the reordered weights), merge
-    the levels of both sides as :func:`_merge_levels` does, in the
-    workspace, and sum h * d^p over the intervals that carry mass; the
-    differences on the others are set to 0, so that none of them enters
-    the sum or the scale.
-
-    The merge is written out here rather than shared: taking its arrays
-    from a workspace made the one small merge per batch of the shell
-    kernel slower (shell-offcenter p50 +3 %)."""
+    equal weights, or None: the cumsums of the reordered weights) written
+    side by side into one buffer, merge the two runs of levels
+    (:func:`_merge_levels`), and sum h * d^p over the intervals that
+    carry mass; the differences on the others are set to 0, so that none
+    of them enters the sum or the scale."""
     r, na, nb = len(batch), wa.size, wb.size
-    k = na + nb + 2  # the levels of both sides
-    both = ws("levels", r, k)
+    both = ws("levels", r, na + nb + 2)
     sides = []
     for name, x, w, shared, levels in (("a", xa, wa, la, both[:, :na + 1]),
                                        ("b", xb, wb, lb, both[:, na + 1:])):
@@ -377,24 +372,13 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
         _clip_levels(np.cumsum(cum, axis=1, out=cum), levels)
         order += _rows_from(r, w.size)
         np.copyto(side, np.take(side.reshape(-1), order, out=ws("sorted", r, w.size), mode="clip"))
-    order = np.argsort(both, axis=1, kind="stable")
-    step, j = order[:, :-1], np.arange(k - 1)
-    mask = ws("mask", r, k - 1, bool)
-    ia = np.subtract(j + na, step, out=ws("ia", r, k - 1, np.intp))
-    np.copyto(ia, step, where=np.less(step, na + 1, out=mask))
-    ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
-    np.minimum(np.maximum(ia, 0, out=ia), na - 1, out=ia)
-    np.minimum(np.maximum(ib, 0, out=ib), nb - 1, out=ib)
-    order += _rows_from(r, k)
-    u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
-    h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
-    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
+    _, h, ia, ib = _merge_levels(both[:, :na + 1], both[:, na + 1:])
     ia += _rows_from(r, na)
     ib += _rows_from(r, nb)
-    d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, k - 1), mode="clip")
-    g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, k - 1), mode="clip")
+    d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, h.shape[1]), mode="clip")
+    g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, h.shape[1]), mode="clip")
     np.abs(np.subtract(d, g, out=d), out=d)
-    np.copyto(d, 0.0, where=np.equal(h, 0.0, out=mask))
+    np.copyto(d, 0.0, where=np.equal(h, 0.0, out=ws("mask", r, h.shape[1], bool)))
     return _lp_rows(d, h, p)
 
 
