@@ -153,32 +153,45 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
 
 
-def _merge_levels(la: np.ndarray, lb: np.ndarray):
+def _fresh(name: str, r: int, m: int, dtype=float) -> np.ndarray:
+    """A new (r, m) array, for a merge outside a :class:`_Workspace`."""
+    return np.empty((r, m), dtype)
+
+
+def _merge_levels(la: np.ndarray, lb: np.ndarray, ws=_fresh):
     """The one merge of two runs of levels, rows or one shared row each.
     A run rises from 0 to 1, and step i of its side spans its levels i
     and i + 1: a segment of a quantile polyline, or an atom.  Returns the
     merged levels u, the mass of each interval [u_j, u_j+1] and the index
-    of the step of a and of b that covers it.
+    of the step of a and of b that covers it, as arrays of the workspace
+    ws (fresh ones by default).
 
     An interval no wider than MASS_TOL carries no mass: equal cumulative
     masses summed in different orders leave such slivers, where one side
     has stepped and the other not yet.
     """
     na, nb = la.shape[1], lb.shape[1]
-    both = np.empty((max(len(la), len(lb)), na + nb))
+    r, k = max(len(la), len(lb)), na + nb
+    both = ws("levels", r, k)
     both[:, :na], both[:, na:] = la, lb
     order = np.argsort(both, axis=1, kind="stable")  # two sorted runs: a linear merge
-    u = _take_rows(both, order)
-    h = u[:, 1:] - u[:, :-1]
     # The stable merge keeps each side's levels in order, a's first at a
     # tie, so the interval j that starts at level i of a lies on step i of
     # a and step j - i - 1 of b, and likewise for b.  The indices are
     # clipped on intervals of width 0 (before b's first level, after a's
     # last) and in rows with a nan level, whose nan widths stay.
-    order, j = order[:, :-1], np.arange(na + nb - 1)
-    ia = np.where(order < na, order, j + na - 1 - order)
-    return (u, np.where(h <= MASS_TOL, 0.0, h), np.minimum(np.maximum(ia, 0), na - 2),
-            np.minimum(np.maximum(j - 1 - ia, 0), nb - 2))
+    step, j = order[:, :-1], np.arange(k - 1)
+    mask = ws("mask", r, k - 1, bool)
+    ia = np.subtract(j + na - 1, step, out=ws("ia", r, k - 1, np.intp))
+    np.copyto(ia, step, where=np.less(step, na, out=mask))
+    ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
+    np.minimum(np.maximum(ia, 0, out=ia), na - 2, out=ia)
+    np.minimum(np.maximum(ib, 0, out=ib), nb - 2, out=ib)
+    order += _rows_from(r, k)
+    u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
+    h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
+    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
+    return u, h, ia, ib
 
 
 def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
@@ -350,31 +363,28 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
                 p: float, batch: np.ndarray, ws: _Workspace):
     """Unequal weights at p != 1: project each cloud into its own buffer
     and sort it in place, with its levels la or lb (the shared row of
-    equal weights, or None: the cumsums of the reordered weights) written
-    side by side into one buffer, merge the two runs of levels
-    (:func:`_merge_levels`), and sum h * d^p over the intervals that
-    carry mass; the differences on the others are set to 0, so that none
-    of them enters the sum or the scale."""
-    r, na, nb = len(batch), wa.size, wb.size
-    both = ws("levels", r, na + nb + 2)
-    sides = []
-    for name, x, w, shared, levels in (("a", xa, wa, la, both[:, :na + 1]),
-                                       ("b", xb, wb, lb, both[:, na + 1:])):
+    equal weights, or None: the cumsums of the reordered weights), merge
+    the levels of both sides in the workspace, and sum h * d^p over the
+    intervals that carry mass; the differences on the others are set to
+    0, so that none of them enters the sum or the scale."""
+    r = len(batch)
+    sides, levels = [], []
+    for name, x, w, shared in (("a", xa, wa, la), ("b", xb, wb, lb)):
         side = np.matmul(batch, x.T, out=ws(name, r, w.size))
         sides.append(side)
         if shared is not None:
             side.sort(axis=1)
-            levels[...] = shared
+            levels.append(shared)
             continue
         # tied points share one quantile value, so the sort need not be stable
         order = np.argsort(side, axis=1)
         cum = np.take(w, order, out=ws("cum", r, w.size), mode="clip")
-        _clip_levels(np.cumsum(cum, axis=1, out=cum), levels)
+        levels.append(_clip_levels(np.cumsum(cum, axis=1, out=cum), ws("l" + name, r, w.size + 1)))
         order += _rows_from(r, w.size)
         np.copyto(side, np.take(side.reshape(-1), order, out=ws("sorted", r, w.size), mode="clip"))
-    _, h, ia, ib = _merge_levels(both[:, :na + 1], both[:, na + 1:])
-    ia += _rows_from(r, na)
-    ib += _rows_from(r, nb)
+    _, h, ia, ib = _merge_levels(*levels, ws)
+    ia += _rows_from(r, wa.size)
+    ib += _rows_from(r, wb.size)
     d = np.take(sides[0].reshape(-1), ia, out=ws("d", r, h.shape[1]), mode="clip")
     g = np.take(sides[1].reshape(-1), ib, out=ws("gather", r, h.shape[1]), mode="clip")
     np.abs(np.subtract(d, g, out=d), out=d)
