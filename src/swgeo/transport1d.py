@@ -6,18 +6,19 @@ per row in ``wp_rows``) and for weighted atoms (``_wp_atoms``), W_inf as
 the sup of quantile differences, displacement interpolation, and the
 constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
-which gives no mass to intervals no wider than MASS_TOL.  The atom
-kernel takes directions and two point clouds, projects the directions
-in batches into buffers that it allocates once per call, and works in
-place there and in workspaces also allocated once per call.
-It sums only over the intervals that carry mass; for two clouds of
-equal weights it merges the levels once per call, keeps only those
-intervals and subtracts the sorted rows directly.  For unequal weights
-at p = 1 it merges no levels: W_1 is the integral of |F_mu - F_nu|, one
-sort of the joint row, and a gap where |F_mu - F_nu| <= MASS_TOL
-carries no mass (``_cdf_gap_path``).  It divides a row by its largest
-difference only where the p-th powers would leave float64 range
-(``_power_scale``, as for the q-means of ``sliced``).
+which gives no mass to intervals no wider than MASS_TOL and works on
+fresh arrays or on the caller's workspace.  The atom kernel takes
+directions and two point clouds, projects the directions in batches
+into buffers that it allocates once per call, and works in place there
+and in workspaces also allocated once per call.  It sums only over the
+intervals that carry mass; for two clouds of equal weights it merges
+the levels once per call, keeps only those intervals and subtracts the
+sorted rows directly.  For unequal weights at p = 1 it merges no
+levels: W_1 is the integral of |F_mu - F_nu|, one sort of the joint
+row, and a gap where |F_mu - F_nu| <= MASS_TOL carries no mass
+(``_cdf_gap_path``).  It divides a row by its largest difference only
+where the p-th powers would leave float64 range (``_power_scale``, as
+for the q-means of ``sliced``).
 
 With arcsine components, [0, 1] is cut into panels on which Q_mu - Q_nu
 is smooth and keeps one sign (``_level_cuts``); W_p is one batched
@@ -177,20 +178,23 @@ def _merge_levels(la: np.ndarray, lb: np.ndarray, ws=_fresh):
     order = np.argsort(both, axis=1, kind="stable")  # two sorted runs: a linear merge
     # The stable merge keeps each side's levels in order, a's first at a
     # tie, so the interval j that starts at level i of a lies on step i of
-    # a and step j - i - 1 of b, and likewise for b.  The indices are
-    # clipped on intervals of width 0 (before b's first level, after a's
-    # last) and in rows with a nan level, whose nan widths stay.
+    # a and step j - i - 1 of b, and likewise for b.  With s the column of
+    # that level in both, the step of a is the smaller of s and
+    # j + na - 1 - s: s = i <= na - 1 <= j + na - 1 - s for a level of a,
+    # and for a level of b, s >= na > j + na - 1 - s, one less than the
+    # count of a's levels before it.  The indices are clipped on intervals
+    # of width 0 (before b's first level, after a's last) and in rows with
+    # a nan level, whose nan widths stay.
     step, j = order[:, :-1], np.arange(k - 1)
-    mask = ws("mask", r, k - 1, bool)
     ia = np.subtract(j + na - 1, step, out=ws("ia", r, k - 1, np.intp))
-    np.copyto(ia, step, where=np.less(step, na, out=mask))
+    np.minimum(ia, step, out=ia)
     ib = np.subtract(j - 1, ia, out=ws("ib", r, k - 1, np.intp))
     np.minimum(np.maximum(ia, 0, out=ia), na - 2, out=ia)
     np.minimum(np.maximum(ib, 0, out=ib), nb - 2, out=ib)
     order += _rows_from(r, k)
     u = np.take(both.reshape(-1), order, out=ws("u", r, k), mode="clip")
     h = np.subtract(u[:, 1:], u[:, :-1], out=ws("h", r, k - 1))
-    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=mask))
+    np.copyto(h, 0.0, where=np.less_equal(h, MASS_TOL, out=ws("mask", r, k - 1, bool)))
     return u, h, ia, ib
 
 
