@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .measure1d import (MASS_TOL, ArcsinePart, Measure1D, MeasureError, MeasureRows,
-                        _canonicalize, quantile_rows)
+                        _canonicalize, _integer, quantile_rows)
 
 __all__ = [
     "ShellMixture",
@@ -235,7 +235,7 @@ def nu_family(alpha: float, x, t: float, d: int) -> ShellMixture:
     """
     alpha, t = float(alpha), float(t)
     _check_mu_params(alpha, 0.0, t)
-    d = int(d)
+    d = _integer(d, "dimension")
     if d < 3:
         raise MeasureError("nu_family needs ambient dimension >= 3")
     x = np.asarray(x, dtype=float)
@@ -257,6 +257,7 @@ def nu_family(alpha: float, x, t: float, d: int) -> ShellMixture:
 
 
 def nu_curve(alpha: float, x, d: int) -> Callable[[float], ShellMixture]:
+    d = _integer(d, "dimension")
     return lambda t: nu_family(alpha, x, t, d)
 
 
@@ -265,7 +266,7 @@ def transformed_nu_curve(alpha: float, x, d: int, a: float, y, z
     """Curve t -> dilate(translate(nu(t), t*y + z), a): dilations and
     moving translations preserve the constant-speed property, giving a
     five-parameter family of geodesic curves."""
-    a = float(a)
+    a, d = float(a), _integer(d, "dimension")
     y = np.zeros(d) if y is None else np.asarray(y, dtype=float)
     z = np.zeros(d) if z is None else np.asarray(z, dtype=float)
     if y.shape != (d,) or z.shape != (d,):

@@ -73,8 +73,10 @@ def _integer(value, what: str) -> int:
 
 
 def _generator(seed) -> np.random.Generator:
-    """numpy's PCG64 generator for seed; a negative seed raises MeasureError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """numpy's PCG64 generator for seed, a Python or numpy integer >= 0.
+    Any other seed, None and 2.5 included, raises MeasureError."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
         raise MeasureError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 

@@ -5,8 +5,9 @@ empirical path for weighted point clouds.
 W_p between the projections of a and b; a value that overflows float64
 raises MeasureError.  The q-mean divides the distances by the largest
 where their q-th powers would leave float64 range, so that they stay in
-range.  Two batched kernels compute it, each over every direction in
-array passes, and no Measure1D is built on the way:
+range.  :func:`_distances` picks one of two batched kernels, and
+:func:`_batched`, the one loop over direction batches, runs it; no
+Measure1D is built on the way:
 
 * shell mixtures project to unions of intervals and atoms.
   :func:`swgeo.families.radon_quantile_rows` builds their quantiles as
@@ -36,23 +37,21 @@ translations of shell curves it fell up to 16 % below with 64 mc nodes,
 10 % with 256, and 49 % with 1024, where the cap drops better nodes.
 
 ``sw_pq_empirical`` is the same q-mean between weighted point clouds.
-:func:`swgeo.transport1d._wp_atoms` takes the directions and returns the
-exact 1D W_p of every one, on the level merge that ``wasserstein_p``
-uses, summed over the intervals that carry mass only.  It projects each
-batch of directions into buffers that it allocates once per call, and
-sorts and subtracts in place there and in workspaces also allocated
-once per call: no temporary grows with the direction count or is
-allocated per batch, except the argsorts of weighted clouds.  Two
-clouds of equal weights merge their levels once per call, and each
-batch subtracts their sorted rows directly: a cloud whose atoms each
-cover one interval needs no gather (both, for clouds of one size; the
-larger, when one size divides the other).  When
-a cloud has unequal weights and p = 1, each row merges no levels: W_1 is
-the integral of |F_X - F_Y|, the sum of |F_X - F_Y| times the gap
-between consecutive points of the joint sorted row, where gaps with
-|F_X - F_Y| <= MASS_TOL carry no mass.  Unequal weights at p != 1 merge
-the levels of every row.  Rows and q-means are scaled by the same rule,
-:func:`swgeo.transport1d._power_scale`.
+:func:`_batched` runs the kernel of :func:`swgeo.transport1d._wp_atoms`:
+the exact 1D W_p of each direction, on the level merge that
+``wasserstein_p`` uses, summed over the intervals that carry mass only.
+It sorts and subtracts in place, in buffers allocated once per call: no
+temporary grows with the direction count or is allocated per batch,
+except the argsorts of weighted clouds.  Two clouds of equal weights
+merge their levels once per call, and each batch subtracts their sorted
+rows directly: a cloud whose atoms each cover one interval needs no
+gather (both, for clouds of one size; the larger, when one size divides
+the other).  When a cloud has unequal weights and p = 1, each row merges
+no levels: W_1 is the integral of |F_X - F_Y|, the sum of |F_X - F_Y|
+times the gap between consecutive points of the joint sorted row, where
+gaps with |F_X - F_Y| <= MASS_TOL carry no mass.  Unequal weights at
+p != 1 merge the levels of every row.  Rows and q-means are scaled by
+the same rule, :func:`swgeo.transport1d._power_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -187,16 +186,15 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         raise MeasureError(f"dimension mismatch: a={a.dim}, b={b.dim}, dirs={dirs.dim}")
 
     shell = isinstance(a, ShellMixture)
-    distances = _shell_distances if shell else _circle_distances
     if _is_centered(a) and _is_centered(b):
         # projections scale with s(theta) for shells and do not depend on
         # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
-        v = float(distances(a, b, p, np.eye(a.dim)[:1])[0])
+        v = float(_distances(a, b, p, np.eye(a.dim)[:1])[0])
         s = dirs.s_values() if shell else np.ones(dirs.n)
         val = v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-        val = _qmean(distances(a, b, p, thetas), dirs.weights, q)
+        val = _qmean(_distances(a, b, p, thetas), dirs.weights, q)
     return _finite(val, "mixtures")
 
 
@@ -223,23 +221,21 @@ def _finite(val: float, what: str) -> float:
 # rows * 8K values for K components, the merged levels of two rows.
 _BATCH_VALUES = 1 << 18
 
-
-def _polyline_distances(rows, a, b, p: float, thetas: np.ndarray) -> np.ndarray:
-    """Exact 1D distance between the quantile polylines rows(a, batch) and
-    rows(b, batch) of the projections of a and b, for every row of thetas,
-    as array passes over batches of rows."""
-    step = max(1, _BATCH_VALUES // (8 * max(len(a.components), len(b.components))))
-    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
-        return np.concatenate([
-            transport1d.wp_rows(*rows(a, batch), *rows(b, batch), p)
-            for batch in np.split(thetas, range(step, len(thetas), step))])
+# Values per pair of projections with K components and per K^2, for
+# batches of _BATCH_VALUES in the arcsine kernel: traced on mixtures of
+# 1-3 circles, its live arrays peaked at 1700-5000 K^2 values per pair.
+_ARCSINE_PAIR_VALUES = 2048
 
 
-def _shell_distances(a: ShellMixture, b: ShellMixture, p: float,
-                     thetas: np.ndarray) -> np.ndarray:
-    """1D distance between the projections of a and b onto every row of
-    thetas, on the polylines of :func:`~swgeo.families.radon_quantile_rows`."""
-    return _polyline_distances(families.radon_quantile_rows, a, b, p, thetas)
+def _batched(kernel, thetas: np.ndarray, rows: int) -> np.ndarray:
+    """kernel(batch) for every batch of at most rows rows of thetas, in
+    order, into one output.  Overflow and invalid warnings are silenced:
+    every caller refuses a non-finite result."""
+    out = np.empty(len(thetas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(thetas), rows):
+            out[i:i + rows] = kernel(thetas[i:i + rows])
+    return out
 
 
 def _point_rows(cm: CircleMixture, thetas: np.ndarray):
@@ -249,26 +245,21 @@ def _point_rows(cm: CircleMixture, thetas: np.ndarray):
     return measure1d.quantile_rows(loc, loc, np.array([w for w, _, _ in cm.components]))
 
 
-# Values per pair of projections with K components and per K^2, for
-# batches of _BATCH_VALUES in the arcsine kernel: traced on mixtures of
-# 1-3 circles, its live arrays peaked at 1700-5000 K^2 values per pair.
-_ARCSINE_PAIR_VALUES = 2048
-
-
-def _circle_distances(a: CircleMixture, b: CircleMixture, p: float,
-                      thetas: np.ndarray) -> np.ndarray:
+def _distances(a, b, p: float, thetas: np.ndarray) -> np.ndarray:
     """1D distance between the projections of a and b onto every row of
-    thetas.  Arcsine projections go through the numeric kernel as the
-    rows of one table per batch of rows; two mixtures of point masses
-    project to atoms only and take the exact polyline kernel."""
-    if all(r <= families._RADIUS_EPS for m in (a, b) for _, r, _ in m.components):
-        return _polyline_distances(_point_rows, a, b, p, thetas)
+    thetas: the polyline kernel on shell rows or on the atoms of circle
+    mixtures of points only, else the arcsine kernel on one table of both
+    sides per batch."""
     k = max(len(a.components), len(b.components))
-    step = max(1, _BATCH_VALUES // (_ARCSINE_PAIR_VALUES * k * k))
-    with np.errstate(over="ignore", invalid="ignore"):  # sw_pq refuses an overflow
-        return np.concatenate([
-            transport1d.wp_measure_rows(families.circle_rows((a, b), batch), p)
-            for batch in np.split(thetas, range(step, len(thetas), step))])
+    if isinstance(a, ShellMixture):
+        rows = families.radon_quantile_rows
+    elif all(r <= families._RADIUS_EPS for m in (a, b) for _, r, _ in m.components):
+        rows = _point_rows
+    else:
+        kernel = lambda batch: transport1d.wp_measure_rows(families.circle_rows((a, b), batch), p)
+        return _batched(kernel, thetas, max(1, _BATCH_VALUES // (_ARCSINE_PAIR_VALUES * k * k)))
+    kernel = lambda batch: transport1d.wp_rows(*rows(a, batch), *rows(b, batch), p)
+    return _batched(kernel, thetas, max(1, _BATCH_VALUES // (8 * k)))
 
 
 # -------------------------------------------------------------- radial W_p
@@ -352,8 +343,9 @@ _EMPIRICAL_BATCH_VALUES = 1 << 14
 def _empirical_rows(X: PointCloud, Y: PointCloud, p: float, thetas: np.ndarray) -> np.ndarray:
     """Exact 1D W_p between the projections of X and Y onto every row of
     thetas, through the empirical kernel in batches of rows."""
-    rows = max(1, _EMPIRICAL_BATCH_VALUES // (X.n + Y.n))
-    return transport1d._wp_atoms(thetas, X.points, X.weights, Y.points, Y.weights, p, rows)
+    rows = min(max(1, _EMPIRICAL_BATCH_VALUES // (X.n + Y.n)), len(thetas))
+    kernel = transport1d._wp_atoms(X.points, X.weights, Y.points, Y.weights, p, rows)
+    return _batched(kernel, thetas, rows)
 
 
 def empirical_w1d(xa: np.ndarray, wa: np.ndarray,
@@ -385,8 +377,7 @@ def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,
         raise MeasureError("empirical sliced distances support finite p only")
     if X.dim != Y.dim or X.dim != dirs.dim:
         raise MeasureError("dimension mismatch between clouds and directions")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        vals = _empirical_rows(X, Y, p, dirs.thetas)
+    vals = _empirical_rows(X, Y, p, dirs.thetas)
     return _finite(_qmean(vals, dirs.weights, q), "clouds")
 
 

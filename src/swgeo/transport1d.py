@@ -7,10 +7,9 @@ the sup of quantile differences, displacement interpolation, and the
 constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL and works on
-fresh arrays or on the caller's workspace.  The atom kernel takes
-directions and two point clouds, projects the directions in batches
-into buffers that it allocates once per call, and works in place there
-and in workspaces also allocated once per call.  It sums only over the
+fresh arrays or on the caller's workspace.  The atom kernel takes one
+batch of directions at a time (``sliced._batched`` loops), and works in
+place in buffers that one workspace per call holds.  It sums only over the
 intervals that carry mass; for two clouds of equal weights it merges
 the levels once per call, keeps only those intervals and subtracts the
 sorted rows directly.  For unequal weights at p = 1 it merges no
@@ -33,8 +32,10 @@ Q_mu'' = Q_nu'' as everywhere on a translated pair, is dropped at its
 first point: the Newton cannot move it.  CDF values that do not depend
 on each other, such as both sides of a pair, take one evaluation.
 ``wp_measure_rows`` takes many pairs at once, as the rows of one
-:class:`~swgeo.measure1d.MeasureRows` table, and ``wasserstein_p`` is its
-one-pair case.  A distance that overflows float64 raises MeasureError.
+:class:`~swgeo.measure1d.MeasureRows` table.  One pair, in
+``wasserstein_p`` and ``wasserstein_inf``, is a one-row call of either
+kernel (``_distance``).  A distance that overflows float64 raises
+MeasureError.
 
 W_p^p(mu, nu) = integral over [0,1] of |Q_mu - Q_nu|^p, where Q denotes
 the generalized inverse CDF; this representation needs no transport map
@@ -58,7 +59,6 @@ from .measure1d import (
     MeasureError,
     MeasureRows,
     PiecewiseLinearMap,
-    QuantileFn,
     _phi_map,
     _row_unique,
     _x_of_phi,
@@ -146,10 +146,8 @@ def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.n
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[..., r, idx[r]] for every row r, where idx has one row per row of
-    a or one row shared by all (flat takes beat take_along_axis)."""
-    if len(idx) == 1:
-        return np.take(a, idx[0], axis=-1)
+    """a[..., r, idx[r]] for every row r of a and of idx (flat takes beat
+    take_along_axis)."""
     *lead, rows, m = a.shape
     return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
 
@@ -396,19 +394,19 @@ def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarr
     return _lp_rows(d, h, p)
 
 
-def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
-              xb: np.ndarray, wb: np.ndarray, p: float, rows: int) -> np.ndarray:
-    """Exact W_p between the projections of two weighted point clouds onto
-    every row of thetas, one value per row: xa (n_a, d) and xb (n_b, d)
-    are the points, wa and wb their weights.  Both quantiles are step
+def _wp_atoms(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray,
+              p: float, rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel of exact W_p between the projections of two weighted
+    point clouds: a function that takes a batch of at most rows directions
+    and returns one value per direction.  xa (n_a, d) and xb (n_b, d) are
+    the points, wa and wb their weights.  Both quantiles are step
     functions, so W_p^p is a finite sum of h * d^p over the intervals of
     :func:`_merge_levels` that carry mass (h > 0), with d the difference
     of the two atoms on each; see :func:`_lp_rows` for the scale.
 
-    The directions go through in batches of at most rows.  Each path
-    projects a batch into buffers that the call allocates once, one
-    matmul per cloud as ``batch @ x.T`` takes it, and works in place
-    there and on the other workspaces of the call (:class:`_Workspace`).
+    The kernel holds one :class:`_Workspace` of rows rows, which every
+    batch reuses.  Each path projects a batch into buffers of it, one
+    matmul per cloud as ``batch @ x.T`` takes it, and works in place.
     One matmul of both clouds stacked would move values in their last
     ulps on small clouds, since BLAS picks its kernels by the shapes.
     One of three paths, by the weights and p:
@@ -434,15 +432,8 @@ def _wp_atoms(thetas: np.ndarray, xa: np.ndarray, wa: np.ndarray,
         path = functools.partial(_cdf_gap_path, xa, xb, np.concatenate([wa, -wb]))
     else:
         path = functools.partial(_merge_path, xa, wa, la, xb, wb, lb, p)
-    ws = _Workspace(min(rows, len(thetas)))
-    out = np.empty(len(thetas))
-    for i in range(0, len(thetas), ws.rows):
-        out[i:i + ws.rows] = path(thetas[i:i + ws.rows], ws)
-    return out
-
-
-def _wp_exact(qa: QuantileFn, qb: QuantileFn, p: float) -> float:
-    return float(wp_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None], p)[0])
+    ws = _Workspace(rows)
+    return lambda batch: path(batch, ws)
 
 
 def _level_cuts(t: MeasureRows, q: AnalyticQuantile, n: int):
@@ -727,11 +718,6 @@ def _stationary_points(t: MeasureRows, q: AnalyticQuantile, n: int, k: np.ndarra
     return np.concatenate(kept), np.concatenate(levels)
 
 
-def _sup_numeric(t: MeasureRows, n: int) -> np.ndarray:
-    """The found values of :func:`_sup_bracket`."""
-    return _sup_bracket(t, n)[0]
-
-
 def wp_measure_rows(t: MeasureRows, p: float) -> np.ndarray:
     """W_p (W_inf for p = inf) between the rows i and i + n of a table of
     2n measures, for every i < n, with arcsine parts on at least one side:
@@ -743,22 +729,27 @@ def wp_measure_rows(t: MeasureRows, p: float) -> np.ndarray:
     pair's value is the one it has alone.  Overflow is left to the
     caller."""
     n = t.n // 2
-    return _sup_numeric(t, n) if math.isinf(p) else _wp_numeric(t, n, p)
+    return _sup_bracket(t, n)[0] if math.isinf(p) else _wp_numeric(t, n, p)
 
 
-def _numeric(mu: Measure1D, nu: Measure1D, p: float) -> float:
-    """The one-pair case of :func:`wp_measure_rows`."""
-    return float(wp_measure_rows(MeasureRows.of([mu, nu]), p)[0])
-
-
-def _finite(distance, *args) -> float:
-    """distance(*args), refused where it overflows.  The error takes the
-    place of numpy's overflow warnings on the way, which are silenced."""
+def _finite(distance: Callable[[], float]) -> float:
+    """distance(), refused where it overflows.  The error takes the place
+    of numpy's overflow warnings on the way, which are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = distance(*args)
+        value = distance()
     if not math.isfinite(value):
         raise MeasureError(f"distance {value} is not finite: the measures overflow")
     return value
+
+
+def _distance(mu: Measure1D, nu: Measure1D, p: float) -> float:
+    """W_p (W_inf for p = inf) of one pair, refused where it overflows: one
+    row of :func:`wp_rows` if both are piecewise affine, else of
+    :func:`wp_measure_rows`."""
+    if mu.is_discrete_mixture and nu.is_discrete_mixture:
+        qa, qb = mu.quantile_fn(), nu.quantile_fn()
+        return _finite(lambda: float(wp_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None], p)[0]))
+    return _finite(lambda: float(wp_measure_rows(MeasureRows.of([mu, nu]), p)[0]))
 
 
 def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
@@ -771,9 +762,7 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
         raise MeasureError("use wasserstein_inf for p = infinity")
     if not p >= 1.0:  # nan too
         raise MeasureError("p must be >= 1")
-    if mu.is_discrete_mixture and nu.is_discrete_mixture:
-        return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), p)
-    return _finite(_numeric, mu, nu, p)
+    return _distance(mu, nu, p)
 
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
@@ -783,9 +772,7 @@ def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:
     exact one-sided ends, and at the stationary points of Q_mu - Q_nu that
     a 2x2 Newton finds from every grid cell whose mean-value bound exceeds
     the grid's largest value (:func:`_sup_bracket`)."""
-    if mu.is_discrete_mixture and nu.is_discrete_mixture:
-        return _finite(_wp_exact, mu.quantile_fn(), nu.quantile_fn(), math.inf)
-    return _finite(_numeric, mu, nu, math.inf)
+    return _distance(mu, nu, math.inf)
 
 
 def pairwise_deviation(curve: Callable[[float], object],

@@ -12,17 +12,19 @@ from swgeo.families import (
     circle_project,
     dilate,
     mu_family,
+    nu_curve,
     nu_family,
     radon_project,
     s_of_theta,
     shell_from_text,
     shell_masses,
     shell_to_text,
+    transformed_nu_curve,
     translate,
     w_p_mu01,
 )
 from swgeo.measure1d import Measure1D, MeasureError
-from swgeo.sliced import _shell_distances
+from swgeo.sliced import _distances
 from swgeo.sphere import mc_directions
 from swgeo.transport1d import wasserstein_p
 
@@ -153,6 +155,23 @@ class TestNuFamily:
     def test_rejects_low_dimension(self):
         with pytest.raises(MeasureError):
             nu_family(0.5, 0.0, 0.5, 2)
+
+    def test_rejects_non_integral_dimension(self):
+        # int() truncated this: d = 4.5 built a mixture in d = 4
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 4.5"):
+            nu_family(0.5, 0.0, 0.5, 4.5)
+        assert nu_family(0.5, 0.0, 0.5, np.int64(4)).dim == 4
+
+    def test_curve_rejects_non_integral_dimension(self):
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 4.5"):
+            nu_curve(0.5, 0.0, 4.5)
+        assert nu_curve(0.5, 0.0, np.int32(4))(0.5).dim == 4
+
+    def test_transformed_curve_rejects_non_integral_dimension(self):
+        # np.zeros(4.0) raised a bare TypeError here
+        with pytest.raises(MeasureError, match="dimension must be an integer, got 4.0"):
+            transformed_nu_curve(0.5, 0.0, 4.0, 1.0, None, None)
+        assert transformed_nu_curve(0.5, 0.0, np.int64(4), 1.0, None, None)(0.5).dim == 4
 
 
 NAN, INF = float("nan"), float("inf")
@@ -310,7 +329,7 @@ class TestRadonProject:
                     + sum((hi - lo) * rho for lo, hi, rho in m.pieces))
             assert abs(mass - 1.0) <= 1e-15
         for p in (1.0, 2.0, 3.0, math.inf):
-            batched = _shell_distances(narrow, unit, p, thetas)
+            batched = _distances(narrow, unit, p, thetas)
             oracle = np.array([sw_per_direction(narrow, unit, p, th) for th in thetas])
             np.testing.assert_allclose(oracle, batched, rtol=1e-12, atol=0.0)
 

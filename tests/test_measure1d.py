@@ -546,6 +546,8 @@ class TestSampling:
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
             sample(mixed_atom_measure(), 10, seed=-1)
+        with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
+            mixed_atom_measure().sample(3, 1.5)
 
     def test_rejects_non_integral_size(self):
         with pytest.raises(MeasureError, match="sample size must be an integer, got 2.5"):

@@ -205,14 +205,22 @@ def directions_with_tiny_s(d, seed):
 
 class TestBatchedShellKernel:
     @settings(max_examples=150, deadline=None)
-    @given(pair=shell_pair(), seed=st.integers(0, 2**32 - 1),
+    @given(pair=shell_pair(), seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 2, 7]),
+           extra=st.sampled_from([-1, 0, 1, None]),
            p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
            q=st.sampled_from([1.0, 2.0, math.inf]))
-    def test_matches_per_direction_oracle(self, pair, seed, p, q):
+    def test_matches_per_direction_oracle(self, pair, seed, rows, extra, p, q):
+        # batches of `rows` directions over all 12-15 of them, or one batch
+        # +- 1 of the last ones, the tiny-s directions among them
         a, b = pair
         dirs = directions_with_tiny_s(a.dim, seed)
+        if extra is not None:
+            n = max(1, rows + extra)
+            dirs = DirectionSet(a.dim, dirs.thetas[-n:], np.full(n, 1.0 / n), dirs.provenance)
         want = loop_oracle(a, b, p, q, dirs)
-        got = sw_pq(a, b, p, q, dirs)
+        k = max(len(a.components), len(b.components))
+        with mock.patch.object(swgeo.sliced, "_BATCH_VALUES", rows * 8 * k):
+            got = sw_pq(a, b, p, q, dirs)
         # the oracle merges atoms closer than 1e-14 max(1, |x|), hence the
         # floor of 1 on the scale
         assert abs(got - want) <= 1e-12 * max(want, support_radius(a, b), 1.0)
@@ -350,8 +358,8 @@ class TestCircle:
     def test_centered_circles_take_one_direction(self, monkeypatch):
         # a centered circle mixture projects to the same measure on every theta
         rows = []
-        distances = swgeo.sliced._circle_distances
-        monkeypatch.setattr(swgeo.sliced, "_circle_distances",
+        distances = swgeo.sliced._distances
+        monkeypatch.setattr(swgeo.sliced, "_distances",
                             lambda a, b, p, thetas: rows.append(len(thetas))
                             or distances(a, b, p, thetas))
         c0, ct = circle_family(0.0), circle_family(0.3)
@@ -779,6 +787,8 @@ class TestSampleShell:
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
             sample_shell(ShellMixture.single(3, 1.0), 10, seed=-1)
+        with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
+            sample_shell(ShellMixture.single(4, 1.0), 4, 1.5)
 
     def test_rejects_non_integral_count(self):
         with pytest.raises(MeasureError, match="sample size must be an integer, got 2.5"):

@@ -47,6 +47,11 @@ class TestMcDirections:
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -3"):
             mc_directions(3, 8, seed=np.int64(-3))
+        # numpy raised a bare TypeError for 2.5 and 2.0; None drew an
+        # unreproducible set labelled seed=None
+        for seed in (2.5, 2.0, None):
+            with pytest.raises(MeasureError, match=f"seed must be an integer, got {seed}"):
+                mc_directions(3, 4, seed)
 
     def test_rejects_non_integral_count_and_dimension(self):
         # int() truncated these: 2.5 directions gave 2
@@ -67,6 +72,20 @@ class TestDirectionSetValidation:
     def test_rejects_nan_weight(self):
         with pytest.raises(MeasureError, match="finite"):
             DirectionSet(4, np.eye(4)[:2], np.array([np.nan, 1.0]), "test")
+
+    @pytest.mark.parametrize("thetas,weights,match", [
+        (np.eye(4)[0], [1.0], r"thetas must be an \(n, d\) array"),
+        (np.eye(3)[:2], [0.5, 0.5], r"thetas must be an \(n, d\) array"),
+        (np.eye(4)[:2], [0.5, 0.25, 0.25], "weights must parallel the node list"),
+        (np.eye(4)[:2], [1.5, -0.5], "node weights must be positive"),
+        (np.eye(4)[:2], [0.5, 0.5 + 1e-9], "node weights must sum to 1 within 1e-12"),
+        (np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8 + 1e-9, 0.0, 0.0]]), [0.5, 0.5],
+         "all nodes must be unit vectors within 1e-12"),
+    ], ids=["thetas-1d", "thetas-wrong-dim", "weights-shape", "weight-non-positive",
+            "weight-sum", "non-unit-node"])
+    def test_rejects_malformed_set(self, thetas, weights, match):
+        with pytest.raises(MeasureError, match=match):
+            DirectionSet(4, thetas, np.array(weights), "test")
 
 
 class TestBetaDirections:
@@ -146,5 +165,7 @@ class TestCdq:
             c_dq(4, 0.5)
         with pytest.raises(MeasureError, match="q must be >= 1"):
             c_dq(4, math.nan)
-        with pytest.raises(MeasureError):
-            c_dq(4, 2.0, method="mc")  # seed required
+        with pytest.raises(MeasureError, match="mc method needs a seed"):
+            c_dq(4, 2.0, method="mc")
+        with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
+            c_dq(4, 2, method="mc", seed=1.5)
