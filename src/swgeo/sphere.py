@@ -120,22 +120,25 @@ def c_dq(d: int, q: float, method: str = "beta", n: int = 64,
     essential sup of s is 1).  Otherwise computed from a direction set:
     method "beta" (deterministic quadrature, the default) or "mc"
     (Monte Carlo with the given seed, kept as the independent check).
+    The method, node count and seed are checked in every case, also
+    where the value is exactly 1 and no direction is drawn.
     """
-    d = _integer(d, "dimension")
+    d, n = _integer(d, "dimension"), _integer(n, "node count")
     q = float(q)
     if d < 3:
         raise MeasureError("c_dq is defined for d >= 3")
     if not q >= 1.0:  # nan too
         raise MeasureError("q must be >= 1")
-    if math.isinf(q) or d == 3:
-        return 1.0
-    if method == "beta":
-        ds = beta_directions(d, n)
-    elif method == "mc":
+    if method not in ("beta", "mc"):
+        raise MeasureError(f"unknown method {method!r} (use 'beta' or 'mc')")
+    if method == "mc":
         if seed is None:
             raise MeasureError("mc method needs a seed")
-        ds = mc_directions(d, n, seed)
-    else:
-        raise MeasureError(f"unknown method {method!r} (use 'beta' or 'mc')")
+        _generator(seed)  # refuses a bad seed where no direction is drawn too
+    if n < 1:
+        raise MeasureError("node count must be >= 1")
+    if math.isinf(q) or d == 3:
+        return 1.0
+    ds = beta_directions(d, n) if method == "beta" else mc_directions(d, n, seed)
     s = ds.s_values()
     return float(np.dot(ds.weights, s ** q) ** (1.0 / q))

@@ -7,14 +7,17 @@ the sup of quantile differences, displacement interpolation, and the
 constant-speed deviation table of a curve under any distance.  Every
 exact kernel reads its intervals off one level merge, ``_merge_levels``,
 which gives no mass to intervals no wider than MASS_TOL and works on
-fresh arrays or on the caller's workspace.  The atom kernel takes one
-batch of directions at a time (``sliced._batched`` loops), and works in
-place in buffers that one workspace per call holds.  It sums only over the
-intervals that carry mass; for two clouds of equal weights it merges
-the levels once per call, keeps only those intervals and subtracts the
-sorted rows directly.  For unequal weights at p = 1 it merges no
-levels: W_1 is the integral of |F_mu - F_nu|, one sort of the joint
-row, and a gap where |F_mu - F_nu| <= MASS_TOL carries no mass
+fresh arrays or on the caller's workspace.  The polyline kernel computes
+one-sided values and segment integrals only on the intervals that carry
+mass, and sums them in their columns of a zeroed row: numpy's pairwise
+summation then groups them as the full row, to the bit.  The atom kernel
+takes one batch of directions at a time (``sliced._batched`` loops), and
+works in place in buffers that one workspace per call holds.  It sums
+only over the intervals that carry mass; for two clouds of equal weights
+it merges the levels once per call, keeps only those intervals and
+subtracts the sorted rows directly.  For unequal weights at p = 1 it
+merges no levels: W_1 is the integral of |F_mu - F_nu|, one sort of the
+joint row, and a gap where |F_mu - F_nu| <= MASS_TOL carries no mass
 (``_cdf_gap_path``).  It divides a row by its largest difference only
 where the p-th powers would leave float64 range (``_power_scale``, as
 for the q-means of ``sliced``).
@@ -109,12 +112,12 @@ def optimal_map(mu: Measure1D, nu: Measure1D) -> PiecewiseLinearMap:
                            "use wasserstein_p / wasserstein_inf for arcsine mixtures")
 
     qa, qb = mu.quantile_fn(), nu.quantile_fn()
-    h, a0, a1, b0, b1 = _merge_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None])
+    *_, a0, a1, b0, b1 = _merge_rows(qa.s[None], qa.x[None], qb.s[None], qb.x[None])
     # On each interval that carries mass, T runs affinely from (Q_mu(u0+),
     # Q_nu(u0+)) to (Q_mu(u1-), Q_nu(u1-)).  One-sided values taken from
     # neighbouring segments may differ by an ulp, hence the running max.
-    xs = np.maximum.accumulate(np.stack([a0, a1], axis=-1)[h > 0.0].ravel())
-    ys = np.maximum.accumulate(np.stack([b0, b1], axis=-1)[h > 0.0].ravel())
+    xs = np.maximum.accumulate(np.stack([a0, a1], axis=-1).ravel())
+    ys = np.maximum.accumulate(np.stack([b0, b1], axis=-1).ravel())
     keep = np.concatenate([[True], (np.diff(xs) != 0.0) | (np.diff(ys) != 0.0)])
     return PiecewiseLinearMap(xs[keep], ys[keep], left_slope=0.0, right_slope=0.0)
 
@@ -133,7 +136,7 @@ def interpolate(mu: Measure1D, nu: Measure1D, lam: float) -> Measure1D:
 
 def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """Integrals of |affine|^p over segments with endpoint values (d0, d1)
-    and widths h, summed over the last axis.  Exact antiderivative
+    and widths h, one per entry.  Exact antiderivative
     sign(z)|z|^{p+1}/(p+1), with a midpoint fallback where endpoint values
     nearly coincide."""
     diff = d1 - d0
@@ -142,14 +145,7 @@ def _segment_lp(d0: np.ndarray, d1: np.ndarray, h: np.ndarray, p: float) -> np.n
     G = lambda z: np.sign(z) * np.abs(z) ** (p + 1.0)
     exact = h * (G(d1) - G(d0)) / (np.where(near, 1.0, diff) * (p + 1.0))
     midpoint = np.abs(0.5 * (d0 + d1)) ** p * h
-    return np.sum(np.where(near, midpoint, exact), axis=-1)
-
-
-def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[..., r, idx[r]] for every row r of a and of idx (flat takes beat
-    take_along_axis)."""
-    *lead, rows, m = a.shape
-    return np.take(a.reshape(*lead, rows * m), idx + np.arange(0, rows * m, m)[:, None], axis=-1)
+    return np.where(near, midpoint, exact)
 
 
 def _fresh(name: str, r: int, m: int, dtype=float) -> np.ndarray:
@@ -196,29 +192,30 @@ def _merge_levels(la: np.ndarray, lb: np.ndarray, ws=_fresh):
     return u, h, ia, ib
 
 
-def _limits_rows(s: np.ndarray, x: np.ndarray, j: np.ndarray,
-                 u0: np.ndarray, u1: np.ndarray):
-    """One-sided values (Q(u0+), Q(u1-)) of row-wise quantile polylines
-    (s, x) on intervals that lie inside segment j of their row."""
-    ds = s[:, 1:] - s[:, :-1]
-    slope = (x[:, 1:] - x[:, :-1]) / np.where(ds > 0.0, ds, 1.0)
-    s0, x0, slope = _take_rows(np.stack([s[:, :-1], x[:, :-1], slope]), j)
-    return x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope
-
-
 def _merge_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray):
     """Merge the levels of two row-wise quantile polylines.
 
     Each quantile is a polyline of parallel (n, m) arrays in the
     :class:`QuantileFn` encoding: s nondecreasing from 0 to 1, a repeated
     s is a jump, a repeated x an atom.  On each interval u0 < u1 of
-    :func:`_merge_levels` both quantiles are affine.  Returns, per merged
-    interval, its mass and the one-sided values Q_a(u0+), Q_a(u1-),
-    Q_b(u0+), Q_b(u1-).
+    :func:`_merge_levels` both quantiles are affine.  Returns the masses
+    h of the merged intervals, the flat indices at where h != 0 (mass, or
+    a nan row) and their rows, and there the one-sided values Q_a(u0+),
+    Q_a(u1-), Q_b(u0+), Q_b(u1-).
     """
     u, h, ja, jb = _merge_levels(sa, sb)
-    u0, u1 = u[:, :-1], u[:, 1:]
-    return (h, *_limits_rows(sa, xa, ja, u0, u1), *_limits_rows(sb, xb, jb, u0, u1))
+    at = np.flatnonzero(h != 0.0)
+    row = at // h.shape[1]
+    u0, u1 = u.ravel()[at + row], u.ravel()[at + row + 1]
+    out = [h, at, row]
+    for s, x, j in ((sa, xa, ja), (sb, xb, jb)):
+        i = j.ravel()[at] + row * s.shape[1]
+        s, x = s.ravel(), x.ravel()
+        s0, x0 = s[i], x[i]
+        ds = s[i + 1] - s0
+        slope = (x[i + 1] - x0) / np.where(ds > 0.0, ds, 1.0)
+        out += [x0 + (u0 - s0) * slope, x0 + (u1 - s0) * slope]
+    return out
 
 
 def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
@@ -228,16 +225,20 @@ def wp_rows(sa: np.ndarray, xa: np.ndarray, sb: np.ndarray, xb: np.ndarray,
 
     Q_a - Q_b is affine on each merged interval, so W_inf is the largest
     one-sided value and W_p^p a sum of closed-form segment integrals over
-    the intervals that carry mass.
+    the intervals that carry mass, the only ones computed; nan rows give nan.
     """
-    h, a0, a1, b0, b1 = _merge_rows(sa, xa, sb, xb)
-    d0 = np.where(h > 0.0, a0 - b0, 0.0)
-    d1 = np.where(h > 0.0, a1 - b1, 0.0)
-    M = np.maximum(np.abs(d0), np.abs(d1)).max(axis=1)
+    h, at, row, a0, a1, b0, b1 = _merge_rows(sa, xa, sb, xb)
+    w = h.ravel()[at]  # positive masses, or the nan ones of nan rows
+    d0 = np.where(w > 0.0, a0 - b0, w)
+    d1 = np.where(w > 0.0, a1 - b1, w)
+    M = np.zeros(len(h))
+    np.maximum.at(M, row, np.maximum(np.abs(d0), np.abs(d1)))
     if math.isinf(p):
         return M
-    scale = np.where(M > 0.0, M, 1.0)[:, None]
-    return M * _segment_lp(d0 / scale, d1 / scale, h, p) ** (1.0 / p)
+    scale = np.where(M > 0.0, M, 1.0)[row]
+    terms = np.zeros(h.shape)  # summed in the full rows' pairwise grouping
+    terms.ravel()[at] = _segment_lp(d0 / scale, d1 / scale, w, p)
+    return M * np.sum(terms, axis=-1) ** (1.0 / p)
 
 
 def _clip_levels(cum: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -68,6 +68,15 @@ def test_cdq_rejects_a_nan_exponent(runner):
     assert result.stderr == "Error: q must be >= 1\n"
 
 
+def test_cdq_checks_its_node_count_where_the_value_is_exact(runner):
+    # C(3, q) is exactly 1, yet a node count of 0 is refused as for d = 4
+    result = runner.invoke(main, ["cdq", "--d", "3", "--q", "2", "--method", "mc",
+                                  "--mc-dirs", "0"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: node count must be >= 1\n"
+
+
 def test_wp_rejects_a_nan_exponent(runner, tmp_path):
     # refused as an exponent, not as a distance that overflows
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+import swgeo.sphere
 from swgeo.measure1d import MeasureError
 from swgeo.sphere import DirectionSet, beta_directions, c_dq, mc_directions
 
@@ -169,3 +170,27 @@ class TestCdq:
             c_dq(4, 2.0, method="mc")
         with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
             c_dq(4, 2, method="mc", seed=1.5)
+
+    @pytest.mark.parametrize("d,q", [(3, 2.0), (4, math.inf), (3, math.inf)])
+    def test_exact_cases_check_their_arguments(self, d, q, monkeypatch):
+        # the value is exactly 1 here, but the arguments are refused as for
+        # d = 4, q = 2, and no direction is drawn
+        def refuse(*args):
+            raise AssertionError("directions drawn")
+
+        monkeypatch.setattr(swgeo.sphere, "mc_directions", refuse)
+        monkeypatch.setattr(swgeo.sphere, "beta_directions", refuse)
+        with pytest.raises(MeasureError, match="unknown method 'bogus'"):
+            c_dq(d, q, method="bogus")
+        with pytest.raises(MeasureError, match="mc method needs a seed"):
+            c_dq(d, q, method="mc")
+        with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
+            c_dq(d, q, method="mc", seed=1.5)
+        with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
+            c_dq(d, q, method="mc", seed=-1)
+        for method in ("beta", "mc"):
+            with pytest.raises(MeasureError, match="node count must be >= 1"):
+                c_dq(d, q, method=method, n=0, seed=1)
+            with pytest.raises(MeasureError, match="node count must be an integer, got 2.5"):
+                c_dq(d, q, method=method, n=2.5, seed=1)
+            assert c_dq(d, q, method=method, n=1, seed=1) == 1.0

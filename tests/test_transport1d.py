@@ -14,6 +14,8 @@ from swgeo.families import (
     circle_project,
     mu_curve,
     mu_family,
+    radon_quantile_rows,
+    transformed_nu_curve,
     w_p_mu01,
 )
 from swgeo.measure1d import (
@@ -25,6 +27,7 @@ from swgeo.measure1d import (
     MeasureRows,
     pushforward_pwl,
 )
+from swgeo.sphere import mc_directions
 from swgeo.transport1d import (
     geodesic_deviation,
     interpolate,
@@ -769,6 +772,141 @@ class TestMergeLevels:
             # step i of a side ends at its level i + 1
             np.testing.assert_array_equal(ia[r, wide], np.searchsorted(ra[1:], mid))
             np.testing.assert_array_equal(ib[r, wide], np.searchsorted(rb[1:], mid))
+
+
+# ------------------------------------------------------- exact polyline kernel
+
+
+@st.composite
+def polyline_side(draw, rows):
+    """The quantile_rows polylines of rows rows of 1-3 components on a grid
+    of sixteenths: atoms, intervals, atoms at an end of an earlier
+    component, and intervals nested in, touching or equal to an earlier
+    one.  The masses are eighths, so that the levels of both sides repeat
+    and most merged intervals carry no mass, or random floats.  On the
+    grid two affine pieces of Q_a - Q_b are parallel or differ in slope by
+    far more than the rounding of their ends: the cancellation of
+    transport1d._segment_lp on nearly parallel pieces stays below the
+    bound."""
+    k = draw(st.integers(1, 3))
+    kinds = ["atom", "interval", "end atom", "nested", "touching", "equal"]
+    position = st.integers(-48, 48).map(lambda i: i / 16)
+    comps = np.empty((rows, k, 3))
+    for r in range(rows):
+        for c in range(k):
+            kind = draw(st.sampled_from(kinds if c else kinds[:2]))
+            if c:
+                plo, phi, _ = comps[r, draw(st.integers(0, c - 1))]
+            if kind == "atom":
+                lo = hi = draw(position)
+            elif kind == "interval":
+                lo = draw(position)
+                hi = lo + draw(st.integers(1, 32)) / 16
+            elif kind == "end atom":
+                lo = hi = draw(st.sampled_from([plo, phi]))
+            elif kind == "nested":
+                lo = plo + draw(st.integers(0, 8)) / 16
+                hi = max(lo, phi - draw(st.integers(0, 8)) / 16)
+            elif kind == "touching":
+                lo, hi = phi, phi + draw(st.integers(1, 32)) / 16
+            else:
+                lo, hi = plo, phi
+            comps[r, c, :2] = lo, hi
+        if draw(st.booleans()):
+            cuts = sorted(draw(st.lists(st.integers(1, 7), min_size=k - 1, max_size=k - 1,
+                                        unique=True)))
+            comps[r, :, 2] = np.diff([0, *cuts, 8]) / 8
+        else:
+            m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+            comps[r, :, 2] = m / m.sum()
+    lo, hi, m = comps.transpose(2, 0, 1)
+    atom = lo == hi
+    return swgeo.measure1d.quantile_rows(lo, hi, np.where(atom, m, m / np.where(atom, 1.0, hi - lo)))
+
+
+def mp_wp_rows(sa, xa, sb, xb, p):
+    """W_p (W_inf for p = inf) of each row pair of polylines in 50 digits:
+    over the pieces between consecutive distinct levels of both rows, each
+    quantile is read off the segment of its row that holds the piece,
+    found by a linear search, and |Q_a - Q_b|^p is integrated by mpmath,
+    split at a sign change.  A piece no wider than MASS_TOL carries no
+    mass, as in transport1d._merge_levels."""
+    import mpmath as mp
+
+    def affine(s, x, u0, u1):
+        mid = 0.5 * (u0 + u1)
+        i = next(j for j in range(len(s) - 1) if s[j] <= mid < s[j + 1])
+        s0, s1, x0, x1 = (mp.mpf(float(v)) for v in (s[i], s[i + 1], x[i], x[i + 1]))
+        return [x0 + (mp.mpf(float(u)) - s0) * (x1 - x0) / (s1 - s0) for u in (u0, u1)]
+
+    out = []
+    with mp.workdps(50):
+        for row in zip(sa, xa, sb, xb):
+            levels = np.unique(np.concatenate([row[0], row[2]]))
+            total, top = mp.mpf(0), mp.mpf(0)
+            for u0, u1 in zip(levels[:-1], levels[1:]):
+                if u1 - u0 <= MASS_TOL:
+                    continue
+                (a0, a1), (b0, b1) = affine(*row[:2], u0, u1), affine(*row[2:], u0, u1)
+                d0, d1 = a0 - b0, a1 - b1
+                top = max(top, abs(d0), abs(d1))
+                if math.isinf(p):
+                    continue
+                ends = [mp.mpf(float(u0)), mp.mpf(float(u1))]
+                if d0 * d1 < 0:
+                    ends.insert(1, ends[0] + (ends[1] - ends[0]) * d0 / (d0 - d1))
+                f = lambda u: abs(d0 + (d1 - d0) * (u - ends[0]) / (ends[-1] - ends[0])) ** p
+                total += mp.quad(f, ends)
+            out.append(top if math.isinf(p) else total ** (1 / mp.mpf(p)))
+    return out
+
+
+class TestWpRows:
+    """transport1d.wp_rows, the exact kernel of every piecewise-affine
+    W_p, against an independent 50-digit oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    def test_matches_mpmath_oracle(self, data, rows, p):
+        (sa, xa), (sb, xb) = data.draw(polyline_side(rows)), data.draw(polyline_side(rows))
+        got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
+        for r, want in enumerate(mp_wp_rows(sa, xa, sb, xb, p)):
+            radius = max(np.abs(xa[r]).max(), np.abs(xb[r]).max())
+            assert abs(got[r] - want) <= 1e-12 * max(want, radius, 1.0)
+            one = swgeo.transport1d.wp_rows(sa[r:r + 1], xa[r:r + 1], sb[r:r + 1], xb[r:r + 1], p)
+            assert repr(float(one[0])) == repr(float(got[r]))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_identical_rows_give_zero(self, p):
+        lo = np.array([[-1.0, 0.5, 0.5], [0.0, 0.0, 2.0]])
+        hi = np.array([[1.0, 0.5, 3.0], [1.0, 0.0, 2.5]])
+        s, x = swgeo.measure1d.quantile_rows(lo, hi, np.full(lo.shape, 0.25))
+        assert np.all(swgeo.transport1d.wp_rows(s, x, s, x, p) == 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_nan_level_gives_nan_in_its_row_only(self, p):
+        curve = transformed_nu_curve(0.5, [0.2, 0.1, 0.0], 4, 1.5, [0.0, 0.3, 0.0, 0.2], None)
+        thetas = mc_directions(4, 3, seed=2).thetas
+        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.25, 1.0))
+        sa = sa.copy()
+        sa[1, 3] = math.nan
+        with np.errstate(invalid="ignore"):  # as in every caller
+            got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
+        assert math.isnan(got[1])
+        for r in (0, 2):
+            one = swgeo.transport1d.wp_rows(sa[r:r + 1], xa[r:r + 1], sb[r:r + 1], xb[r:r + 1], p)
+            assert repr(float(one[0])) == repr(float(got[r])) and math.isfinite(got[r])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_rows_equal_one_row_calls(self, p):
+        curve = transformed_nu_curve(0.4, [0.3, 0.0, 0.2], 5, 1.2,
+                                     [0.1, 0.2, 0.0, 0.3, 0.1], [0.2, 0.0, 0.1, 0.0, 0.0])
+        thetas = mc_directions(5, 64, seed=9).thetas
+        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.0, 0.75))
+        got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
+        one = [swgeo.transport1d.wp_rows(sa[r:r + 1], xa[r:r + 1], sb[r:r + 1], xb[r:r + 1], p)[0]
+               for r in range(len(thetas))]
+        assert list(map(repr, map(float, got))) == list(map(repr, map(float, one)))
 
 
 class TestNonFiniteDistances:
