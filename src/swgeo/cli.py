@@ -160,6 +160,27 @@ def _flags(ctx) -> dict:
             for p in ctx.command.params if p.expose_value and p.name != "out"}
 
 
+quad_option = click.option(
+    "--quad", type=click.Choice(["auto", "beta", "mc"]), default="auto", show_default=True,
+    help="Direction nodes: beta (exact only for centered mixtures), mc (--dirs uniform "
+         "draws from --seed), or auto: beta if every mixture compared is centered, else mc.")
+
+
+def _resolve_quad(ctx, mixtures) -> str:
+    """The rule --quad names, auto resolved and written back to ctx.params
+    for the provenance line: beta nodes if every shell mixture the command
+    compares is centered (a 1D family compares none), since they are exact
+    only where the distance along theta depends on it through s(theta)
+    alone; mc nodes otherwise."""
+    if ctx.params["quad"] == "auto":
+        centered = True
+        if mixtures:  # a 1D family loads no sliced module
+            from .sliced import _is_centered
+            centered = all(map(_is_centered, mixtures))
+        ctx.params["quad"] = "beta" if centered else "mc"
+    return ctx.params["quad"]
+
+
 def _build_dirs(d: int, quad: str, n: int, seed: int):
     from .sphere import beta_directions, mc_directions
     return beta_directions(d, n) if quad == "beta" else mc_directions(d, n, seed)
@@ -259,8 +280,7 @@ def density(ctx, alpha, beta, t, format, out):
 @click.option("--d", type=int, default=3, show_default=True, help="Ambient dimension.")
 @click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
-@click.option("--quad", type=click.Choice(["beta", "mc"]), default="beta",
-              show_default=True)
+@quad_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @config_option
@@ -278,11 +298,11 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
             "vanishes and no divergence is claimed")
     if any(t <= 0.0 for t in t_grid):
         raise click.ClickException("t values must be positive (the ratio is 0/0 at t=0)")
-    ds = _build_dirs(d, quad, dirs, seed)
     nu0 = nu_family(alpha, 0.0, 0.0, d)
+    nus = [nu_family(alpha, 0.0, t, d) for t in t_grid]
+    ds = _build_dirs(d, _resolve_quad(ctx, [nu0, *nus]), dirs, seed)
     rows = []
-    for t in t_grid:
-        nut = nu_family(alpha, 0.0, t, d)
+    for t, nut in zip(t_grid, nus):
         w = w_p_radial(nut, nu0, p)
         sw = sw_pq(nut, nu0, p, q, ds)
         rows.append((t, w, sw, w / sw))
@@ -459,8 +479,7 @@ def _parse_family(spec: str, d_default: int):
               help="Used for shell families only.")
 @click.option("--grid", type=TGRID, default="0,0.25,0.5,0.75,1", show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
-@click.option("--quad", type=click.Choice(["beta", "mc"]), default="beta",
-              show_default=True)
+@quad_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--out", default="-", show_default=True)
@@ -475,12 +494,13 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
     parsed = _parse_family(family, d_default=3)
     if parsed[0] == "1d":
         curve = parsed[1]
+        _resolve_quad(ctx, ())
         dist = (wasserstein_inf if math.isinf(p)
                 else lambda a, b: wasserstein_p(a, b, p))
     else:
         from .sliced import sw_pq
         curve, d = parsed[1], parsed[2]
-        ds = _build_dirs(d, quad, dirs, seed)
+        ds = _build_dirs(d, _resolve_quad(ctx, [curve(t) for t in grid]), dirs, seed)
         dist = lambda a, b: sw_pq(a, b, p, q, ds)
     rows = pairwise_deviation(curve, dist, grid)
     deviation = max(row[4] for row in rows)
@@ -517,11 +537,11 @@ def wp(measure_files, p, out):
 @click.option("--p", type=PFLOAT, default=2.0, show_default=True)
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
-@click.option("--quad", type=click.Choice(["beta", "mc"]), default="beta",
-              show_default=True)
+@quad_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def sw(shell_files, p, q, dirs, quad, seed, out):
+@click.pass_context
+def sw(ctx, shell_files, p, q, dirs, quad, seed, out):
     """Sliced distance between two shell mixtures given in the text format."""
     from .families import shell_from_text
     from .measure1d import MeasureError
@@ -532,8 +552,8 @@ def sw(shell_files, p, q, dirs, quad, seed, out):
     b = shell_from_text(_read_file(shell_files[1]))
     if a.dim != b.dim:
         raise MeasureError("shell files have different ambient dimensions")
-    ds = _build_dirs(a.dim, quad, dirs, seed)
-    val = sw_pq(a, b, p, q, ds)
+    quad = _resolve_quad(ctx, (a, b))
+    val = sw_pq(a, b, p, q, _build_dirs(a.dim, quad, dirs, seed))
     flags = {"a": shell_files[0], "b": shell_files[1], "p": p, "q": q,
              "dirs": dirs, "quad": quad, "seed": seed}
     _emit(out, _csv("sw", flags, ["p", "q", "distance"], [(p, q, val)]))

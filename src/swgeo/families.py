@@ -364,10 +364,12 @@ def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Quantile functions of the projections of sm onto every row of the
     unit-row matrix thetas, as the polylines (s, x) of
-    :func:`~swgeo.measure1d.quantile_rows`, of shape (n, 4K) for K
+    :func:`~swgeo.measure1d.quantile_rows`, of shape (n, 2K) for K
     components: the projections of :func:`radon_project`, for all rows at
     once, each shell the density w / (hi - lo) on its interval (an atom
-    keeps its mass w / 1)."""
+    keeps its mass w / 1).  x holds each row's 2K endpoints once each, and
+    an atom's mass goes in the column after its position's first copy, so
+    that its two copies carry F(e-) and F(e+)."""
     w = np.array([w for w, _, _ in sm.components])
     lo, hi = _projected_intervals(sm, thetas)  # (n, K)
     return quantile_rows(lo, hi, w / np.where(lo == hi, 1.0, hi - lo))

@@ -647,35 +647,35 @@ def _x_of_phi(phi, a, b, phi0, phi1, h):
 
 def quantile_rows(lo: np.ndarray, hi: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
     """Quantile polylines (s, x) of measures given as rows of K components,
-    of shape (n, 4K), in the :class:`QuantileFn` encoding.  Component k of
+    of shape (n, 2K), in the :class:`QuantileFn` encoding.  Component k of
     a row is an atom of mass v where lo == hi, and the density v on
     [lo, hi] otherwise; v has the shape of lo, or one row for all.
 
-    Over each row's sorted endpoints e the quantile joins (F(e-), e) to
-    (F(e+), e), and F accumulates along the row as a sum of masses: the
-    atoms at each e (summed over the components first), then the next
-    interval's, the density of the intervals that cover it times its width.
-    A mass is taken only where that density is positive, so a gap whose
-    width overflows adds nothing.  Every point equal to a row's last one
-    gets level 1, and the levels are clamped to at most those after them.
+    x is each row's sorted endpoints e, once each, and s sums masses along
+    the row: column j + 1 adds the atoms at e_j (over the components first)
+    where e_j is its value's first copy, so an atom's copies carry F(e-)
+    and F(e+), and the density of the intervals that cover [e_j, e_j+1]
+    times its width, taken only where that density is positive, so a gap
+    whose width overflows adds nothing.  Every point equal to a row's last
+    one gets level 1, and the levels are clamped to at most those after.
     """
     e = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
-    first = np.ones(e.shape, dtype=bool)
-    first[:, 1:] = e[:, 1:] != e[:, :-1]
     a, b = e[:, :-1], e[:, 1:]
+    first = np.ones(a.shape, dtype=bool)
+    first[:, 1:] = a[:, 1:] != a[:, :-1]
     atom = lo == hi
-    steps = np.zeros((len(e), 2 * e.shape[1]))
-    atoms, rho = steps[:, 1::2], np.zeros(a.shape)
+    steps, rho = np.zeros(e.shape), np.zeros(a.shape)
     masses, densities = np.where(atom, v, 0.0), np.where(atom, 0.0, v)
-    for lk, hk, mk, vk in zip(*(c.T[:, :, None] for c in (lo, hi, masses, densities))):
-        atoms += np.where(first & (e == lk), mk, 0.0)
-        rho += np.where((lk <= a) & (hk >= b), vk, 0.0)
+    for k in np.flatnonzero(~atom.all(axis=0)):  # an interval in some row
+        rho += np.where((lo[:, k, None] <= a) & (hi[:, k, None] >= b), densities[:, k, None], 0.0)
     on = rho > 0.0
     np.multiply(rho, np.subtract(b, a, where=on, out=np.zeros(a.shape)), where=on,
-                out=steps[:, 2::2])
-    s, x = np.cumsum(steps, axis=1), np.repeat(e, 2, axis=1)
-    s[(s == s[:, -1:]) & (x == x[:, -1:])] = 1.0
-    return np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1], x
+                out=steps[:, 1:])
+    for k in np.flatnonzero(atom.any(axis=0)):  # an atom in some row
+        steps[:, 1:] += np.where(first & (a == lo[:, k, None]), masses[:, k, None], 0.0)
+    s = np.cumsum(steps, axis=1)
+    s[(s == s[:, -1:]) & (e == e[:, -1:])] = 1.0
+    return np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1], e
 
 
 # --------------------------------------------------------- piecewise-linear map

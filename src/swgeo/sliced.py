@@ -11,10 +11,11 @@ Measure1D is built on the way:
 
 * shell mixtures project to unions of intervals and atoms.
   :func:`swgeo.families.radon_quantile_rows` builds their quantiles as
-  the polyline rows of :func:`swgeo.measure1d.quantile_rows`, and
-  :func:`swgeo.transport1d.wp_rows`, the exact kernel behind
-  ``wasserstein_p``, merges and integrates the rows.  Circle mixtures of
-  points only project to atoms and take the same kernel.
+  the polyline rows of :func:`swgeo.measure1d.quantile_rows`, one point
+  per endpoint, and :func:`swgeo.transport1d.wp_rows`, the exact kernel
+  behind ``wasserstein_p``, merges the 4K levels of two rows of K
+  components and integrates them.  Circle mixtures of points only
+  project to atoms and take the same kernel.
 * other circle mixtures project to arcsine mixtures.
   :func:`swgeo.families.circle_rows` builds the projections onto every
   direction as rows of one table, and
@@ -217,8 +218,8 @@ def _finite(val: float, what: str) -> float:
     return val
 
 
-# Values per batch of the polyline kernel: its largest temporaries hold
-# rows * 8K values for K components, the merged levels of two rows.
+# Values per batch of the polyline kernel, at 8K per row for K components:
+# its largest temporaries, the merged levels of two rows, hold 4K per row.
 _BATCH_VALUES = 1 << 18
 
 # Values per pair of projections with K components and per K^2, for

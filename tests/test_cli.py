@@ -1,14 +1,17 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import mix
+from helpers import mix, sw_per_direction
 from swgeo.cli import main
 from swgeo.measure1d import Measure1D, measure_to_text
-from swgeo.families import nu_family, shell_to_text
+from swgeo.families import nu_family, shell_from_text, shell_to_text
+from swgeo.sphere import mc_directions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,6 +149,46 @@ def test_sw_command_reads_shell_files(runner, tmp_path):
                           "--p", "2", "--q", "2", "--dirs", "16"])
     value = float(out.splitlines()[2].split(",")[2])
     assert value == pytest.approx(0.25 / 3 ** 0.5, rel=1e-10)
+
+
+def translated_shells(tmp_path):
+    """The unit shell and its 0.5 e1 translate in d = 4, whose SW_{2,2} is
+    0.25: each direction's W_2 is the shift 0.5 |theta_1|."""
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    fa.write_text("shell 1 1 0 0 0 0\n")
+    fb.write_text("shell 1 1 0.5 0 0 0\n")
+    return ["sw", "--shell-file", str(fa), "--shell-file", str(fb)]
+
+
+def test_sw_default_takes_mc_nodes_off_center(runner, tmp_path):
+    args = translated_shells(tmp_path)
+    lines = run_ok(runner, args).splitlines()
+    assert "quad=mc" in lines[0].split()
+    value = float(lines[2].split(",")[2])
+    # SW^2 is the mean of the 64 squared per-direction values; its
+    # standard error, carried to SW
+    a, b = (shell_from_text(Path(f).read_text()) for f in args[2::2])
+    w2 = np.array([sw_per_direction(a, b, 2.0, th) for th in mc_directions(4, 64, 0).thetas]) ** 2
+    assert value == pytest.approx(math.sqrt(w2.mean()), rel=1e-12)
+    assert abs(value - 0.25) <= 4 * w2.std(ddof=1) / math.sqrt(w2.size) / (2 * value)
+
+
+def test_sw_explicit_beta_nodes_as_given(runner, tmp_path):
+    # beta nodes are exact only for centered mixtures: here they give
+    # sqrt(3) / 4, not 0.25
+    lines = run_ok(runner, translated_shells(tmp_path) + ["--quad", "beta"]).splitlines()
+    assert "quad=beta" in lines[0].split()
+    assert lines[2] == "2,2,0.43301270189221924"
+
+
+@pytest.mark.parametrize("args, quad", [
+    (["nonequiv", "--t-grid", "0.01,0.1"], "beta"),
+    (["geodesic-check", "--family", "mu:alpha=0.5;beta=0.2"], "beta"),
+    (["geodesic-check", "--family", "nu:alpha=0.5;d=4", "--grid", "0,1"], "beta"),
+    (["geodesic-check", "--family", "nu:alpha=0.5;x=0.6,0,0;d=4", "--grid", "0,1"], "mc"),
+])
+def test_quad_auto_is_recorded_as_the_rule_taken(runner, args, quad):
+    assert f"quad={quad}" in run_ok(runner, args).splitlines()[0].split()
 
 
 def test_circle_output_matches_golden_file(runner, tmp_path):

@@ -484,20 +484,28 @@ def test_quantile_rows_against_bisection(rows):
     atom = lo == hi
     s, x = quantile_rows(lo, hi, np.where(atom, m, m / np.where(atom, 1.0, hi - lo)))
 
-    def cdf(y, r):
-        # F(y), the mass of (-inf, y) in the rows r: the atoms below y plus
+    def cdf(y, r, closed=False):
+        # F(y), the mass of (-inf, y) in the rows r (of (-inf, y] if
+        # closed): the atoms below y (or at it) plus
         # sum_k m_k clip((y - lo_k) / (hi_k - lo_k), 0, 1) over the intervals
         a, b, w = lo[r], hi[r], m[r]
         with np.errstate(over="ignore", invalid="ignore"):
             part = np.clip((y[:, None] - a) / np.where(atom[r], 1.0, b - a), 0.0, 1.0)
-        return (np.where(atom[r], a < y[:, None], part) * w).sum(axis=1)
+        below = a <= y[:, None] if closed else a < y[:, None]
+        return (np.where(atom[r], below, part) * w).sum(axis=1)
 
     r = np.repeat(np.arange(len(s)), s.shape[1])
-    # every point joins F(e-) to F(e+) at an endpoint e, in order
-    np.testing.assert_array_equal(x, np.repeat(np.sort(np.concatenate([lo, hi], axis=1)), 2, axis=1))
+    # every point is at an endpoint e, each endpoint once, in order, and
+    # its level lies between F(e-) and F(e+)
+    np.testing.assert_array_equal(x, np.sort(np.concatenate([lo, hi], axis=1)))
     assert np.all(np.diff(s, axis=1) >= 0.0) and np.all(s[:, 0] == 0.0)
     assert np.all(cdf(x.ravel(), r) <= s.ravel() + 1e-12)
     assert np.all(s.ravel() <= cdf(np.nextafter(x.ravel(), np.inf), r) + 1e-12)
+    # at an atom's position the levels reach both F(e-) and F(e+)
+    for i, k in zip(*np.nonzero(atom)):
+        levels, e = s[i, x[i] == lo[i, k]], lo[i, k, None]
+        for want in (cdf(e, [i]), cdf(e, [i], closed=True)):
+            assert np.min(np.abs(levels - want)) <= 1e-12
     # a top point that repeats is at level 1 each time
     assert np.all(s[x == x[:, -1:]] != np.nextafter(1.0, 0.0)) and np.all(s[:, -1] == 1.0)
     # Q(u) = sup{x : F(x) <= u} by bisection over the floats, at levels

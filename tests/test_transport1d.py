@@ -773,6 +773,16 @@ class TestMergeLevels:
             np.testing.assert_array_equal(ia[r, wide], np.searchsorted(ra[1:], mid))
             np.testing.assert_array_equal(ib[r, wide], np.searchsorted(rb[1:], mid))
 
+    def test_shell_rows_merge_each_endpoint_once(self):
+        # a K = 2 shell row holds its 4 endpoints once each, so two rows
+        # merge 8 levels into 7 intervals
+        curve = transformed_nu_curve(0.5, [0.3, 0.2, 0.1], 4, 1.3, [0.1, 0.0, 0.2, 0.0], None)
+        thetas = mc_directions(4, 16, seed=3).thetas
+        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.25, 0.75))
+        assert sa.shape == xa.shape == sb.shape == xb.shape == (16, 4)
+        u, mass, ia, ib = swgeo.transport1d._merge_levels(sa, sb)
+        assert u.shape == (16, 8) and mass.shape == ia.shape == ib.shape == (16, 7)
+
 
 # ------------------------------------------------------- exact polyline kernel
 
