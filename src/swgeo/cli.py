@@ -162,7 +162,7 @@ def _flags(ctx) -> dict:
 
 quad_option = click.option(
     "--quad", type=click.Choice(["auto", "beta", "mc"]), default="auto", show_default=True,
-    help="Direction nodes: beta (exact only for centered mixtures), mc (--dirs uniform "
+    help="Direction nodes: beta (centered mixtures only, refused otherwise), mc (--dirs uniform "
          "draws from --seed), or auto: beta if every mixture compared is centered, else mc.")
 
 

@@ -409,7 +409,8 @@ def circle_rows(mixtures, thetas: np.ndarray) -> MeasureRows:
     """The projections of :func:`circle_project` of each circle mixture
     onto every row of the unit-row matrix thetas, as the rows of one
     table: mixture by mixture, and direction by direction within each.
-    No Measure1D is built; the atoms are canonicalized as it would."""
+    No Measure1D is built; the atoms are canonicalized as it would, so
+    they merge only at equal positions, as in quantile_rows."""
     atoms, parts = [], []
     for cm in mixtures:
         row_atoms, row_parts = _circle_parts(cm, thetas)

@@ -104,7 +104,8 @@ def _canonicalize(atoms, pieces):
 
     Returns (atoms, pieces) with strictly increasing atom positions,
     pairwise-disjoint sorted pieces, pieces split at atom positions, and
-    adjacent pieces of identical density merged.
+    adjacent pieces of identical density merged.  Atoms merge only where
+    their positions are equal: two atoms an ulp apart stay two atoms.
     """
     atoms = [(_as_float(p), _as_float(m)) for (p, m) in atoms if m != 0.0]
     pieces = [(_as_float(lo), _as_float(hi), _as_float(rho)) for (lo, hi, rho) in pieces]
@@ -118,11 +119,11 @@ def _canonicalize(atoms, pieces):
             raise MeasureError("piece density must be nonnegative")
     pieces = [p for p in pieces if p[1] > p[0] and p[2] > 0.0]
 
-    # merge coincident atoms
+    # merge atoms at equal positions
     atoms.sort()
     merged_atoms: list[tuple[float, float]] = []
     for pos, m in atoms:
-        if merged_atoms and pos - merged_atoms[-1][0] <= 1e-14 * max(1.0, abs(pos)):
+        if merged_atoms and pos == merged_atoms[-1][0]:
             merged_atoms[-1] = (merged_atoms[-1][0], merged_atoms[-1][1] + m)
         else:
             merged_atoms.append((pos, m))

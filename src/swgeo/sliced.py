@@ -23,11 +23,14 @@ Measure1D is built on the way:
   ``wasserstein_p``, takes all directions and both sides in one Newton
   loop per step, in batches of rows.
 
-Centered mixtures, whose components are all centered at the origin, take
-a shortcut: their projected quantiles scale linearly with s(theta) for
+Centered mixtures, whose centers are all exactly the origin, take a
+shortcut: their projected quantiles scale linearly with s(theta) for
 shells and do not depend on theta for circles, so W_p(proj a, proj b) =
 s(theta) * V (s = 1 for circles) with V the kernel's one row at e1.  The
-q-mean then reduces to a moment of s(theta) over the nodes.
+q-mean then reduces to a moment of s(theta) over the nodes.  A center
+off the origin by any amount, a rounding error too, is off center.  The
+nodes of :func:`swgeo.sphere.beta_directions` average functions of
+s(theta) only, so sw_pq refuses them unless both mixtures are centered.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
@@ -71,7 +74,7 @@ import numpy as np
 from . import families, measure1d, transport1d
 from .families import CircleMixture, ShellMixture
 from .measure1d import MASS_TOL, MeasureError
-from .sphere import DirectionSet
+from .sphere import DirectionSet, _BetaNodes
 from .transport1d import pairwise_deviation
 
 __all__ = [
@@ -84,9 +87,6 @@ __all__ = [
     "sliced_geodesic_deviation",
     "empirical_w1d",
 ]
-
-_CENTER_EPS = 1e-14
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -130,7 +130,8 @@ def _check_pq(p: float, q: float):
 
 
 def _is_centered(mixture) -> bool:
-    return all(math.hypot(*c) <= _CENTER_EPS for _, _, c in mixture.components)
+    """Whether every center of the mixture is exactly the origin."""
+    return not any(c.any() for _, _, c in mixture.components)
 
 
 _SUP_NODE_CAP = 256
@@ -179,6 +180,7 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
 def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     """Sliced distance: q-mean over the direction set of the 1D W_p
     between the projections of a and b (sup over directions for q = inf).
+    Beta nodes raise MeasureError unless both mixtures are centered.
     """
     p, q = _check_pq(p, q)
     if type(a) is not type(b):
@@ -186,8 +188,12 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     if a.dim != b.dim or a.dim != dirs.dim:
         raise MeasureError(f"dimension mismatch: a={a.dim}, b={b.dim}, dirs={dirs.dim}")
 
+    centered = _is_centered(a) and _is_centered(b)
+    if isinstance(dirs, _BetaNodes) and not centered:
+        raise MeasureError("beta nodes average functions of s(theta) only: "
+                           "off-center mixtures need mc nodes")
     shell = isinstance(a, ShellMixture)
-    if _is_centered(a) and _is_centered(b):
+    if centered:
         # projections scale with s(theta) for shells and do not depend on
         # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
         v = float(_distances(a, b, p, np.eye(a.dim)[:1])[0])
@@ -310,10 +316,10 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
     unit circle: as soon as the center carries mass, that mass must travel
     distance 1, so the value is 1 for every t > 0 and 0 at t = 0."""
     def split(cm: CircleMixture):
+        if not _is_centered(cm):
+            raise MeasureError("circle components must be centered")
         t_atom = 0.0
-        for w, r, c in cm.components:
-            if math.hypot(*c) > 1e-12:
-                raise MeasureError("circle components must be centered")
+        for w, r, _ in cm.components:
             if r <= 1e-12:
                 t_atom += w
             elif abs(r - 1.0) > 1e-12:

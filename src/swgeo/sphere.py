@@ -9,7 +9,8 @@ substituting s = sin(phi) turns moments of s into smooth integrals
 2 sin^{2+q}(phi) cos^{d-4}(phi) on [0, pi/2], which Gauss-Legendre nodes
 integrate to near machine precision.  The beta nodes are realized as
 actual unit vectors s e1 + sqrt(1-s^2) e4, so they are valid whenever
-the integrand depends on theta only through s(theta).
+the integrand depends on theta only through s(theta); their set is of a
+private type, which :func:`swgeo.sliced.sw_pq` refuses off center.
 
 ``c_dq`` is the q-mean of s(theta) over the sphere; it equals 1 exactly
 for d = 3 and for q = infinity, and lies in (0, 1] otherwise.
@@ -86,6 +87,11 @@ def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
     return DirectionSet(d, thetas, weights, f"monte-carlo(seed={seed}, n={n})")
 
 
+class _BetaNodes(DirectionSet):
+    """The nodes of :func:`beta_directions`: a DirectionSet that averages
+    functions of s(theta) only."""
+
+
 def beta_directions(d: int, n: int) -> DirectionSet:
     """Quadrature nodes for integrands that depend on theta only through
     s(theta).  For d = 3 the single node e1 is exact (s is identically 1);
@@ -99,7 +105,7 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     if d == 3:
         theta = np.zeros((1, 3))
         theta[0, 0] = 1.0
-        return DirectionSet(3, theta, np.array([1.0]), "beta-quadrature(n=1)")
+        return _BetaNodes(3, theta, np.array([1.0]), "beta-quadrature(n=1)")
     x, w = np.polynomial.legendre.leggauss(n)
     phi = 0.25 * math.pi * (x + 1.0)
     s = np.sin(phi)
@@ -109,7 +115,7 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     thetas = np.zeros((n, d))
     thetas[:, 0] = s
     thetas[:, 3] = c
-    return DirectionSet(d, thetas, weights, f"beta-quadrature(n={n})")
+    return _BetaNodes(d, thetas, weights, f"beta-quadrature(n={n})")
 
 
 def c_dq(d: int, q: float, method: str = "beta", n: int = 64,

@@ -173,12 +173,14 @@ def test_sw_default_takes_mc_nodes_off_center(runner, tmp_path):
     assert abs(value - 0.25) <= 4 * w2.std(ddof=1) / math.sqrt(w2.size) / (2 * value)
 
 
-def test_sw_explicit_beta_nodes_as_given(runner, tmp_path):
-    # beta nodes are exact only for centered mixtures: here they give
-    # sqrt(3) / 4, not 0.25
-    lines = run_ok(runner, translated_shells(tmp_path) + ["--quad", "beta"]).splitlines()
-    assert "quad=beta" in lines[0].split()
-    assert lines[2] == "2,2,0.43301270189221924"
+def test_sw_refuses_explicit_beta_nodes_off_center(runner, tmp_path):
+    # beta nodes are exact only for centered mixtures: here they would
+    # give sqrt(3) / 4, not 0.25
+    result = runner.invoke(main, translated_shells(tmp_path) + ["--quad", "beta"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == ("Error: beta nodes average functions of s(theta) only: "
+                             "off-center mixtures need mc nodes\n")
 
 
 @pytest.mark.parametrize("args, quad", [

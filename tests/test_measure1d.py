@@ -57,6 +57,10 @@ class TestConstruction:
     def test_coincident_atoms_merge(self):
         m = Measure1D.from_components(atoms=[(0.5, 0.25), (0.5, 0.75)])
         assert m.atoms == ((0.5, 1.0),)
+        # only equal positions merge: atoms an ulp apart stay two atoms
+        up = math.nextafter(0.5, math.inf)
+        m = Measure1D.from_components(atoms=[(up, 0.75), (0.5, 0.25)])
+        assert m.atoms == ((0.5, 0.25), (up, 0.75))
 
     def test_piece_split_at_interior_atom(self):
         m = mixed_atom_measure()

@@ -96,6 +96,18 @@ class TestSwPq:
         got = sw_pq(a, b, 2.0, math.inf, beta_directions(4, 32))
         assert got == pytest.approx(0.25 / math.sqrt(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.5, 1e-300])
+    def test_beta_nodes_refused_off_center(self, offset):
+        # beta nodes average functions of s(theta) only.  The unit shell
+        # against its 0.5 e1 translate has SW_{2,2} = 0.25, since each W_2
+        # is the shift 0.5 |theta_1|, where the beta nodes would give
+        # sqrt(3) / 4; a center off the origin by any amount is off center
+        unit = ShellMixture.single(4, 1.0)
+        moved = ShellMixture(4, ((1.0, 1.0, np.array([offset, 0.0, 0.0, 0.0])),))
+        with pytest.raises(MeasureError, match=r"beta nodes average functions of s\(theta\) only"):
+            sw_pq(moved, unit, 2.0, 2.0, beta_directions(4, 64))
+        assert sw_pq(unit, unit, 2.0, 2.0, beta_directions(4, 64)) == 0.0
+
     def test_sliced_never_exceeds_full_distance(self):
         ds = beta_directions(4, 32)
         for t in (0.25, 0.5, 1.0):
@@ -147,10 +159,9 @@ def shell_mixture(draw, d):
     one.  Radii are 0, below the atom threshold, or at least 1e-3: in
     between, both paths lose digits to the cancellation in
     transport1d._segment_lp on narrow projected shells, and they can differ
-    by more than the 1e-12 bound.  Center coordinates are 0 or at least
-    1e-3 in size, since sw_pq takes centers within 1e-14 of the origin as
-    centered."""
-    coord = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    by more than the 1e-12 bound.  Center coordinates are any floats in
+    [-2, 2], zero and tiny ones among them."""
+    coord = st.floats(-2.0, 2.0)
     comps = []
     for _ in range(draw(st.integers(1, 4))):
         w = draw(st.floats(0.05, 1.0))
@@ -221,9 +232,7 @@ class TestBatchedShellKernel:
         k = max(len(a.components), len(b.components))
         with mock.patch.object(swgeo.sliced, "_BATCH_VALUES", rows * 8 * k):
             got = sw_pq(a, b, p, q, dirs)
-        # the oracle merges atoms closer than 1e-14 max(1, |x|), hence the
-        # floor of 1 on the scale
-        assert abs(got - want) <= 1e-12 * max(want, support_radius(a, b), 1.0)
+        assert abs(got - want) <= 1e-12 * max(want, support_radius(a, b))
 
     def test_off_center_path_skips_per_direction_projection(self, monkeypatch):
         curve = transformed_nu_curve(0.5, [0.2, 0.1, 0.0], 4, 1.5,
@@ -407,6 +416,58 @@ def point_circles(*points):
     return CircleMixture(tuple((w, 0.0, np.array([x, y])) for w, x, y in points))
 
 
+class TestExactIdentity:
+    """Atoms are one atom only at equal positions, and a mixture is
+    centered only with every center exactly at the origin: the kernel and
+    the per-direction oracle agree on pairs an ulp or 1e-15 from either."""
+
+    @staticmethod
+    def one_direction(*theta):
+        theta = np.array(theta) / np.linalg.norm(theta)
+        return DirectionSet(theta.size, theta[None, :], np.ones(1), "one")
+
+    def test_atoms_an_ulp_apart_stay_two(self):
+        # a's points both project to 0 on the normal of their difference;
+        # b's project to two atoms one ulp apart, each of mass 1/2, so
+        # W_1 is their mean
+        a = point_circles((0.5, 0.5, 1.0), (0.5, 0.0, 0.0))
+        b = point_circles((0.5, 1.5, 1.0), (0.5, 1.0, 0.0))
+        dirs = self.one_direction(1.0, -0.5)
+        y0, y1 = (float(np.dot(dirs.thetas[0], c)) for _, _, c in b.components)
+        assert y0 == math.nextafter(y1, math.inf)
+        want = 0.5 * y0 + 0.5 * y1
+        assert repr(want) == "0.894427190999916"
+        assert repr(sw_pq(a, b, 1.0, 1.0, dirs)) == repr(loop_oracle(a, b, 1.0, 1.0, dirs)) \
+            == repr(want)
+
+    def test_point_off_center_by_1e_15(self):
+        # one point against one point: W_2 on (0, 1) is the offset
+        a, b = point_circles((1.0, 0.0, 1e-15)), point_circles((1.0, 0.0, 0.0))
+        dirs = self.one_direction(0.0, 1.0)
+        assert sw_pq(a, b, 2.0, 2.0, dirs) == loop_oracle(a, b, 2.0, 2.0, dirs) == 1e-15
+
+    def test_shell_translated_by_1e_15(self):
+        # a translate by v moves every projection by theta.v, here 1e-15;
+        # the float endpoints +-1 + 1e-15 hold that shift only to within
+        # the ulp of the support, 2.2e-16
+        e3 = np.eye(3)[2]
+        a = ShellMixture(3, ((1.0, 1.0, 1e-15 * e3),))
+        b = ShellMixture.single(3, 1.0)
+        dirs = self.one_direction(0.0, 0.0, 1.0)
+        got = sw_pq(a, b, 2.0, 2.0, dirs)
+        assert repr(got) == repr(loop_oracle(a, b, 2.0, 2.0, dirs)) == "9.442336410664813e-16"
+        assert abs(got - 1e-15) <= math.ulp(1.0)
+
+    @pytest.mark.parametrize("p, want", [(1.0, 1.1e-309), (2.0, 1.5556349186104e-309)])
+    def test_subnormal_atom_stays_apart(self, p, want):
+        # half the mass moves 2.2e-309: W_p = 2.2e-309 / 2^(1/p)
+        a = point_circles((0.5, 0.0, 0.0), (0.5, 0.0, 2.2e-309))
+        b = point_circles((1.0, 0.0, 0.0))
+        dirs = self.one_direction(0.0, 1.0)
+        assert want == 2.2e-309 * 0.5 ** (1.0 / p)
+        assert sw_pq(a, b, p, p, dirs) == loop_oracle(a, b, p, p, dirs) == want
+
+
 def centered_shell_value(a, b, p, q, dirs):
     # nu(0.5) against nu(0), alpha = 0.4, by the closed form t alpha / (p + 1)^(1/p),
     # times the q-mean of s(theta) over dirs
@@ -499,12 +560,13 @@ def point_cloud(draw, d, equal):
 
 def atoms_oracle(X, Y, p, q, dirs):
     """The q-mean of the exact wasserstein_p between the projected atoms,
-    one Measure1D per cloud and direction."""
+    one Measure1D per cloud and direction.  It takes sw_pq's q-mean, as
+    loop_oracle does: a plain one squares a distance of 1e-209 to 0."""
     vals = np.array([
         wasserstein_p(Measure1D.from_components(atoms=zip(X.points @ theta, X.weights)),
                       Measure1D.from_components(atoms=zip(Y.points @ theta, Y.weights)), p)
         for theta in dirs.thetas])
-    return float(vals.max() if math.isinf(q) else np.dot(dirs.weights, vals ** q) ** (1 / q))
+    return swgeo.sliced._qmean(vals, dirs.weights, q)
 
 
 class TestEmpirical:
@@ -577,9 +639,7 @@ class TestEmpirical:
         with mock.patch.object(swgeo.sliced, "_EMPIRICAL_BATCH_VALUES", rows * (X.n + Y.n)):
             got = sw_pq_empirical(X, Y, p, q, dirs)
         want = atoms_oracle(X, Y, p, q, dirs)
-        # the oracle merges atoms closer than 1e-14 max(1, |x|)
-        scale = max(1.0, np.abs(X.points).max(), np.abs(Y.points).max()) * math.sqrt(d)
-        assert abs(got - want) <= 1e-12 * want + 1e-14 * scale
+        assert abs(got - want) <= 1e-12 * want
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -837,8 +897,10 @@ class TestSlicedGeodesics:
         assert dev < 1e-12
 
     def test_transformed_curves_constant_speed(self):
+        # mc nodes: beta nodes are refused off center, and constant speed
+        # holds direction by direction
         rng = np.random.default_rng(77)
-        for _ in range(5):
+        for seed in range(5):
             d = int(rng.choice([3, 4]))
             alpha = rng.uniform(0.1, 0.9)
             x = rng.normal(size=3)
@@ -846,7 +908,7 @@ class TestSlicedGeodesics:
             curve = transformed_nu_curve(alpha, x, d, rng.uniform(-2, 2) or 1.0,
                                          rng.normal(size=d), rng.normal(size=d))
             dev = sliced_geodesic_deviation(curve, 2.0, 2.0,
-                                            beta_directions(d, 24), self.GRID)
+                                            mc_directions(d, 24, seed), self.GRID)
             assert dev < 1e-6
 
 
