@@ -326,19 +326,21 @@ def s_of_theta(theta) -> float:
     return float(np.linalg.norm(theta[:3]))
 
 
-def _projected_intervals(sm: ShellMixture, thetas: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the components of sm onto every row of thetas: the
-    intervals [theta.c - r s(theta), theta.c + r s(theta)] as (lo, hi) of
-    shape (n, K).  lo == hi marks a point mass: a projected radius of at
-    most _RADIUS_EPS, or one lost to rounding beside theta.c."""
-    r = np.array([r for _, r, _ in sm.components])
-    centers = np.array([c for _, _, c in sm.components])
-    loc = thetas @ centers.T
-    rs = np.linalg.norm(thetas[:, :3], axis=1)[:, None] * r
-    lo, hi = loc - rs, loc + rs
-    atom = (rs <= _RADIUS_EPS) | (hi <= lo)
-    return np.where(atom, loc, lo), np.where(atom, loc, hi)
+def _projected_intervals(mixtures, thetas: np.ndarray):
+    """Projections of the components of each shell mixture onto every row
+    of thetas, with s(theta) computed once for all: the intervals
+    [theta.c - r s(theta), theta.c + r s(theta)] as (lo, hi) of shape
+    (K, n), one pair per mixture.  lo == hi marks a point mass: a projected
+    radius of at most _RADIUS_EPS, or one lost to rounding beside theta.c."""
+    s = np.linalg.norm(thetas[:, :3], axis=1)
+    for sm in mixtures:
+        r = np.array([[r] for _, r, _ in sm.components])
+        centers = np.array([c for _, _, c in sm.components])
+        loc = np.ascontiguousarray((thetas @ centers.T).T)
+        rs = r * s
+        lo, hi = loc - rs, loc + rs
+        atom = (rs <= _RADIUS_EPS) | (hi <= lo)
+        yield np.where(atom, loc, lo), np.where(atom, loc, hi)
 
 
 def radon_project(sm: ShellMixture, theta) -> Measure1D:
@@ -354,25 +356,26 @@ def radon_project(sm: ShellMixture, theta) -> Measure1D:
     theta = _check_unit(theta)
     if theta.shape != (sm.dim,):
         raise MeasureError("direction dimension does not match the mixture")
-    lo, hi = (v[0].tolist() for v in _projected_intervals(sm, theta[None, :]))
+    lo, hi = (v[:, 0].tolist() for v in next(_projected_intervals((sm,), theta[None, :])))
     comps = [(w, a, b) for (w, _, _), a, b in zip(sm.components, lo, hi)]
     return Measure1D.from_components([(a, w) for w, a, b in comps if a == b],
                                      [(a, b, w / (b - a)) for w, a, b in comps if a < b])
 
 
-def radon_quantile_rows(sm: ShellMixture, thetas: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile functions of the projections of sm onto every row of the
-    unit-row matrix thetas, as the polylines (s, x) of
-    :func:`~swgeo.measure1d.quantile_rows`, of shape (n, 2K) for K
-    components: the projections of :func:`radon_project`, for all rows at
-    once, each shell the density w / (hi - lo) on its interval (an atom
-    keeps its mass w / 1).  x holds each row's 2K endpoints once each, and
-    an atom's mass goes in the column after its position's first copy, so
-    that its two copies carry F(e-) and F(e+)."""
-    w = np.array([w for w, _, _ in sm.components])
-    lo, hi = _projected_intervals(sm, thetas)  # (n, K)
-    return quantile_rows(lo, hi, w / np.where(lo == hi, 1.0, hi - lo))
+def radon_quantile_rows(mixtures, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Quantile functions of the projections of each shell mixture onto
+    every row of the unit-row matrix thetas, one (s, x) per mixture, as
+    the polylines of :func:`~swgeo.measure1d.quantile_rows`, of shape
+    (n, 2K) for K components: the projections of :func:`radon_project`,
+    for all rows at once, each shell the density w / (hi - lo) on its
+    interval (an atom keeps its mass w / 1).  x holds each row's 2K
+    endpoints once each, and an atom's mass goes in the column after its
+    position's first copy, so that its two copies carry F(e-) and F(e+).
+    Like the builder, the projection runs direction-minor, on (K, n)
+    tables that reach quantile_rows as their (n, K) transposes."""
+    return [quantile_rows(lo.T, hi.T, np.array([w for w, _, _ in sm.components])
+                          / np.where(lo == hi, 1.0, hi - lo).T)
+            for sm, (lo, hi) in zip(mixtures, _projected_intervals(mixtures, thetas))]
 
 
 def _circle_loci(cm: CircleMixture, thetas: np.ndarray) -> np.ndarray:

@@ -658,25 +658,33 @@ def quantile_rows(lo: np.ndarray, hi: np.ndarray, v) -> tuple[np.ndarray, np.nda
     and F(e+), and the density of the intervals that cover [e_j, e_j+1]
     times its width, taken only where that density is positive, so a gap
     whose width overflows adds nothing.  Every point equal to a row's last
-    one gets level 1, and the levels are clamped to at most those after.
+    one gets level 1, and the levels are clamped to at most 1.
+
+    The build runs direction-minor, on (K, n) and (2K, n) tables: a pass
+    over (n, 2K) tables takes 2K values per row and pays a cost per row.
+    Only the sort stays row-wise, where numpy is faster.  Each level is a
+    row-wise build's bit for bit: the same sums, in the same order.
     """
-    e = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
-    a, b = e[:, :-1], e[:, 1:]
+    lo, hi, v = lo.T, hi.T, np.broadcast_to(v, lo.shape).T
+    e = np.concatenate([lo, hi]).T.copy()
+    e.sort(axis=1)
+    x = e.T.copy()
+    a, b = x[:-1], x[1:]
     first = np.ones(a.shape, dtype=bool)
-    first[:, 1:] = a[:, 1:] != a[:, :-1]
+    first[1:] = a[1:] != a[:-1]
     atom = lo == hi
-    steps, rho = np.zeros(e.shape), np.zeros(a.shape)
+    steps, rho = np.zeros(x.shape), np.zeros(a.shape)
     masses, densities = np.where(atom, v, 0.0), np.where(atom, 0.0, v)
-    for k in np.flatnonzero(~atom.all(axis=0)):  # an interval in some row
-        rho += np.where((lo[:, k, None] <= a) & (hi[:, k, None] >= b), densities[:, k, None], 0.0)
+    for k in np.flatnonzero(~atom.all(axis=1)):  # an interval in some row
+        np.add(rho, densities[k], out=rho, where=(lo[k] <= a) & (hi[k] >= b))
     on = rho > 0.0
     np.multiply(rho, np.subtract(b, a, where=on, out=np.zeros(a.shape)), where=on,
-                out=steps[:, 1:])
-    for k in np.flatnonzero(atom.any(axis=0)):  # an atom in some row
-        steps[:, 1:] += np.where(first & (a == lo[:, k, None]), masses[:, k, None], 0.0)
-    s = np.cumsum(steps, axis=1)
-    s[(s == s[:, -1:]) & (e == e[:, -1:])] = 1.0
-    return np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1], e
+                out=steps[1:])
+    for k in np.flatnonzero(atom.any(axis=1)):  # an atom in some row
+        np.add(steps[1:], masses[k], out=steps[1:], where=first & (a == lo[k]))
+    s = np.cumsum(steps, axis=0)
+    np.copyto(s, 1.0, where=(s == s[-1]) & (x == x[-1]))
+    return np.minimum(s, 1.0, out=s).T.copy(), e
 
 
 # --------------------------------------------------------- piecewise-linear map

@@ -10,12 +10,14 @@ range.  :func:`_distances` picks one of two batched kernels, and
 Measure1D is built on the way:
 
 * shell mixtures project to unions of intervals and atoms.
-  :func:`swgeo.families.radon_quantile_rows` builds their quantiles as
-  the polyline rows of :func:`swgeo.measure1d.quantile_rows`, one point
-  per endpoint, and :func:`swgeo.transport1d.wp_rows`, the exact kernel
-  behind ``wasserstein_p``, merges the 4K levels of two rows of K
-  components and integrates them.  Circle mixtures of points only
-  project to atoms and take the same kernel.
+  :func:`swgeo.families.radon_quantile_rows` builds the quantiles of
+  both sides in one call, with s(theta) computed once, as the polyline
+  rows of :func:`swgeo.measure1d.quantile_rows`, one point per endpoint,
+  and :func:`swgeo.transport1d.wp_rows`, the exact kernel behind
+  ``wasserstein_p``, merges the 4K levels of two rows of K components
+  and integrates them.  The builder runs direction-minor (a pass over
+  (n, 2K) tables pays a cost per row of 2-4 values) and hands wp_rows
+  (n, 2K) rows.  Circle mixtures of points take the same kernel.
 * other circle mixtures project to arcsine mixtures.
   :func:`swgeo.families.circle_rows` builds the projections onto every
   direction as rows of one table, and
@@ -34,11 +36,13 @@ s(theta) only, so sw_pq refuses them unless both mixtures are centered.
 
 q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
-projections of all centers and center differences, and the nodes (at
-most _SUP_NODE_CAP of them, those of largest s(theta)).  This is exact
-for centered shells and circles, and a lower bound otherwise: on moving
-translations of shell curves it fell up to 16 % below with 64 mc nodes,
-10 % with 256, and 49 % with 1024, where the cap drops better nodes.
+projections of all centers and center differences of positive finite
+norm (an exact rule: a center 1e-300 off the origin counts), and the
+nodes (at most _SUP_NODE_CAP of them, those of largest s(theta)).  This
+is exact for centered shells and circles, and a lower bound otherwise:
+on moving translations of shell curves it fell up to 16 % below with 64
+mc nodes, 10 % with 256, and 49 % with 1024, where the cap drops better
+nodes.
 
 ``sw_pq_empirical`` is the same q-mean between weighted point clouds.
 :func:`_batched` runs the kernel of :func:`swgeo.transport1d._wp_atoms`:
@@ -47,15 +51,15 @@ the exact 1D W_p of each direction, on the level merge that
 It sorts and subtracts in place, in buffers allocated once per call: no
 temporary grows with the direction count or is allocated per batch,
 except the argsorts of weighted clouds.  Two clouds of equal weights
-merge their levels once per call, and each batch subtracts their sorted
-rows directly: a cloud whose atoms each cover one interval needs no
-gather (both, for clouds of one size; the larger, when one size divides
-the other).  When a cloud has unequal weights and p = 1, each row merges
-no levels: W_1 is the integral of |F_X - F_Y|, the sum of |F_X - F_Y|
-times the gap between consecutive points of the joint sorted row, where
-gaps with |F_X - F_Y| <= MASS_TOL carry no mass.  Unequal weights at
-p != 1 merge the levels of every row.  Rows and q-means are scaled by
-the same rule, :func:`swgeo.transport1d._power_scale`.
+merge their levels once per pair of sizes, and each batch subtracts
+their sorted rows directly: a cloud whose atoms each cover one interval
+needs no gather (both, for clouds of one size; the larger, when one
+size divides the other).  When a cloud has unequal weights and p = 1,
+each row merges no levels: W_1 is the integral of |F_X - F_Y|, the sum
+of |F_X - F_Y| times the gap between consecutive points of the joint
+sorted row, where gaps with |F_X - F_Y| <= MASS_TOL carry no mass.
+Unequal weights at p != 1 merge the levels of every row.  Rows and
+q-means are scaled by the same rule, :func:`swgeo.transport1d._power_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -143,32 +147,24 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
     are capped at the directions of largest shell-subspace component,
     where the families treated here attain their suprema."""
     d = dirs.dim
-    cands: list[np.ndarray] = []
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    cands.append(e1)
+    cands = [np.eye(d)[0]]
     shell = isinstance(a, ShellMixture)
     centers = [c for _, _, c in a.components] + [c for _, _, c in b.components]
     vecs = list(centers)
     with np.errstate(over="ignore"):  # a difference that overflows adds no candidate
         vecs += [c1 - c2 for i, c1 in enumerate(centers) for c2 in centers[i + 1:]]
     for v in vecs:
-        u = v[:3].copy() if shell else v.copy()
+        u = v[:3] if shell else v
         nrm = math.hypot(*u)
-        if 1e-12 < nrm < math.inf:
-            u = u / nrm
+        if 0.0 < nrm < math.inf:
             full = np.zeros(d)
-            full[:u.size] = u
+            full[:u.size] = u / nrm
             cands.append(full)
     nodes = dirs.thetas
-    if nodes.shape[0] > _SUP_NODE_CAP:
-        if shell:
-            order = np.argsort(-np.linalg.norm(nodes[:, :3], axis=1),
-                               kind="stable")
-        else:
-            order = np.arange(nodes.shape[0])
+    if shell and nodes.shape[0] > _SUP_NODE_CAP:
+        order = np.argsort(-np.linalg.norm(nodes[:, :3], axis=1), kind="stable")
         nodes = nodes[order[:_SUP_NODE_CAP]]
-    cands.extend(nodes)
+    cands.extend(nodes[:_SUP_NODE_CAP])
     arr = np.array(cands)
     _, idx = np.unique(np.round(arr, 12), axis=0, return_index=True)
     return arr[np.sort(idx)]
@@ -245,11 +241,13 @@ def _batched(kernel, thetas: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _point_rows(cm: CircleMixture, thetas: np.ndarray):
-    """The quantile polylines of the projections of a circle mixture of
-    points onto every row of thetas: one atom per point."""
-    loc = families._circle_loci(cm, thetas)
-    return measure1d.quantile_rows(loc, loc, np.array([w for w, _, _ in cm.components]))
+def _point_rows(mixtures, thetas: np.ndarray):
+    """The quantile polylines of the projections of circle mixtures of
+    points onto every row of thetas, one (s, x) per mixture as in
+    :func:`swgeo.families.radon_quantile_rows`: one atom per point."""
+    locs = (families._circle_loci(cm, thetas) for cm in mixtures)
+    return [measure1d.quantile_rows(loc, loc, np.array([w for w, _, _ in cm.components]))
+            for cm, loc in zip(mixtures, locs)]
 
 
 def _distances(a, b, p: float, thetas: np.ndarray) -> np.ndarray:
@@ -265,7 +263,7 @@ def _distances(a, b, p: float, thetas: np.ndarray) -> np.ndarray:
     else:
         kernel = lambda batch: transport1d.wp_measure_rows(families.circle_rows((a, b), batch), p)
         return _batched(kernel, thetas, max(1, _BATCH_VALUES // (_ARCSINE_PAIR_VALUES * k * k)))
-    kernel = lambda batch: transport1d.wp_rows(*rows(a, batch), *rows(b, batch), p)
+    kernel = lambda batch: transport1d.wp_rows(*sum(rows((a, b), batch), ()), p)
     return _batched(kernel, thetas, max(1, _BATCH_VALUES // (8 * k)))
 
 

@@ -78,3 +78,27 @@ def left_limit(q, u, r=0):
     """Q(u-) of an AnalyticQuantile: the start of the gap Q jumps across at
     level u, else Q(u)."""
     return q(u, r, left=True)
+
+
+def quantile_rows_by_row(lo, hi, v):
+    """measure1d.quantile_rows as it was built row-wise, over (n, 2K)
+    tables: the reference that the direction-minor builder must match bit
+    for bit, since each level is the same sums in the same order.  The
+    clamp is the reversed running minimum."""
+    e = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
+    a, b = e[:, :-1], e[:, 1:]
+    first = np.ones(a.shape, dtype=bool)
+    first[:, 1:] = a[:, 1:] != a[:, :-1]
+    atom = lo == hi
+    steps, rho = np.zeros(e.shape), np.zeros(a.shape)
+    masses, densities = np.where(atom, v, 0.0), np.where(atom, 0.0, v)
+    for k in np.flatnonzero(~atom.all(axis=0)):
+        rho += np.where((lo[:, k, None] <= a) & (hi[:, k, None] >= b), densities[:, k, None], 0.0)
+    on = rho > 0.0
+    np.multiply(rho, np.subtract(b, a, where=on, out=np.zeros(a.shape)), where=on,
+                out=steps[:, 1:])
+    for k in np.flatnonzero(atom.any(axis=0)):
+        steps[:, 1:] += np.where(first & (a == lo[:, k, None]), masses[:, k, None], 0.0)
+    s = np.cumsum(steps, axis=1)
+    s[(s == s[:, -1:]) & (e == e[:, -1:])] = 1.0
+    return np.minimum.accumulate(s[:, ::-1], axis=1)[:, ::-1], e

@@ -15,6 +15,7 @@ from swgeo.families import (
     nu_curve,
     nu_family,
     radon_project,
+    radon_quantile_rows,
     s_of_theta,
     shell_from_text,
     shell_masses,
@@ -314,6 +315,22 @@ class TestRadonProject:
     def test_dimension_mismatch(self):
         with pytest.raises(MeasureError):
             radon_project(ShellMixture.single(4, 1.0), unit_vec(3))
+
+    def test_two_sided_rows_equal_one_sided_calls(self):
+        # one call projects both sides, with s(theta) computed once; each
+        # side's polylines are its own call's bit for bit, as the
+        # C-contiguous (n, 2K) tables that wp_rows reads: here a K = 1
+        # side against a K = 2 one
+        curve = transformed_nu_curve(0.5, [0.3, 0.2, 0.1], 4, 1.3, [0.1, 0.0, 0.2, 0.0],
+                                     [0.0, 0.1, 0.0, 0.0])
+        a, b = curve(0.0), curve(0.25)
+        assert (len(a.components), len(b.components)) == (1, 2)
+        thetas = mc_directions(4, 64, seed=3).thetas
+        for sm, (s, x) in zip((a, b), radon_quantile_rows((a, b), thetas)):
+            (one_s, one_x), = radon_quantile_rows((sm,), thetas)
+            assert s.shape == x.shape == (64, 2 * len(sm.components))
+            assert s.flags.c_contiguous and x.flags.c_contiguous
+            assert s.tobytes() == one_s.tobytes() and x.tobytes() == one_x.tobytes()
 
     def test_narrow_shell_far_from_origin(self):
         # the projected radius 1e-10 s(theta) is above the atom threshold

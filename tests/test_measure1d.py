@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import from_breakpoints, isclose, left_limit, mix
+from helpers import from_breakpoints, isclose, left_limit, mix, quantile_rows_by_row
 from swgeo.measure1d import (
     AnalyticQuantile,
     MeasureRows,
@@ -531,6 +531,29 @@ def test_quantile_rows_against_bisection(rows):
         below, above = np.where(ok, mid, below), np.where(ok, above, mid)
     want = _from_key(below)
     assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_rows(), st.booleans())
+@example(np.array([[(-1e308, -1e308, 0.25), (0.0, 1.0, 0.5), (1e308, 1e308, 0.25)],
+                   [(-1e308, -1e308, 0.5), (1e308, 1e308, 0.25), (1e308, 1e308, 0.25)]]), True)
+def test_quantile_rows_match_one_row_calls(rows, shared):
+    # the builder runs direction-minor over all rows at once: each row of
+    # an n-row call is its one-row call, bit for bit, and so is the whole
+    # table the row-wise builder's, with a v per row or one v row for all
+    lo, hi, m = rows.transpose(2, 0, 1)
+    atom = lo == hi
+    v = np.where(atom, m, m / np.where(atom, 1.0, hi - lo))
+    if shared:
+        v = v[0]
+    s, x = quantile_rows(lo, hi, v)
+    assert s.shape == x.shape == (len(rows), 2 * rows.shape[1])
+    assert s.flags.c_contiguous and x.flags.c_contiguous
+    want_s, want_x = quantile_rows_by_row(lo, hi, v)
+    assert s.tobytes() == want_s.tobytes() and x.tobytes() == want_x.tobytes()
+    for r in range(len(rows)):
+        one_s, one_x = quantile_rows(lo[r:r + 1], hi[r:r + 1], v if shared else v[r:r + 1])
+        assert one_s.tobytes() == s[r].tobytes() and one_x.tobytes() == x[r].tobytes()
 
 
 # ------------------------------------------------------------------- sampling

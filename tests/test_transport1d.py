@@ -778,7 +778,7 @@ class TestMergeLevels:
         # merge 8 levels into 7 intervals
         curve = transformed_nu_curve(0.5, [0.3, 0.2, 0.1], 4, 1.3, [0.1, 0.0, 0.2, 0.0], None)
         thetas = mc_directions(4, 16, seed=3).thetas
-        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.25, 0.75))
+        (sa, xa), (sb, xb) = radon_quantile_rows([curve(t) for t in (0.25, 0.75)], thetas)
         assert sa.shape == xa.shape == sb.shape == xb.shape == (16, 4)
         u, mass, ia, ib = swgeo.transport1d._merge_levels(sa, sb)
         assert u.shape == (16, 8) and mass.shape == ia.shape == ib.shape == (16, 7)
@@ -897,10 +897,26 @@ class TestWpRows:
     def test_nan_level_gives_nan_in_its_row_only(self, p):
         curve = transformed_nu_curve(0.5, [0.2, 0.1, 0.0], 4, 1.5, [0.0, 0.3, 0.0, 0.2], None)
         thetas = mc_directions(4, 3, seed=2).thetas
-        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.25, 1.0))
+        (sa, xa), (sb, xb) = radon_quantile_rows([curve(t) for t in (0.25, 1.0)], thetas)
         sa = sa.copy()
         sa[1, 3] = math.nan
         with np.errstate(invalid="ignore"):  # as in every caller
+            got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
+        assert math.isnan(got[1])
+        for r in (0, 2):
+            one = swgeo.transport1d.wp_rows(sa[r:r + 1], xa[r:r + 1], sb[r:r + 1], xb[r:r + 1], p)
+            assert repr(float(one[0])) == repr(float(got[r])) and math.isfinite(got[r])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_nan_endpoint_gives_nan_in_its_row_only(self, p):
+        # a nan endpoint sorts last and is no point's equal, so its row
+        # never reaches level 1 and its last segment ends at nan
+        lo = np.array([[-1.0, 0.0], [math.nan, 0.0], [0.5, 0.5]])
+        hi = np.array([[1.0, 2.0], [1.0, 3.0], [0.5, 1.5]])
+        atom = lo == hi
+        with np.errstate(invalid="ignore"):  # as in every caller
+            sa, xa = swgeo.measure1d.quantile_rows(lo, hi, 0.5 / np.where(atom, 1.0, hi - lo))
+            sb, xb = swgeo.measure1d.quantile_rows(np.zeros((3, 1)), np.ones((3, 1)), 1.0)
             got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
         assert math.isnan(got[1])
         for r in (0, 2):
@@ -912,7 +928,7 @@ class TestWpRows:
         curve = transformed_nu_curve(0.4, [0.3, 0.0, 0.2], 5, 1.2,
                                      [0.1, 0.2, 0.0, 0.3, 0.1], [0.2, 0.0, 0.1, 0.0, 0.0])
         thetas = mc_directions(5, 64, seed=9).thetas
-        (sa, xa), (sb, xb) = (radon_quantile_rows(curve(t), thetas) for t in (0.0, 0.75))
+        (sa, xa), (sb, xb) = radon_quantile_rows([curve(t) for t in (0.0, 0.75)], thetas)
         got = swgeo.transport1d.wp_rows(sa, xa, sb, xb, p)
         one = [swgeo.transport1d.wp_rows(sa[r:r + 1], xa[r:r + 1], sb[r:r + 1], xb[r:r + 1], p)[0]
                for r in range(len(thetas))]
