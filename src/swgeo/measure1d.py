@@ -665,10 +665,10 @@ def quantile_rows(lo: np.ndarray, hi: np.ndarray, v) -> tuple[np.ndarray, np.nda
     Only the sort stays row-wise, where numpy is faster.  Each level is a
     row-wise build's bit for bit: the same sums, in the same order.
     """
-    lo, hi, v = lo.T, hi.T, np.broadcast_to(v, lo.shape).T
-    e = np.concatenate([lo, hi]).T.copy()
+    # C order, whatever the layout of lo and hi (radon_quantile_rows passes transposes)
+    e = np.concatenate([lo, hi], axis=1, out=np.empty((lo.shape[0], 2 * lo.shape[1])))
     e.sort(axis=1)
-    x = e.T.copy()
+    lo, hi, v, x = lo.T, hi.T, np.broadcast_to(v, lo.shape).T, e.T.copy()
     a, b = x[:-1], x[1:]
     first = np.ones(a.shape, dtype=bool)
     first[1:] = a[1:] != a[:-1]

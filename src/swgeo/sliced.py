@@ -38,11 +38,13 @@ q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
 projections of all centers and center differences of positive finite
 norm (an exact rule: a center 1e-300 off the origin counts), and the
-nodes (at most _SUP_NODE_CAP of them, those of largest s(theta)).  This
-is exact for centered shells and circles, and a lower bound otherwise:
-on moving translations of shell curves it fell up to 16 % below with 64
-mc nodes, 10 % with 256, and 49 % with 1024, where the cap drops better
-nodes.
+nodes (at most _SUP_NODE_CAP of them, those of largest s(theta)).  Each
+vector is scaled by a power of two before it is normalized, so that a
+subnormal one, whose norm would round on the coarse subnormal grid,
+still gives a unit candidate.  This is exact for centered shells and
+circles, and a lower bound otherwise: on moving translations of shell
+curves it fell up to 16 % below with 64 mc nodes, 10 % with 256, and
+49 % with 1024, where the cap drops better nodes.
 
 ``sw_pq_empirical`` is the same q-mean between weighted point clouds.
 :func:`_batched` runs the kernel of :func:`swgeo.transport1d._wp_atoms`:
@@ -51,15 +53,15 @@ the exact 1D W_p of each direction, on the level merge that
 It sorts and subtracts in place, in buffers allocated once per call: no
 temporary grows with the direction count or is allocated per batch,
 except the argsorts of weighted clouds.  Two clouds of equal weights
-merge their levels once per pair of sizes, and each batch subtracts
-their sorted rows directly: a cloud whose atoms each cover one interval
-needs no gather (both, for clouds of one size; the larger, when one
-size divides the other).  When a cloud has unequal weights and p = 1,
-each row merges no levels: W_1 is the integral of |F_X - F_Y|, the sum
-of |F_X - F_Y| times the gap between consecutive points of the joint
-sorted row, where gaps with |F_X - F_Y| <= MASS_TOL carry no mass.
-Unequal weights at p != 1 merge the levels of every row.  Rows and
-q-means are scaled by the same rule, :func:`swgeo.transport1d._power_scale`.
+merge their levels once per call, and each batch subtracts their sorted
+rows directly: a cloud whose atoms each cover one interval needs no
+gather (both, for clouds of one size; the larger, when one size divides
+the other).  When a cloud has unequal weights and p = 1, each row merges
+no levels: W_1 is the integral of |F_X - F_Y|, the sum of |F_X - F_Y|
+times the gap between consecutive points of the joint sorted row, where
+gaps with |F_X - F_Y| <= MASS_TOL carry no mass.  Unequal weights at
+p != 1 merge the levels of every row.  Rows and q-means are scaled by
+the same rule, :func:`swgeo.transport1d._power_scale`.
 
 ``w_p_radial`` is the full-dimensional W_p between a two-shell centered
 mixture and the unit shell, transported by the radial map x -> x/|x|
@@ -155,10 +157,11 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
         vecs += [c1 - c2 for i, c1 in enumerate(centers) for c2 in centers[i + 1:]]
     for v in vecs:
         u = v[:3] if shell else v
-        nrm = math.hypot(*u)
-        if 0.0 < nrm < math.inf:
+        big = np.abs(u).max()
+        if 0.0 < big < math.inf:
+            u = np.ldexp(u, -math.frexp(big)[1])  # exact: a subnormal u keeps all its bits
             full = np.zeros(d)
-            full[:u.size] = u / nrm
+            full[:u.size] = u / math.hypot(*u)
             cands.append(full)
     nodes = dirs.thetas
     if shell and nodes.shape[0] > _SUP_NODE_CAP:
@@ -245,9 +248,9 @@ def _point_rows(mixtures, thetas: np.ndarray):
     """The quantile polylines of the projections of circle mixtures of
     points onto every row of thetas, one (s, x) per mixture as in
     :func:`swgeo.families.radon_quantile_rows`: one atom per point."""
-    locs = (families._circle_loci(cm, thetas) for cm in mixtures)
-    return [measure1d.quantile_rows(loc, loc, np.array([w for w, _, _ in cm.components]))
-            for cm, loc in zip(mixtures, locs)]
+    return [measure1d.quantile_rows(loc := families._circle_loci(cm, thetas), loc,
+                                    np.array([w for w, _, _ in cm.components]))
+            for cm in mixtures]
 
 
 def _distances(a, b, p: float, thetas: np.ndarray) -> np.ndarray:

@@ -294,19 +294,6 @@ def _mass_steps(ia: np.ndarray, n: int):
     return None if np.array_equal(ia, np.arange(n)) else ia
 
 
-@functools.lru_cache(maxsize=8)
-def _equal_merge(na: int, wa: float, nb: int, wb: float):
-    """:func:`_merge_levels` of na equal weights wa and nb equal weights wb
-    on the intervals that carry mass, as :func:`_equal_path` takes it:
-    built once per pair of sizes and weights and shared, read-only."""
-    _, h, ia, ib = _merge_levels(_equal_levels(np.full(na, wa)), _equal_levels(np.full(nb, wb)))
-    mass = h[0] > 0.0
-    h, ia, ib = h[0, mass], ia[0, mass], ib[0, mass]
-    for arr in (h, ia, ib):
-        arr.flags.writeable = False
-    return h, _mass_steps(ia, na), _mass_steps(ib, nb)
-
-
 def _rows_from(r: int, m: int) -> np.ndarray:
     """The flat index of the first of m values in each of r rows."""
     return np.arange(0, r * m, m)[:, None]
@@ -425,21 +412,23 @@ def _wp_atoms(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray,
     ulps on small clouds, since BLAS picks its kernels by the shapes.
     One of three paths, by the weights and p:
 
-    * equal weights on both sides: the levels are merged once per pair
-      of sizes and weights (:func:`_equal_merge`), and only the intervals
-      that carry mass are kept.  A side whose atoms each cover one
-      interval is its sorted row itself, and any other side is one gather
-      (:func:`_equal_path`).
+    * equal weights on both sides: the levels are merged once per call,
+      and only the intervals that carry mass are kept.  A side whose
+      atoms each cover one interval is its sorted row itself, and any
+      other side is one gather (:func:`_equal_path`).
     * unequal weights at p = 1: W_1 is the integral of |F_a - F_b|, one
       sort of the joint row and no merge (:func:`_cdf_gap_path`).
     * unequal weights at p != 1: every batch sorts each side and merges
       its levels (:func:`_merge_path`).
 
     A nan position gives nan."""
+    na, nb = wa.size, wb.size
     la, lb = _equal_levels(wa), _equal_levels(wb)
     if la is not None and lb is not None:
-        path = functools.partial(_equal_path, xa, xb,
-                                 *_equal_merge(wa.size, float(wa[0]), wb.size, float(wb[0])), p)
+        _, h, ia, ib = _merge_levels(la, lb)
+        mass = h[0] > 0.0
+        path = functools.partial(_equal_path, xa, xb, h[0, mass], _mass_steps(ia[0, mass], na),
+                                 _mass_steps(ib[0, mass], nb), p)
     elif p == 1.0:
         path = functools.partial(_cdf_gap_path, xa, xb, np.concatenate([wa, -wb]))
     else:

@@ -479,6 +479,22 @@ class TestExactIdentity:
         diag = sw_pq(point_circles((1.0, y, y)), b, 2.0, math.inf, dirs)
         assert abs(diag - math.sqrt(2.0) * y) <= math.ulp(math.sqrt(2.0) * y)
 
+    @pytest.mark.parametrize("offset", [(5e-324, 5e-324), (1e-320, 3e-321), (1e-300, 0.0)])
+    def test_sup_candidate_of_a_subnormal_offset_is_unit(self, offset):
+        # a unit shell beside a radius-2 one at the origin: the offset
+        # moves each projection by theta.c, at most 1e-300, so the sup is
+        # the centered pair's.  A candidate normalized by a norm rounded
+        # on the subnormal grid would be longer than 1, and read up to
+        # sqrt(2) times it
+        c = np.array([*offset, 0.0, 0.0])
+        dirs = mc_directions(4, 8, 2)
+        want = sw_pq(ShellMixture.single(4, 1.0), ShellMixture.single(4, 2.0), 2.0, math.inf, dirs)
+        got = sw_pq(ShellMixture.single(4, 1.0, c), ShellMixture.single(4, 2.0), 2.0, math.inf, dirs)
+        assert abs(got - want) <= math.ulp(want)
+        cands = swgeo.sliced._sup_directions(ShellMixture.single(4, 1.0, c),
+                                             ShellMixture.single(4, 2.0), dirs)
+        assert np.all(np.abs(np.linalg.norm(cands, axis=1) - 1.0) <= 4 * math.ulp(1.0))
+
 
 def centered_shell_value(a, b, p, q, dirs):
     # nu(0.5) against nu(0), alpha = 0.4, by the closed form t alpha / (p + 1)^(1/p),
@@ -666,25 +682,6 @@ class TestEmpirical:
         one = DirectionSet(1, np.ones((1, 1)), np.ones(1), "e1")
         got = empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
         assert repr(got) == repr(sw_pq_empirical(X, Y, p, 1.0, one))
-
-    def test_equal_weight_merge_is_built_once_per_size_pair(self):
-        # the level merge of equal weights depends on the sizes and the
-        # weights only: a second kernel on other clouds of the same sizes
-        # takes the cached arrays, which no caller can write
-        rng = np.random.default_rng(4)
-        merge = swgeo.transport1d._equal_merge
-        w5, w3 = np.full(5, 0.2), np.full(3, 1 / 3)
-        swgeo.transport1d._wp_atoms(rng.standard_normal((5, 3)), w5,
-                                    rng.standard_normal((3, 3)), w3, 2.0, 4)
-        before = merge.cache_info()
-        swgeo.transport1d._wp_atoms(rng.standard_normal((5, 3)), w5,
-                                    rng.standard_normal((3, 3)), w3, 2.0, 4)
-        after = merge.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        cached, fresh = merge(5, 0.2, 3, 1 / 3), merge.__wrapped__(5, 0.2, 3, 1 / 3)
-        for got, want in zip(cached, fresh):
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("weighted,p", [(False, 2.0), (True, 1.0), (True, 2.0)],
                              ids=["equal", "cdf-gap", "merge"])
