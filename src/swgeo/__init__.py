@@ -16,8 +16,7 @@ _SOURCE = {name: module for module, names in {
                 "radon_project s_of_theta shell_from_text shell_masses shell_to_text "
                 "transformed_nu_curve translate w_p_mu01",
     "measure1d": "ArcsinePart Measure1D MeasureError PiecewiseLinearMap QuantileFn "
-                 "cdf_eval measure_from_text measure_to_text pushforward_pwl quantile "
-                 "sample",
+                 "measure_from_text measure_to_text pushforward_pwl",
     "sliced": "PointCloud empirical_w1d sample_shell sliced_geodesic_deviation sw_pq "
               "sw_pq_empirical w_inf_circle w_p_radial",
     "sphere": "DirectionSet beta_directions c_dq mc_directions",

@@ -5,7 +5,8 @@ randomness is involved): reruns produce byte-identical output.  CSV files
 start with a provenance line ``# swgeo <command> <version> <flags>``,
 then a header row, then data rows with reals printed to 17 significant
 digits.  Flag precedence is command line > ``--config`` file (key=value
-lines) > built-in defaults.  Each command imports the library modules it
+lines, read as measure files are: '#' comments and blank lines are
+skipped) > built-in defaults.  Each command imports the library modules it
 calls, so ``--version`` and the light commands load none they do not use.
 """
 
@@ -76,6 +77,7 @@ PFLOAT_LIST = _Parsed("floats", _parse_float_list)
 
 
 def _cell(v) -> str:
+    # its own .17g, as measure1d._fmt: the cli loads no library module at import
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):
@@ -134,12 +136,10 @@ def _load_config(ctx, param, path):
         text = Path(path).read_text()
     except OSError as exc:
         raise click.BadParameter(f"cannot read {path}: {exc}", ctx, param) from exc
+    from .measure1d import _records
     names = {p.name for p in ctx.command.params if p.expose_value}
     cfg = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, _, line in _records(text):
         key, eq, val = line.partition("=")
         key = key.strip().replace("-", "_")
         if not eq:

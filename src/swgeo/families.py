@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .measure1d import (MASS_TOL, ArcsinePart, Measure1D, MeasureError, MeasureRows,
-                        _canonicalize, _integer, quantile_rows)
+                        _canonicalize, _exponent, _fmt, _integer, _records, quantile_rows)
 
 __all__ = [
     "ShellMixture",
@@ -101,6 +101,7 @@ class ShellMixture:
     components: tuple[tuple[float, float, np.ndarray], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
         if self.dim < 3:
             raise MeasureError("shell mixtures need ambient dimension >= 3")
         object.__setattr__(self, "components",
@@ -108,6 +109,7 @@ class ShellMixture:
 
     @classmethod
     def single(cls, dim: int, radius: float, center=None) -> "ShellMixture":
+        dim = _integer(dim, "dimension")
         c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
         return cls(dim, ((1.0, radius, c),))
 
@@ -192,13 +194,12 @@ def w_p_mu01(alpha: float, beta: float, p: float) -> float:
     for beta = 0 that is alpha^p/(p+1), i.e. W_p = alpha/(p+1)^{1/p}.
     Cross-validated against the quantile integration in the test suite.
     """
-    alpha, beta, p = float(alpha), float(beta), float(p)
+    alpha, beta = float(alpha), float(beta)
     _check_mu_params(alpha, beta, 0.0)
-    if math.isinf(p):
+    if math.isinf(float(p)):
         raise MeasureError("p must be finite here; W_inf of the endpoints "
                            "is alpha(1+|beta|) (alpha when beta = 0)")
-    if not p >= 1.0:  # nan too
-        raise MeasureError("p must be >= 1")
+    p = _exponent(p, "p")
     ratio = alpha / (1.0 - alpha)
     bracket1 = ratio ** p * (((1.0 + beta) * (1.0 - alpha)) ** (p + 1.0)
                              + ((1.0 - beta) * (1.0 - alpha)) ** (p + 1.0))
@@ -247,7 +248,7 @@ def nu_family(alpha: float, x, t: float, d: int) -> ShellMixture:
         raise MeasureError(f"x must have 3 or {d} coordinates")
     if np.any(np.abs(x[3:]) > _UNIT_TOL):
         raise MeasureError("x must lie in span{e1, e2, e3}")
-    if np.linalg.norm(x) > 1.0 + _UNIT_TOL:
+    if not np.linalg.norm(x) <= 1.0 + _UNIT_TOL:  # nan too
         raise MeasureError("x must lie in the closed unit ball")
     c_outer, c_inner = shell_masses(alpha, t)
     comps: list[tuple[float, float, np.ndarray]] = [(c_outer, 1.0, np.zeros(d))]
@@ -440,10 +441,6 @@ def circle_family(t: float) -> CircleMixture:
 # -------------------------------------------------------------------- text IO
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def shell_to_text(sm: ShellMixture) -> str:
     """Line format: ``shell <weight> <radius> <c1> ... <cd>``."""
     lines = []
@@ -456,10 +453,7 @@ def shell_to_text(sm: ShellMixture) -> str:
 def shell_from_text(text: str) -> ShellMixture:
     comps: list[tuple[float, float, np.ndarray]] = []
     dim: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _records(text):
         fields = line.split()
         if fields[0] != "shell" or len(fields) < 6:
             raise MeasureError(f"line {lineno}: expected "

@@ -18,6 +18,11 @@ quantile inversion; everything else is the "discrete-mixture" variant
 with exact piecewise-affine quantiles.  The CDF, density and numeric
 quantile work on rows of measures (``MeasureRows``, ``AnalyticQuantile``),
 each row with the arithmetic it has alone; a Measure1D is one row.
+
+Each input rule of the library is defined once, below, and every module
+checks its input through it: finite reals, integers and counts, seeds,
+exponents p, q >= 1, weighted point and node rows, and the lines of the
+text formats and config files; ``_fmt`` writes every real of the text.
 """
 
 from __future__ import annotations
@@ -43,10 +48,7 @@ __all__ = [
     "newton_roots",
     "quantile_rows",
     "PiecewiseLinearMap",
-    "cdf_eval",
-    "quantile",
     "pushforward_pwl",
-    "sample",
     "measure_to_text",
     "measure_from_text",
 ]
@@ -70,6 +72,67 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise MeasureError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _count(value, what: str) -> int:
+    """value as an integer >= 1, as :func:`_integer` takes it."""
+    n = _integer(value, what)
+    if n < 1:
+        raise MeasureError(f"{what} must be >= 1")
+    return n
+
+
+def _exponent(value, name: str) -> float:
+    """value as a float >= 1, inf included; nan and anything below 1
+    raise MeasureError."""
+    v = float(value)
+    if not v >= 1.0:  # nan too
+        raise MeasureError(f"{name} must be >= 1")
+    return v
+
+
+def _finite_values(*arrays) -> None:
+    """Refuse the first nan or inf of the arrays as :func:`_as_float` does."""
+    for a in arrays:
+        bad = a[~np.isfinite(a)]
+        if bad.size:
+            _as_float(float(bad[0]))
+
+
+def _weighted_rows(obj, rows: str, item: str) -> None:
+    """Check and convert, in place on the frozen dataclass obj, weighted
+    rows: an integer ``dim``, float (n, dim) rows in the field rows and
+    (n,) ``weights``, all finite, the weights positive and summing to 1
+    within MASS_TOL.  item names one row in the messages."""
+    dim = _integer(obj.dim, "dimension")
+    x = np.asarray(getattr(obj, rows), dtype=float)
+    w = np.asarray(obj.weights, dtype=float)
+    for field, value in (("dim", dim), (rows, x), ("weights", w)):
+        object.__setattr__(obj, field, value)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise MeasureError(f"{rows} must be an (n, d) array")
+    if w.shape != (x.shape[0],):
+        raise MeasureError(f"weights must parallel the {item} list")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise MeasureError(f"{item}s and weights must be finite")
+    if np.any(w <= 0.0):
+        raise MeasureError(f"{item} weights must be positive")
+    if abs(float(w.sum()) - 1.0) > MASS_TOL:
+        raise MeasureError(f"{item} weights must sum to 1 within {MASS_TOL}")
+
+
+def _records(text: str):
+    """(line number, raw line, stripped line) of each line of text that
+    holds more than a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
+
+
+def _fmt(x: float) -> str:
+    """x to 17 significant digits, the text form of every real."""
+    return format(float(x), ".17g")
 
 
 def _generator(seed) -> np.random.Generator:
@@ -231,10 +294,7 @@ class Measure1D:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse-CDF sampling (numpy PCG64 generator)."""
-        n = _integer(n, "sample size")
-        if n < 1:
-            raise MeasureError("sample size must be >= 1")
-        u = _generator(seed).random(n)
+        u = _generator(seed).random(_count(n, "sample size"))
         return np.asarray(self.quantile_fn()(u), dtype=float)
 
     # -------------------------------------------------------------- algebra
@@ -290,6 +350,7 @@ class QuantileFn:
         object.__setattr__(self, "x", x)
         if s.ndim != 1 or s.shape != x.shape or s.size < 2:
             raise MeasureError("quantile breakpoints must be parallel 1-D arrays")
+        _finite_values(s, x)
         if np.any(s[1:] < s[:-1]) or np.any(x[1:] < x[:-1]):  # no overflowing diff
             raise MeasureError("quantile breakpoints must be nondecreasing")
         if s[0] != 0.0 or s[-1] != 1.0:
@@ -712,6 +773,7 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 1:
             raise MeasureError("map breakpoints must be parallel 1-D arrays")
+        _finite_values(xs, ys, np.array([self.left_slope, self.right_slope], float))
         if np.any(np.diff(xs) < 0):
             raise MeasureError("map x-breakpoints must be nondecreasing")
         if np.any(np.diff(ys) < 0) or self.left_slope < 0 or self.right_slope < 0:
@@ -756,16 +818,6 @@ class PiecewiseLinearMap:
 
 
 # ----------------------------------------------------- module-level operations
-
-
-def cdf_eval(m: Measure1D, x) -> float:
-    """Mass of the open half-line (-inf, x)."""
-    return m.cdf(x)
-
-
-def quantile(m: Measure1D):
-    """Generalized inverse of the CDF (sup convention)."""
-    return m.quantile_fn()
 
 
 def pushforward_pwl(m: Measure1D, T: PiecewiseLinearMap) -> Measure1D:
@@ -815,16 +867,7 @@ def pushforward_pwl(m: Measure1D, T: PiecewiseLinearMap) -> Measure1D:
     return Measure1D.from_components(atoms, pieces)
 
 
-def sample(m: Measure1D, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws via inverse-CDF sampling; deterministic per seed."""
-    return m.sample(n, seed)
-
-
 # ---------------------------------------------------------------- serialization
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def measure_to_text(m: Measure1D) -> str:
@@ -839,10 +882,7 @@ def measure_to_text(m: Measure1D) -> str:
 def measure_from_text(text: str) -> Measure1D:
     atoms: list[tuple[float, float]] = []
     pieces: list[tuple[float, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _records(text):
         fields = line.split()
         try:
             if fields[0] == "atom" and len(fields) == 3:

@@ -79,7 +79,7 @@ import numpy as np
 
 from . import families, measure1d, transport1d
 from .families import CircleMixture, ShellMixture
-from .measure1d import MASS_TOL, MeasureError
+from .measure1d import MeasureError
 from .sphere import DirectionSet, _BetaNodes
 from .transport1d import pairwise_deviation
 
@@ -103,20 +103,7 @@ class PointCloud:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise MeasureError("points must be an (n, d) array")
-        if w.shape != (pts.shape[0],):
-            raise MeasureError("weights must parallel the points")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
-            raise MeasureError("points and weights must be finite")
-        if np.any(w <= 0.0):
-            raise MeasureError("weights must be positive")
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
-            raise MeasureError("weights must sum to 1 within 1e-12")
+        measure1d._weighted_rows(self, "points", "point")
 
     @property
     def n(self) -> int:
@@ -127,12 +114,7 @@ class PointCloud:
 
 
 def _check_pq(p: float, q: float):
-    p, q = float(p), float(q)
-    if not p >= 1.0:  # nan too
-        raise MeasureError("p must be >= 1")
-    if not q >= 1.0:
-        raise MeasureError("q must be >= 1")
-    return p, q
+    return measure1d._exponent(p, "p"), measure1d._exponent(q, "q")
 
 
 def _is_centered(mixture) -> bool:
@@ -299,9 +281,7 @@ def w_p_radial(a: ShellMixture, b: ShellMixture, p: float) -> float:
     unit shell via the radial transport x -> x/|x|:
     W_p = (inner_mass * (1 - r_inner)^p)^{1/p}; W_inf = 1 - r_inner
     (the displacement of the inner shell)."""
-    p = float(p)
-    if not p >= 1.0:  # nan too
-        raise MeasureError("p must be >= 1")
+    p = measure1d._exponent(p, "p")
     w_in, r_in = _split_radial_pair(a, b)
     if w_in == 0.0:
         return 0.0
@@ -364,7 +344,7 @@ def empirical_w1d(xa: np.ndarray, wa: np.ndarray,
     >= 1, or MeasureError is raised; so is a distance that overflows."""
     if not math.isfinite(float(p)):
         raise MeasureError("empirical_w1d supports finite p only")
-    p, _ = _check_pq(p, 1.0)
+    p = measure1d._exponent(p, "p")
     a, b = (PointCloud(1, np.asarray(x, float)[..., None], w) for x, w in ((xa, wa), (xb, wb)))
     return transport1d._finite(lambda: float(_empirical_rows(a, b, p, np.ones((1, 1)))[0]))
 

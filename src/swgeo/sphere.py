@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure1d import MASS_TOL, MeasureError, _generator, _integer
+from .measure1d import (MASS_TOL, MeasureError, _count, _exponent, _generator, _integer,
+                        _weighted_rows)
 
 __all__ = ["DirectionSet", "mc_directions", "beta_directions", "c_dq"]
 
@@ -38,21 +39,8 @@ class DirectionSet:
     provenance: str
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "weights", weights)
-        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
-            raise MeasureError("thetas must be an (n, d) array")
-        if weights.shape != (thetas.shape[0],):
-            raise MeasureError("weights must parallel the node list")
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(weights))):
-            raise MeasureError("nodes and weights must be finite")
-        if np.any(weights <= 0.0):
-            raise MeasureError("node weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > MASS_TOL:
-            raise MeasureError("node weights must sum to 1 within 1e-12")
-        norms = np.linalg.norm(thetas, axis=1)
+        _weighted_rows(self, "thetas", "node")
+        norms = np.linalg.norm(self.thetas, axis=1)
         if np.any(np.abs(norms - 1.0) > MASS_TOL):
             raise MeasureError("all nodes must be unit vectors within 1e-12")
 
@@ -70,11 +58,9 @@ class DirectionSet:
 def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
     """n uniform directions on S^{d-1}: normalized Gaussian draws with
     equal weights 1/n; deterministic for fixed (d, n, seed)."""
-    d, n = _integer(d, "dimension"), _integer(n, "node count")
+    d, n = _integer(d, "dimension"), _count(n, "node count")
     if d < 2:
         raise MeasureError("dimension must be >= 2")
-    if n < 1:
-        raise MeasureError("node count must be >= 1")
     rng = _generator(seed)
     thetas = rng.standard_normal((n, d))
     norms = np.linalg.norm(thetas, axis=1)
@@ -97,11 +83,9 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     s(theta).  For d = 3 the single node e1 is exact (s is identically 1);
     for d >= 4 the nodes are Gauss-Legendre in the substituted angle, each
     realized as the unit vector s e1 + sqrt(1-s^2) e4."""
-    d, n = _integer(d, "dimension"), _integer(n, "node count")
+    d, n = _integer(d, "dimension"), _count(n, "node count")
     if d < 3:
         raise MeasureError("beta quadrature needs ambient dimension >= 3")
-    if n < 1:
-        raise MeasureError("node count must be >= 1")
     if d == 3:
         theta = np.zeros((1, 3))
         theta[0, 0] = 1.0
@@ -129,20 +113,16 @@ def c_dq(d: int, q: float, method: str = "beta", n: int = 64,
     The method, node count and seed are checked in every case, also
     where the value is exactly 1 and no direction is drawn.
     """
-    d, n = _integer(d, "dimension"), _integer(n, "node count")
-    q = float(q)
+    d, n = _integer(d, "dimension"), _count(n, "node count")
     if d < 3:
         raise MeasureError("c_dq is defined for d >= 3")
-    if not q >= 1.0:  # nan too
-        raise MeasureError("q must be >= 1")
+    q = _exponent(q, "q")
     if method not in ("beta", "mc"):
         raise MeasureError(f"unknown method {method!r} (use 'beta' or 'mc')")
     if method == "mc":
         if seed is None:
             raise MeasureError("mc method needs a seed")
         _generator(seed)  # refuses a bad seed where no direction is drawn too
-    if n < 1:
-        raise MeasureError("node count must be >= 1")
     if math.isinf(q) or d == 3:
         return 1.0
     ds = beta_directions(d, n) if method == "beta" else mc_directions(d, n, seed)

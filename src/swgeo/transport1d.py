@@ -62,6 +62,7 @@ from .measure1d import (
     MeasureError,
     MeasureRows,
     PiecewiseLinearMap,
+    _exponent,
     _phi_map,
     _row_unique,
     _x_of_phi,
@@ -758,12 +759,9 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
     exact per-segment closed form when both quantiles are piecewise affine,
     Gauss-Legendre on the panels of :func:`_level_cuts` otherwise.
     Non-integer p is supported."""
-    p = float(p)
-    if math.isinf(p):
+    if math.isinf(float(p)):
         raise MeasureError("use wasserstein_inf for p = infinity")
-    if not p >= 1.0:  # nan too
-        raise MeasureError("p must be >= 1")
-    return _distance(mu, nu, p)
+    return _distance(mu, nu, _exponent(p, "p"))
 
 
 def wasserstein_inf(mu: Measure1D, nu: Measure1D) -> float:

@@ -153,6 +153,16 @@ class TestNuFamily:
         with pytest.raises(MeasureError):
             nu_family(0.5, np.array([0.0, 0.0, 0.0, 0.5]), 0.5, 4)
 
+    @pytest.mark.parametrize("x", [[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0, math.nan]])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_rejects_nan_x_at_every_t(self, x, t):
+        # at t = 0 the inner shell has no mass, so x reaches no component
+        # check: nu_family(0.5, [nan, 0, 0], 0, 4) returned the unit shell
+        with pytest.raises(MeasureError, match="x must lie in the closed unit ball"):
+            nu_family(0.5, x, t, 4)
+        with pytest.raises(MeasureError, match="x must lie in the closed unit ball"):
+            nu_curve(0.5, x, 4)(t)
+
     def test_rejects_low_dimension(self):
         with pytest.raises(MeasureError):
             nu_family(0.5, 0.0, 0.5, 2)

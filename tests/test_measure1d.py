@@ -13,15 +13,12 @@ from swgeo.measure1d import (
     Measure1D,
     MeasureError,
     PiecewiseLinearMap,
-    cdf_eval,
     measure_from_text,
     measure_to_text,
     QuantileFn,
     newton_roots,
     pushforward_pwl,
-    quantile,
     quantile_rows,
-    sample,
 )
 
 
@@ -98,21 +95,52 @@ def test_constructors_reject_non_finite_values(data, bad):
                                   [ArcsinePart(*fields[2])])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: QuantileFn([0.0, math.nan, 1.0], [0.0, 1.0, 2.0]),
+    lambda: QuantileFn([0.0, 0.5, 1.0], [0.0, math.inf, math.inf]),
+    lambda: QuantileFn([0.0, 0.5, 1.0], [-math.inf, 0.0, 1.0]),
+    lambda: PiecewiseLinearMap([0.0, 1.0], [0.0, 1.0], left_slope=math.nan),
+    lambda: PiecewiseLinearMap([0.0, 1.0], [0.0, 1.0], right_slope=math.inf),
+    lambda: PiecewiseLinearMap([0.0, math.nan], [0.0, 1.0]),
+    lambda: PiecewiseLinearMap([0.0, 1.0], [-math.inf, 1.0]),
+], ids=["quantile-nan-level", "quantile-inf-x", "quantile-minus-inf-x", "map-nan-left-slope",
+        "map-inf-right-slope", "map-nan-x", "map-minus-inf-y"])
+def test_breakpoint_classes_reject_non_finite_values(make):
+    # the < monotonicity checks let nan through: the nan level made
+    # Q(0.25) read 1.0, and the nan slope made T(-1) nan
+    with pytest.raises(MeasureError, match="non-finite value"):
+        make()
+
 # ------------------------------------------------------------------------ cdf
 
 
 class TestCdf:
     def test_uniform_midpoint(self):
-        assert cdf_eval(Measure1D.uniform(-1, 1), 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert Measure1D.uniform(-1, 1).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_atom_excluded_at_its_position(self):
         # open half-line convention: F(0.2) counts only the density below
-        assert cdf_eval(mixed_atom_measure(), 0.2) == pytest.approx(0.3, abs=1e-15)
-        assert cdf_eval(mixed_atom_measure(), 0.2 + 1e-9) == pytest.approx(
+        assert mixed_atom_measure().cdf(0.2) == pytest.approx(0.3, abs=1e-15)
+        assert mixed_atom_measure().cdf(0.2 + 1e-9) == pytest.approx(
             0.8, abs=1e-8)
 
     def test_arcsine_symmetry(self):
-        assert cdf_eval(Measure1D.arcsine(), 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert Measure1D.arcsine().cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_density_of_pieces_and_arcsine_parts(self):
+        # 0.3 on [-1, 0), the atom at 0.25 left out, and the arcsine part
+        # 0.5 / (pi sqrt(0.25 - (x - 1)^2)) on (0.5, 1.5), infinite at its ends
+        m = Measure1D.from_components([(0.25, 0.2)], [(-1.0, 0.0, 0.3)],
+                                      [ArcsinePart(0.5, 1.0, 0.5)])
+        arc = lambda x: 0.5 / (math.pi * math.sqrt(0.25 - (x - 1.0) ** 2))
+        xs = np.array([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0])
+        want = [0.0, 0.3, 0.3, 0.0, 0.0, math.inf, arc(0.75), arc(1.0), arc(1.25), math.inf, 0.0]
+        got = m.density(xs)
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert m.density(xs.reshape(1, -1)).shape == (1, xs.size)
+        assert type(m.density(1.0)) is float and m.density(1.0) == pytest.approx(1.0 / math.pi,
+                                                                                  rel=1e-15)
 
     def test_vectorized(self):
         m = mixed_atom_measure()
@@ -126,26 +154,26 @@ class TestCdf:
 
 class TestQuantile:
     def test_uniform_is_affine(self):
-        q = quantile(Measure1D.uniform(-1, 1))
+        q = Measure1D.uniform(-1, 1).quantile_fn()
         s = np.linspace(0, 1, 101)
         np.testing.assert_allclose(q(s), 2 * s - 1, atol=1e-15)
 
     def test_atom_mixture_matches_piecewise_formula(self):
         # alpha = 0.5, beta = 0.2: affine up to 0.3, flat at 0.2 until 0.8
-        q = quantile(mix([(0.5, Measure1D.uniform(-1, 1)),
-                          (0.5, Measure1D.dirac(0.2))]))
+        q = mix([(0.5, Measure1D.uniform(-1, 1)),
+                 (0.5, Measure1D.dirac(0.2))]).quantile_fn()
         s = np.linspace(0, 1, 2001)
         ref = np.where(s < 0.3, -1 + 4 * s,
                        np.where(s <= 0.8, 0.2, -1 + 4 * (s - 0.5)))
         np.testing.assert_allclose(q(s), ref, atol=1e-12)
 
     def test_arcsine_value(self):
-        q = quantile(Measure1D.arcsine())
+        q = Measure1D.arcsine().quantile_fn()
         assert q(0.75) == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
 
     def test_support_gap_gives_upper_value(self):
         m = Measure1D.from_components(pieces=[(-2.0, -1.0, 0.5), (1.0, 2.0, 0.5)])
-        q = quantile(m)
+        q = m.quantile_fn()
         assert q(0.5) == pytest.approx(1.0)  # sup convention picks the gap's top
         assert q(0.5 - 1e-12) == pytest.approx(-1.0, abs=1e-9)
 
@@ -561,32 +589,32 @@ def test_quantile_rows_match_one_row_calls(rows, shared):
 
 class TestSampling:
     def test_uniform_law_of_large_numbers(self):
-        xs = sample(Measure1D.uniform(-1, 1), 100_000, seed=42)
+        xs = Measure1D.uniform(-1, 1).sample(100_000, seed=42)
         sigma = math.sqrt(1.0 / 3.0)
         assert abs(xs.mean()) < 4 * sigma / math.sqrt(100_000)
 
     def test_dirac(self):
-        xs = sample(Measure1D.dirac(0.2), 50, seed=0)
+        xs = Measure1D.dirac(0.2).sample(50, seed=0)
         assert np.all(xs == 0.2)
 
     def test_arcsine_empirical_cdf(self):
-        xs = sample(Measure1D.arcsine(), 100_000, seed=7)
+        xs = Measure1D.arcsine().sample(100_000, seed=7)
         assert abs(np.mean(xs < 0.0) - 0.5) < 0.01  # 4x binomial SE is 0.0063
 
     def test_deterministic_per_seed(self):
-        a = sample(mixed_atom_measure(), 100, seed=5)
-        b = sample(mixed_atom_measure(), 100, seed=5)
+        a = mixed_atom_measure().sample(100, seed=5)
+        b = mixed_atom_measure().sample(100, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
-            sample(mixed_atom_measure(), 10, seed=-1)
+            mixed_atom_measure().sample(10, seed=-1)
         with pytest.raises(MeasureError, match="seed must be an integer, got 1.5"):
             mixed_atom_measure().sample(3, 1.5)
 
     def test_rejects_non_integral_size(self):
         with pytest.raises(MeasureError, match="sample size must be an integer, got 2.5"):
-            sample(mixed_atom_measure(), 2.5, seed=0)
+            mixed_atom_measure().sample(2.5, seed=0)
 
 
 # -------------------------------------------------------------- serialization

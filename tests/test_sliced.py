@@ -495,6 +495,30 @@ class TestExactIdentity:
                                              ShellMixture.single(4, 2.0), dirs)
         assert np.all(np.abs(np.linalg.norm(cands, axis=1) - 1.0) <= 4 * math.ulp(1.0))
 
+    def test_sup_node_cap_keeps_the_nodes_of_largest_s(self):
+        # 1024 nodes on an off-center pair: the candidates are e1, the
+        # shell-subspace directions of the nonzero centers and of the
+        # center differences, then the 256 nodes of largest s(theta)
+        a = ShellMixture(4, ((0.5, 1.0, np.zeros(4)), (0.5, 0.4, np.array([0.0, 0.3, 0.4, 0.0]))))
+        b = ShellMixture.single(4, 0.7, np.array([0.1, 0.2, 0.0, 0.5]))
+        dirs = mc_directions(4, 1024, 5)
+        nodes = dirs.thetas
+        capped = nodes[np.argsort(-np.linalg.norm(nodes[:, :3], axis=1), kind="stable")[:256]]
+        want = np.vstack([
+            [[1.0, 0.0, 0.0, 0.0],                          # e1
+             [0.0, 0.6, 0.8, 0.0],                          # a's inner center
+             np.array([1.0, 2.0, 0.0, 0.0]) / 5 ** 0.5,     # b's center
+             [0.0, -0.6, -0.8, 0.0],                        # a's centers
+             np.array([-1.0, -2.0, 0.0, 0.0]) / 5 ** 0.5,   # a's outer and b's
+             np.array([-1.0, 1.0, 4.0, 0.0]) / 18 ** 0.5],  # a's inner and b's
+            capped])
+        got = swgeo.sliced._sup_directions(a, b, dirs)
+        assert got.shape == (262, 4)
+        np.testing.assert_allclose(got[:6], want[:6], rtol=0.0, atol=2 * math.ulp(1.0))
+        np.testing.assert_array_equal(got[6:], capped)
+        oracle = max(sw_per_direction(a, b, 2.0, theta) for theta in got)
+        assert abs(sw_pq(a, b, 2.0, math.inf, dirs) - oracle) <= 1e-12 * oracle
+
 
 def centered_shell_value(a, b, p, q, dirs):
     # nu(0.5) against nu(0), alpha = 0.4, by the closed form t alpha / (p + 1)^(1/p),
@@ -871,6 +895,21 @@ class TestPointCloudValidation:
             PointCloud(3, np.array(points), np.array(weights))
 
 
+@pytest.mark.parametrize("make", [
+    lambda dim: ShellMixture(dim, ((1.0, 1.0, np.zeros(4)),)),
+    lambda dim: ShellMixture.single(dim, 1.0),
+    lambda dim: PointCloud(dim, np.zeros((1, 4)), np.ones(1)),
+    lambda dim: DirectionSet(dim, np.eye(4)[:1], np.ones(1), "e1"),
+], ids=["ShellMixture", "ShellMixture.single", "PointCloud", "DirectionSet"])
+def test_dimension_is_an_integer(make):
+    # a float dimension was kept, and sw_pq, its q = inf candidates and
+    # sample_shell then failed with a bare TypeError
+    for dim in (4.0, np.float64(4.0), 3.5):
+        with pytest.raises(MeasureError, match="dimension must be an integer"):
+            make(dim)
+    made = make(np.int64(4))
+    assert made.dim == 4 and type(made.dim) is int
+
 class TestSampleShell:
     def test_rejects_negative_seed(self):
         with pytest.raises(MeasureError, match="seed must be >= 0, got -1"):
@@ -910,6 +949,17 @@ class TestSampleShell:
         with pytest.raises(MeasureError, match="number of components"):
             sample_shell(nu, 1, 0)
         assert sample_shell(nu, 2, 0).n == 2
+
+    def test_every_component_gets_a_draw(self):
+        # largest remainders give all 3 draws to the first component; each
+        # other one then takes a draw from the largest count
+        centers = [np.zeros(3), np.array([3.0, 0.0, 0.0]), np.array([0.0, -2.0, 1.0])]
+        sm = ShellMixture(3, ((0.98, 1.0, centers[0]), (0.01, 0.5, centers[1]),
+                              (0.01, 0.0, centers[2])))
+        cloud = sample_shell(sm, 3, seed=8)
+        np.testing.assert_array_equal(cloud.weights, [0.98, 0.01, 0.01])
+        np.testing.assert_allclose(np.linalg.norm(cloud.points - centers, axis=1),
+                                   [1.0, 0.5, 0.0], atol=1e-15)
 
     def test_embedded_in_shell_subspace(self):
         cloud = sample_shell(ShellMixture.single(5, 1.0), 100, seed=4)
