@@ -23,19 +23,8 @@ from . import __version__
 # --------------------------------------------------------------- param types
 
 
-def _parse_pfloat(s) -> float:
-    """Float accepting 'inf'."""
-    t = str(s).strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
-    try:
-        return float(t)
-    except ValueError:
-        raise ValueError(f"{s!r} is not a number or 'inf'") from None
-
-
 def _parse_float_list(s: str) -> list[float]:
-    return [_parse_pfloat(tok) for tok in str(s).split(",") if tok.strip()]
+    return [float(tok) for tok in str(s).split(",") if tok.strip()]
 
 
 def _parse_int_list(s: str) -> list[int]:
@@ -67,7 +56,7 @@ class _Parsed(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-PFLOAT = _Parsed("float|inf", _parse_pfloat)
+PFLOAT = _Parsed("float|inf", float)  # float reads inf, +inf and infinity in any case
 TGRID = _Parsed("grid", _parse_tgrid)
 INT_LIST = _Parsed("ints", _parse_int_list)
 PFLOAT_LIST = _Parsed("floats", _parse_float_list)
@@ -80,8 +69,6 @@ def _cell(v) -> str:
     # its own .17g, as measure1d._fmt: the cli loads no library module at import
     if isinstance(v, str):
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
@@ -150,8 +137,15 @@ def _load_config(ctx, param, path):
     ctx.default_map = cfg
 
 
-config_option = click.option("--config", is_eager=True, expose_value=False,
-                             callback=_load_config, help="key=value config file.")
+def config_option(command):
+    """The --config option, and the click context as the command's first
+    argument: every configurable command reads its flags from it."""
+    return click.option("--config", is_eager=True, expose_value=False, callback=_load_config,
+                        help="key=value config file.")(click.pass_context(command))
+
+
+out_option = click.option("--out", default="-", show_default=True, help="Output path or '-'.")
+seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
 def _flags(ctx) -> dict:
@@ -229,9 +223,8 @@ def main():
               help="Comma-separated curve times in [0, 1].")
 @click.option("--format", type=click.Choice(["csv", "svg"]), default="csv",
               show_default=True)
-@click.option("--out", default="-", show_default=True, help="Output path or '-'.")
+@out_option
 @config_option
-@click.pass_context
 def density(ctx, alpha, beta, t, format, out):
     """Density breakpoints of the 1D interpolating family at given times."""
     from .families import mu_family
@@ -251,20 +244,11 @@ def density(ctx, alpha, beta, t, format, out):
     plot = LinePlot(title=f"density of the interpolating family  "
                           f"alpha={alpha:g} beta={beta:g}",
                     xlabel="x", ylabel="density")
-    for t, m in measures:
-        pts = []
-        prev_hi = None
+    for t, m in measures:  # the pieces of mu_family are contiguous
+        pts = [(m.pieces[0][0], 0.0)]
         for lo, hi, rho in m.pieces:
-            if prev_hi is None:
-                pts += [(lo, 0.0), (lo, rho)]
-            elif lo > prev_hi:
-                pts += [(prev_hi, 0.0), (lo, 0.0), (lo, rho)]
-            else:
-                pts.append((lo, rho))
-            pts.append((hi, rho))
-            prev_hi = hi
-        if prev_hi is not None:
-            pts.append((prev_hi, 0.0))
+            pts += [(lo, rho), (hi, rho)]
+        pts.append((m.pieces[-1][1], 0.0))
         plot.add_curve(f"t={t:g}", pts)
         for pos, mass in m.atoms:
             plot.add_marker(f"atom mass {mass:g} (t={t:g})", pos, mass)
@@ -281,10 +265,9 @@ def density(ctx, alpha, beta, t, format, out):
 @click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
 @quad_option
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@seed_option
+@out_option
 @config_option
-@click.pass_context
 def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
     """Tabulate W_p, SW_{p,q} and their ratio along the shell curve.
 
@@ -319,9 +302,8 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
               help="Transport exponent; finite and > 1.")
 @click.option("--d", type=int, default=3, show_default=True)
 @click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
-@click.option("--out", default="-", show_default=True)
+@out_option
 @config_option
-@click.pass_context
 def holder(ctx, alpha, p, d, t_grid, out):
     """Tabulate W_p along the shell curve and fit its small-t exponent.
 
@@ -344,9 +326,8 @@ def holder(ctx, alpha, p, d, t_grid, out):
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @click.option("--t-grid", type=TGRID, default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
               show_default=True)
-@click.option("--out", default="-", show_default=True)
+@out_option
 @config_option
-@click.pass_context
 def hopping(ctx, alpha, t_grid, out):
     """Mass split between the outer and inner shells along the curve.
 
@@ -366,10 +347,9 @@ def hopping(ctx, alpha, t_grid, out):
 @click.option("--t-grid", type=TGRID, default="0.1,0.25,0.5,0.75,1", show_default=True)
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True)
 @click.option("--dirs", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@seed_option
+@out_option
 @config_option
-@click.pass_context
 def circle(ctx, t_grid, q, dirs, seed, out):
     """Planar example: W_inf stays 1 while the sliced distance is O(t).
 
@@ -408,10 +388,9 @@ def circle(ctx, t_grid, q, dirs, seed, out):
               help="Quadrature node count for the beta method.")
 @click.option("--mc-dirs", type=int, default=100_000, show_default=True,
               help="Monte-Carlo direction count.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@seed_option
+@out_option
 @config_option
-@click.pass_context
 def cdq(ctx, d_list, q_list, method, dirs, mc_dirs, seed, out):
     """Table of the direction-averaging constant C(d, q) by both methods."""
     from .sphere import c_dq
@@ -480,11 +459,10 @@ def _parse_family(spec: str, d_default: int):
 @click.option("--grid", type=TGRID, default="0,0.25,0.5,0.75,1", show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
 @quad_option
-@click.option("--seed", type=int, default=0, show_default=True)
+@seed_option
 @click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@out_option
 @config_option
-@click.pass_context
 def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
     """Constant-speed check: d(curve(t), curve(s)) vs |t-s| d(curve(0), curve(1)).
 
@@ -517,7 +495,7 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
 @click.option("--measure-file", "measure_files", multiple=True, required=True,
               help="Two measure files ('atom <pos> <mass>' / 'piece <lo> <hi> <rho>').")
 @click.option("--p", type=PFLOAT, default=2.0, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@out_option
 def wp(measure_files, p, out):
     """1D distance between two measures given in the text format."""
     from .measure1d import measure_from_text
@@ -538,8 +516,8 @@ def wp(measure_files, p, out):
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True)
 @click.option("--dirs", type=int, default=64, show_default=True)
 @quad_option
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="-", show_default=True)
+@seed_option
+@out_option
 @click.pass_context
 def sw(ctx, shell_files, p, q, dirs, quad, seed, out):
     """Sliced distance between two shell mixtures given in the text format."""

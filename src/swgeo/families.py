@@ -48,7 +48,6 @@ __all__ = [
     "shell_from_text",
 ]
 
-_UNIT_TOL = 1e-12
 # below this projected radius a shell is numerically a point mass
 _RADIUS_EPS = 1e-13
 
@@ -57,7 +56,7 @@ def _check_unit(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise MeasureError("direction must be a 1-D vector")
-    if not abs(np.linalg.norm(theta) - 1.0) <= _UNIT_TOL:  # nan too
+    if not abs(np.linalg.norm(theta) - 1.0) <= MASS_TOL:  # nan too
         raise MeasureError("direction must be a unit vector (within 1e-12)")
     return theta
 
@@ -246,9 +245,9 @@ def nu_family(alpha: float, x, t: float, d: int) -> ShellMixture:
         x = np.concatenate([x, np.zeros(d - 3)])
     if x.shape != (d,):
         raise MeasureError(f"x must have 3 or {d} coordinates")
-    if np.any(np.abs(x[3:]) > _UNIT_TOL):
+    if np.any(np.abs(x[3:]) > MASS_TOL):
         raise MeasureError("x must lie in span{e1, e2, e3}")
-    if not np.linalg.norm(x) <= 1.0 + _UNIT_TOL:  # nan too
+    if not np.linalg.norm(x) <= 1.0 + MASS_TOL:  # nan too
         raise MeasureError("x must lie in the closed unit ball")
     c_outer, c_inner = shell_masses(alpha, t)
     comps: list[tuple[float, float, np.ndarray]] = [(c_outer, 1.0, np.zeros(d))]

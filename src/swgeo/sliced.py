@@ -38,13 +38,14 @@ q = infinity: a finite node set only lower-bounds the supremum over the
 sphere.  The supremum is taken over e1, the normalized shell-subspace
 projections of all centers and center differences of positive finite
 norm (an exact rule: a center 1e-300 off the origin counts), and the
-nodes (at most _SUP_NODE_CAP of them, those of largest s(theta)).  Each
-vector is scaled by a power of two before it is normalized, so that a
-subnormal one, whose norm would round on the coarse subnormal grid,
-still gives a unit candidate.  This is exact for centered shells and
-circles, and a lower bound otherwise: on moving translations of shell
-curves it fell up to 16 % below with 64 mc nodes, 10 % with 256, and
-49 % with 1024, where the cap drops better nodes.
+nodes: every node for circles, and for shells at most _SUP_NODE_CAP of
+them, those of largest s(theta).  Each vector is scaled by a power of
+two before it is normalized, so that a subnormal one, whose norm would
+round on the coarse subnormal grid, still gives a unit candidate.  This
+is exact for centered shells and circles, and a lower bound otherwise:
+on moving translations of shell curves it fell up to 16 % below with 64
+mc nodes, 10 % with 256, and 49 % with 1024, where the cap drops better
+nodes.
 
 ``sw_pq_empirical`` is the same q-mean between weighted point clouds.
 :func:`_batched` runs the kernel of :func:`swgeo.transport1d._wp_atoms`:
@@ -113,10 +114,6 @@ class PointCloud:
 # ----------------------------------------------------------- validation helpers
 
 
-def _check_pq(p: float, q: float):
-    return measure1d._exponent(p, "p"), measure1d._exponent(q, "q")
-
-
 def _is_centered(mixture) -> bool:
     """Whether every center of the mixture is exactly the origin."""
     return not any(c.any() for _, _, c in mixture.components)
@@ -127,9 +124,10 @@ _SUP_NODE_CAP = 256
 
 def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
     """Candidate directions for the q = infinity supremum (family-specific:
-    unit-s directions aligned with centers, plus nodes).  Large node sets
-    are capped at the directions of largest shell-subspace component,
-    where the families treated here attain their suprema."""
+    unit-s directions aligned with centers, plus nodes).  Large shell
+    node sets are capped at the directions of largest shell-subspace
+    component, where the families treated here attain their suprema;
+    circles take every node."""
     d = dirs.dim
     cands = [np.eye(d)[0]]
     shell = isinstance(a, ShellMixture)
@@ -149,7 +147,7 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
     if shell and nodes.shape[0] > _SUP_NODE_CAP:
         order = np.argsort(-np.linalg.norm(nodes[:, :3], axis=1), kind="stable")
         nodes = nodes[order[:_SUP_NODE_CAP]]
-    cands.extend(nodes[:_SUP_NODE_CAP])
+    cands.extend(nodes)
     arr = np.array(cands)
     _, idx = np.unique(np.round(arr, 12), axis=0, return_index=True)
     return arr[np.sort(idx)]
@@ -163,7 +161,7 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     between the projections of a and b (sup over directions for q = inf).
     Beta nodes raise MeasureError unless both mixtures are centered.
     """
-    p, q = _check_pq(p, q)
+    p, q = measure1d._exponent(p, "p"), measure1d._exponent(q, "q")
     if type(a) is not type(b):
         raise MeasureError("mixtures must be of the same kind")
     if a.dim != b.dim or a.dim != dirs.dim:
@@ -179,11 +177,11 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
         v = float(_distances(a, b, p, np.eye(a.dim)[:1])[0])
         s = dirs.s_values() if shell else np.ones(dirs.n)
-        val = v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
+        dist = lambda: v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-        val = _qmean(_distances(a, b, p, thetas), dirs.weights, q)
-    return _finite(val, "mixtures")
+        dist = lambda: _qmean(_distances(a, b, p, thetas), dirs.weights, q)
+    return transport1d._finite(dist, "sliced distance", "mixtures")
 
 
 def _qmean(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -191,18 +189,12 @@ def _qmean(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
     distances are divided by the :func:`~swgeo.transport1d._power_scale`
     of the largest, so that their q-th powers stay in range: the q-mean of
     finite distances is at most their max, so it is finite.  A non-finite
-    distance is left for _finite to refuse."""
+    distance is left for transport1d._finite to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         if math.isinf(q):
             return float(vals.max())
         scale = float(transport1d._power_scale(vals.max(), q))
         return scale * float(np.dot(weights, (vals / scale) ** q) ** (1.0 / q))
-
-
-def _finite(val: float, what: str) -> float:
-    if not math.isfinite(val):
-        raise MeasureError(f"sliced distance {val} is not finite: the {what} overflow")
-    return val
 
 
 # Values per batch of the polyline kernel, at 8K per row for K components:
@@ -360,13 +352,13 @@ def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,
     dominated by sampling noise and carries no information about the
     underlying measures.
     """
-    p, q = _check_pq(p, q)
+    p, q = measure1d._exponent(p, "p"), measure1d._exponent(q, "q")
     if math.isinf(p):
         raise MeasureError("empirical sliced distances support finite p only")
     if X.dim != Y.dim or X.dim != dirs.dim:
         raise MeasureError("dimension mismatch between clouds and directions")
-    vals = _empirical_rows(X, Y, p, dirs.thetas)
-    return _finite(_qmean(vals, dirs.weights, q), "clouds")
+    dist = lambda: _qmean(_empirical_rows(X, Y, p, dirs.thetas), dirs.weights, q)
+    return transport1d._finite(dist, "sliced distance", "clouds")
 
 
 def _allocate_counts(n: int, weights: Sequence[float]) -> list[int]:
@@ -407,12 +399,7 @@ def sample_shell(sm: ShellMixture, n: int, seed: int) -> PointCloud:
         block = np.tile(c, (ni, 1))
         if r > 0.0:
             g = rng.standard_normal((ni, 3))
-            norms = np.linalg.norm(g, axis=1)
-            while np.any(norms < 1e-12):
-                bad = norms < 1e-12
-                g[bad] = rng.standard_normal((int(bad.sum()), 3))
-                norms = np.linalg.norm(g, axis=1)
-            block[:, :3] += r * g / norms[:, None]
+            block[:, :3] += r * g / np.linalg.norm(g, axis=1)[:, None]
         pts[row:row + ni] = block
         wts[row:row + ni] = w / ni
         row += ni

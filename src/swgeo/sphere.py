@@ -63,12 +63,7 @@ def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
         raise MeasureError("dimension must be >= 2")
     rng = _generator(seed)
     thetas = rng.standard_normal((n, d))
-    norms = np.linalg.norm(thetas, axis=1)
-    while np.any(norms < 1e-12):  # essentially unreachable; keeps division safe
-        bad = norms < 1e-12
-        thetas[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(thetas, axis=1)
-    thetas /= norms[:, None]
+    thetas /= np.linalg.norm(thetas, axis=1)[:, None]
     weights = np.full(n, 1.0 / n)
     return DirectionSet(d, thetas, weights, f"monte-carlo(seed={seed}, n={n})")
 

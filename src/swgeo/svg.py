@@ -28,9 +28,7 @@ class LinePlot:
     markers: list = field(default_factory=list)  # (label, x, y)
 
     def add_curve(self, label: str, points) -> None:
-        pts = [(float(x), float(y)) for x, y in points]
-        if pts:
-            self.curves.append((label, pts))
+        self.curves.append((label, [(float(x), float(y)) for x, y in points]))
 
     def add_marker(self, label: str, x: float, y: float) -> None:
         self.markers.append((label, float(x), float(y)))
@@ -40,14 +38,8 @@ class LinePlot:
     def _bounds(self):
         xs = [x for _, pts in self.curves for x, _ in pts] + [x for _, x, _ in self.markers]
         ys = [y for _, pts in self.curves for _, y in pts] + [y for _, _, y in self.markers]
-        if not xs:
-            xs, ys = [0.0, 1.0], [0.0, 1.0]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(min(ys), 0.0), max(ys)
-        if x1 <= x0:
-            x1 = x0 + 1.0
-        if y1 <= y0:
-            y1 = y0 + 1.0
         pad_y = 0.06 * (y1 - y0)
         return x0, x1, y0, y1 + pad_y
 

@@ -734,13 +734,15 @@ def wp_measure_rows(t: MeasureRows, p: float) -> np.ndarray:
     return _sup_bracket(t, n)[0] if math.isinf(p) else _wp_numeric(t, n, p)
 
 
-def _finite(distance: Callable[[], float]) -> float:
-    """distance(), refused where it overflows.  The error takes the place
-    of numpy's overflow warnings on the way, which are silenced."""
+def _finite(distance: Callable[[], float], what: str = "distance",
+            inputs: str = "measures") -> float:
+    """distance(), refused where it overflows with "<what> <value> is not
+    finite: the <inputs> overflow".  The error takes the place of numpy's
+    overflow warnings on the way, which are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = distance()
     if not math.isfinite(value):
-        raise MeasureError(f"distance {value} is not finite: the measures overflow")
+        raise MeasureError(f"{what} {value} is not finite: the {inputs} overflow")
     return value
 
 

@@ -119,6 +119,44 @@ def test_negative_seed_exits_1_with_one_line(runner, tmp_path, args):
     assert result.stderr == "Error: seed must be >= 0, got -1\n"
 
 
+# one input per command check that exits 1 with its own Error line, and
+# the start of that line; {tmp} is a directory holding the measure file a.txt
+COMMAND_ERRORS = {
+    "unwritable-out": (["hopping", "--out", "{tmp}/missing/out.csv"],
+                       "cannot write {tmp}/missing/out.csv: "),
+    "unreadable-file": (["wp", "--measure-file", "{tmp}/missing.txt", "--measure-file",
+                         "{tmp}/a.txt"], "cannot read {tmp}/missing.txt: "),
+    "fit-grid": (["holder", "--t-grid", "0.5,1"],
+                 "need at least two grid points inside [0.0001, 0.1] to fit a slope\n"),
+    "nonequiv-t": (["nonequiv", "--t-grid", "0,0.5"],
+                   "t values must be positive (the ratio is 0/0 at t=0)\n"),
+    "holder-t": (["holder", "--t-grid", "0,0.5"], "t values must be positive\n"),
+    "spec-item": (["geodesic-check", "--family", "mu:alpha"], "bad family parameter 'alpha'\n"),
+    "spec-mu-keys": (["geodesic-check", "--family", "mu:alpha=0.5;gamma=1"],
+                     "unparseable family spec 'mu:alpha=0.5;gamma=1': unknown keys ['gamma']\n"),
+    "spec-nu-keys": (["geodesic-check", "--family", "nu:alpha=0.5;w=1"],
+                     "unparseable family spec 'nu:alpha=0.5;w=1': unknown keys ['w']\n"),
+    "spec-kind": (["geodesic-check", "--family", "xi:alpha=0.5"],
+                  "unparseable family spec 'xi:alpha=0.5': unknown family kind 'xi'\n"),
+    "spec-alpha": (["geodesic-check", "--family", "mu:beta=0.2"],
+                   "unparseable family spec 'mu:beta=0.2': 'alpha'\n"),
+    "wp-one-file": (["wp", "--measure-file", "{tmp}/a.txt"],
+                    "exactly two --measure-file arguments are required\n"),
+    "sw-one-file": (["sw", "--shell-file", "{tmp}/a.txt"],
+                    "exactly two --shell-file arguments are required\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_ERRORS))
+def test_command_error_exits_1_with_its_line(runner, tmp_path, case):
+    args, message = COMMAND_ERRORS[case]
+    (tmp_path / "a.txt").write_text("atom 0 1\n")
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("Error: " + message.format(tmp=tmp_path))
+
+
 # one input per command that raises MeasureError inside the command, and
 # its message; a fresh interpreter runs the command's own imports only
 MEASURE_ERRORS = {

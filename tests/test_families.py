@@ -436,3 +436,25 @@ class TestShellText:
     def test_rejects_non_numeric_field(self):
         with pytest.raises(MeasureError, match="line 2: cannot parse"):
             shell_from_text("shell 0.5 1 0 0 0\nshell 0.5 1 0 0 x\n")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: s_of_theta(np.eye(3)), "direction must be a 1-D vector"),
+    (lambda: ShellMixture(3, ((1.0, 1.0, np.zeros(4)),)), "center shape (4,) does not match d=3"),
+    (lambda: ShellMixture(2, ((1.0, 1.0, np.zeros(2)),)),
+     "shell mixtures need ambient dimension >= 3"),
+    (lambda: nu_family(0.5, [0.1, 0.2], 0.5, 4), "x must have 3 or 4 coordinates"),
+    (lambda: transformed_nu_curve(0.5, 0.0, 4, 1.0, np.zeros(3), None),
+     "y and z must be d-vectors"),
+    (lambda: translate(ShellMixture.single(4, 1.0), np.zeros(3)),
+     "translation vector must match the ambient dimension"),
+    (lambda: s_of_theta(np.array([0.6, 0.8])), "s_of_theta needs ambient dimension >= 3"),
+    (lambda: circle_project(circle_family(0.5), unit_vec(3)), "circle mixtures live in R^2"),
+    (lambda: circle_family(1.5), "t must be in [0, 1]"),
+    (lambda: shell_from_text("# no records\n\n"), "no shell records found"),
+], ids=["theta-2d", "center-shape", "shell-dim", "nu-x", "curve-yz", "translate-shape",
+        "s-dim", "circle-theta", "circle-t", "no-records"])
+def test_refuses_malformed_input(make, message):
+    with pytest.raises(MeasureError) as info:
+        make()
+    assert str(info.value) == message

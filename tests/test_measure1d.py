@@ -457,6 +457,35 @@ class TestPushforward:
         with pytest.raises(MeasureError):
             pushforward_pwl(Measure1D.arcsine(), PiecewiseLinearMap.identity())
 
+    def test_left_extension_takes_the_left_slope(self):
+        # the half of uniform(-1, 1) left of the map's first breakpoint
+        # stretches by the left slope 2 onto [-2, 0]
+        T = PiecewiseLinearMap([0.0, 1.0], [0.0, 1.0], left_slope=2.0, right_slope=1.0)
+        out = pushforward_pwl(Measure1D.uniform(-1, 1), T)
+        assert out.pieces == ((-2.0, 0.0, 0.25), (0.0, 1.0, 0.5))
+        assert out.atoms == ()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ArcsinePart(0.0), "arcsine weight must be positive"),
+    (lambda: ArcsinePart(1.0, 0.0, 0.0), "arcsine radius must be positive"),
+    (lambda: Measure1D.from_components(pieces=[(1.0, 0.0, 1.0)]), "piece has hi < lo: (1.0, 0.0)"),
+    (lambda: Measure1D.uniform(1.0, 1.0), "uniform requires a < b"),
+    (lambda: Measure1D.uniform(-1.0, 1.0).scaled(0.0), "scale factor must be nonzero"),
+    (lambda: QuantileFn([0.0, 1.0], [0.0, 1.0, 2.0]),
+     "quantile breakpoints must be parallel 1-D arrays"),
+    (lambda: QuantileFn([0.0, 0.6, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0]),
+     "quantile breakpoints must be nondecreasing"),
+    (lambda: QuantileFn([0.1, 1.0], [0.0, 1.0]), "quantile s-range must be exactly [0, 1]"),
+    (lambda: PiecewiseLinearMap([0.0, 1.0], [0.0]), "map breakpoints must be parallel 1-D arrays"),
+    (lambda: PiecewiseLinearMap([1.0, 0.0], [0.0, 1.0]), "map x-breakpoints must be nondecreasing"),
+], ids=["arcsine-weight", "arcsine-radius", "piece-order", "uniform-order", "scale-zero",
+        "quantile-shape", "quantile-order", "quantile-range", "map-shape", "map-order"])
+def test_constructors_refuse_malformed_input(make, message):
+    with pytest.raises(MeasureError) as info:
+        make()
+    assert str(info.value) == message
+
 
 @st.composite
 def component_rows(draw):

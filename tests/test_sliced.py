@@ -410,6 +410,17 @@ class TestCircle:
         for (p, q), value in want.items():
             assert sw_pq(a, b, p, q, dirs) == value
 
+    def test_q_inf_takes_every_node(self):
+        # 300 nodes rolled so that the best one, node 71, comes last: a
+        # 256-node cap read 0.3980603256205878 without it
+        a = CircleMixture(((0.5, 0.8, np.array([0.3, 0.0])), (0.5, 0.6, np.array([-0.2, 0.4]))))
+        b = CircleMixture(((0.7, 0.5, np.array([0.0, -0.3])), (0.3, 0.9, np.array([0.1, 0.2]))))
+        ds = mc_directions(2, 300, 7)
+        dirs = DirectionSet(2, np.roll(ds.thetas, -72, axis=0), ds.weights, ds.provenance)
+        best = max(sw_per_direction(a, b, 2.0, theta) for theta in dirs.thetas)
+        assert best == pytest.approx(0.3980729613309378, rel=1e-15)
+        assert sw_pq(a, b, 2.0, math.inf, dirs) == pytest.approx(best, rel=1e-12)
+
 
 def point_circles(*points):
     """A circle mixture of (weight, x, y) points."""
@@ -1020,3 +1031,24 @@ class TestNonFiniteDistances:
         vals = np.array([sw_per_direction(wide, self.UNIT, 2.0, th) for th in self.DIRS.thetas])
         want = 1e200 * math.sqrt(np.dot(self.DIRS.weights, (vals / 1e200) ** 2))
         assert sw_pq(wide, self.UNIT, 2.0, 2.0, self.DIRS) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: sw_pq(ShellMixture.single(3, 1.0), circle_family(0.5), 2.0, 2.0,
+                   mc_directions(3, 4, 0)), "mixtures must be of the same kind"),
+    (lambda: w_p_radial(nu_family(0.5, 0.0, 0.5, 3), ShellMixture.single(4, 1.0), 2.0),
+     "dimension mismatch"),
+    (lambda: w_p_radial(nu_family(0.5, 0.0, 0.5, 3), ShellMixture.single(3, 0.5), 2.0),
+     "second argument must be the unit shell"),
+    (lambda: w_inf_circle(CircleMixture(((1.0, 1.0, np.array([0.1, 0.0])),)), circle_family(0.0)),
+     "circle components must be centered"),
+    (lambda: w_inf_circle(CircleMixture(((1.0, 0.5, np.zeros(2)),)), circle_family(0.0)),
+     "circle radius must be 0 or 1"),
+    (lambda: sw_pq_empirical(*[PointCloud(3, np.zeros((1, 3)), np.ones(1))] * 2, 2.0, 2.0,
+                             mc_directions(4, 4, 0)),
+     "dimension mismatch between clouds and directions"),
+], ids=["kinds", "radial-dim", "radial-unit", "circle-center", "circle-radius", "cloud-dim"])
+def test_refuses_malformed_input(make, message):
+    with pytest.raises(MeasureError) as info:
+        make()
+    assert str(info.value) == message

@@ -194,3 +194,13 @@ class TestCdq:
             with pytest.raises(MeasureError, match="node count must be an integer, got 2.5"):
                 c_dq(d, q, method=method, n=2.5, seed=1)
             assert c_dq(d, q, method=method, n=1, seed=1) == 1.0
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: mc_directions(2, 4, 0).s_values(), "s(theta) needs ambient dimension >= 3"),
+    (lambda: mc_directions(1, 4, 0), "dimension must be >= 2"),
+], ids=["s-dim", "mc-dim"])
+def test_refuses_malformed_input(make, message):
+    with pytest.raises(MeasureError) as info:
+        make()
+    assert str(info.value) == message

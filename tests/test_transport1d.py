@@ -629,6 +629,19 @@ class TestArcsineMixtures:
         nu = arcsine_mixture((0.5, -2.0, r), (0.5, -1.5, r))
         assert wasserstein_inf(mu, nu) == pytest.approx(0.5 - r, rel=1e-15)
 
+    @pytest.mark.xfail(strict=True, reason="arcsine CDF staircase, ROADMAP item 5")
+    def test_sup_at_the_end_of_a_small_arcsine_part(self):
+        # |Q_mu - Q_nu| peaks at u = 0.75, where nu's small arcsine part
+        # ends, at 0.249 + sqrt(2)/8 (a 40-digit mpmath bisection agrees);
+        # found and bound both read 0.42577667455509727, 2.1e-8 below it
+        true = 0.4257766952966369
+        mu = arcsine_mixture((1.0, -1.75, 0.25))
+        nu = Measure1D.from_components(atoms=[(-2.0, 0.5)], pieces=[(-1.999, -1.749, 1.0)],
+                                       arcsine_parts=[ArcsinePart(0.25, -2.0, 0.001)])
+        _, bound = swgeo.transport1d._sup_bracket(MeasureRows.of([mu, nu]), 1)
+        assert wasserstein_inf(mu, nu) == pytest.approx(true, rel=1e-15)
+        assert bound[0] >= true
+
     def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(swgeo.measure1d, "_NEWTON_STEPS", 2)
         mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
