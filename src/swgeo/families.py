@@ -57,7 +57,7 @@ def _check_unit(theta: np.ndarray) -> np.ndarray:
     if theta.ndim != 1:
         raise MeasureError("direction must be a 1-D vector")
     if not abs(np.linalg.norm(theta) - 1.0) <= MASS_TOL:  # nan too
-        raise MeasureError("direction must be a unit vector (within 1e-12)")
+        raise MeasureError(f"direction must be a unit vector (within {MASS_TOL:g})")
     return theta
 
 

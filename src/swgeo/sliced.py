@@ -180,7 +180,8 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
         dist = lambda: v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
-        dist = lambda: _qmean(_distances(a, b, p, thetas), dirs.weights, q)
+        vals = _distances(a, b, p, thetas)
+        dist = lambda: _qmean(vals, dirs.weights, q)
     return transport1d._finite(dist, "sliced distance", "mixtures")
 
 
@@ -357,8 +358,8 @@ def sw_pq_empirical(X: PointCloud, Y: PointCloud, p: float, q: float,
         raise MeasureError("empirical sliced distances support finite p only")
     if X.dim != Y.dim or X.dim != dirs.dim:
         raise MeasureError("dimension mismatch between clouds and directions")
-    dist = lambda: _qmean(_empirical_rows(X, Y, p, dirs.thetas), dirs.weights, q)
-    return transport1d._finite(dist, "sliced distance", "clouds")
+    vals = _empirical_rows(X, Y, p, dirs.thetas)
+    return transport1d._finite(lambda: _qmean(vals, dirs.weights, q), "sliced distance", "clouds")
 
 
 def _allocate_counts(n: int, weights: Sequence[float]) -> list[int]:

@@ -42,7 +42,7 @@ class DirectionSet:
         _weighted_rows(self, "thetas", "node")
         norms = np.linalg.norm(self.thetas, axis=1)
         if np.any(np.abs(norms - 1.0) > MASS_TOL):
-            raise MeasureError("all nodes must be unit vectors within 1e-12")
+            raise MeasureError(f"all nodes must be unit vectors within {MASS_TOL:g}")
 
     @property
     def n(self) -> int:

@@ -38,6 +38,8 @@ class LinePlot:
     def _bounds(self):
         xs = [x for _, pts in self.curves for x, _ in pts] + [x for _, x, _ in self.markers]
         ys = [y for _, pts in self.curves for _, y in pts] + [y for _, _, y in self.markers]
+        if not xs:  # density --t '' plots no curve
+            xs, ys = [0.0, 1.0], [0.0, 1.0]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(min(ys), 0.0), max(ys)
         pad_y = 0.06 * (y1 - y0)

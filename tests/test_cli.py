@@ -75,6 +75,18 @@ def test_density_svg_is_self_contained(runner):
     assert "alpha=0.5 beta=0.2" in out
 
 
+@pytest.mark.parametrize("t", ["", ",", "log:0.1:1:0"])
+def test_density_empty_t_grid_plots_empty_unit_axes(runner, t):
+    svg = run_ok(runner, ["density", "--format", "svg", "--t", t])
+    assert svg.rstrip().endswith("</svg>")
+    assert "<polyline" not in svg and "<circle" not in svg
+    ticks = [line.rsplit(">", 2)[-2].split("<")[0] for line in svg.splitlines()
+             if 'font-size="10" text-anchor="middle"' in line]
+    assert ticks == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    csv = run_ok(runner, ["density", "--format", "csv", "--t", t]).splitlines()
+    assert csv[1:] == ["t,kind,x0,x1,value"]
+
+
 def test_density_atom_marker_at_t1(runner):
     out = run_ok(runner, ["density", "--t", "1", "--format", "csv"])
     lines = out.splitlines()
