@@ -52,8 +52,10 @@ nodes.
 the exact 1D W_p of each direction, on the level merge that
 ``wasserstein_p`` uses, summed over the intervals that carry mass only.
 It sorts and subtracts in place, in buffers allocated once per call: no
-temporary grows with the direction count or is allocated per batch,
-except the argsorts of weighted clouds.  Two clouds of equal weights
+temporary grows with the direction count or is allocated per batch.  A
+weighted cloud takes its sort order from one value sort of keys in a
+buffer, with the flat position of each value in their low bits
+(:func:`swgeo.transport1d._sort_rows`).  Two clouds of equal weights
 merge their levels once per call, and each batch subtracts their sorted
 rows directly: a cloud whose atoms each cover one interval needs no
 gather (both, for clouds of one size; the larger, when one size divides
@@ -311,6 +313,8 @@ def w_inf_circle(a: CircleMixture, b: CircleMixture) -> float:
 # projection buffers then hold 128 KiB, the workspaces of the level merge
 # of unequal weights at p != 1 rows * (n_X + n_Y + 2) values each, and
 # those of the joint sort of unequal weights at p = 1 rows * (n_X + n_Y).
+# The sort keys of weighted clouds carry a flat position of the batch in
+# their low bits, at most 14 of them unless one row alone is wider.
 # The kernel allocates them once per call.  Changing the size moves
 # values in their last ulps, since BLAS results depend on the shape of a
 # batch: a one-row batch projects through gemv rather than gemm, and the

@@ -18,7 +18,10 @@ it merges the levels once per call, keeps only those intervals and
 subtracts the sorted rows directly.  For unequal weights at p = 1 it
 merges no levels: W_1 is the integral of |F_mu - F_nu|, one sort of the
 joint row, and a gap where |F_mu - F_nu| <= MASS_TOL carries no mass
-(``_cdf_gap_path``).  It divides a row by its largest difference only
+(``_cdf_gap_path``).  Both paths of unequal weights sort a batch by one
+value sort of keys that carry each value's flat position in their low
+bits, with no argsort (``_sort_rows``); equal values keep the order of
+their keys.  It divides a row by its largest difference only
 where the p-th powers would leave float64 range (``_power_scale``, as
 for the q-means of ``sliced``).
 
@@ -316,6 +319,54 @@ class _Workspace:
             buf = self.bufs[name] = np.empty(self.rows * m, dtype)
         return buf[:r * m].reshape(r, m)
 
+    def positions(self, r: int, m: int) -> np.ndarray:
+        """The flat positions 0 .. r * m - 1 of r rows of m values, as
+        (r, m); a buffer like the others, filled once."""
+        buf = self.bufs.get("positions")
+        if buf is None or buf.size < self.rows * m:
+            buf = self.bufs["positions"] = np.arange(self.rows * m)
+        return buf[:r * m].reshape(r, m)
+
+
+def _sort_rows(x: np.ndarray, ws: _Workspace, name: str):
+    """Sort each row of x (r, n) by one value sort, without an argsort.
+    Returns the columns of each row's values in sorted order, in the
+    buffer "keys" of the workspace ws, and the sorted rows, in its buffer
+    name.
+
+    The key of a value is its bits with the low b mantissa bits replaced
+    by its flat position, b = (r * n - 1).bit_length().  The keys are
+    sorted as float64, and the positions read back from their low bits.
+    Clearing low mantissa bits is monotone in the value for both signs,
+    so the keys misorder two values only when these lie within 2^b ulps
+    of each other; a row whose sorted values descend somewhere is sorted
+    again by a stable argsort of that nearly sorted row.  The key of an
+    inf, bar one at position 0, or of a nan is a nan, whose low bits the
+    sort does not keep: a row whose largest key is a nan takes a stable
+    argsort of its own.  Every key is distinct, so equal values come out
+    in the order of their keys: by column where they are positive, in
+    reverse where they are negative, and -0.0 before 0.0."""
+    r, n = x.shape
+    low = (1 << (r * n - 1).bit_length()) - 1
+    keys = np.bitwise_and(x.view(np.int64), ~low, out=ws("keys", r, n, np.int64))
+    keys |= ws.positions(r, n)
+    keys.view(float).sort(axis=1)
+    lost = np.flatnonzero(np.isnan(keys.view(float)[:, -1]))
+    keys &= low
+    srt = np.take(x.reshape(-1), keys, out=ws(name, r, n), mode="clip")
+    for i in lost:
+        o = np.argsort(x[i], kind="stable")
+        keys[i], srt[i] = o + i * n, x[i, o]
+    flat = srt.reshape(-1)
+    down = np.less(flat[1:], flat[:-1], out=ws("mask", r, n, bool).reshape(-1)[1:])
+    down[n - 1::n] = False  # the first value of a row against the last of the row before
+    if down.any():
+        for i in np.unique(np.flatnonzero(down) // n):
+            o = np.argsort(srt[i], kind="stable")
+            keys[i], srt[i] = keys[i, o], srt[i, o]
+    keys -= _rows_from(r, n)
+    return keys, srt
+
 
 def _equal_path(xa: np.ndarray, xb: np.ndarray, h: np.ndarray, ia, ib, p: float,
                 batch: np.ndarray, ws: _Workspace):
@@ -346,46 +397,44 @@ def _cdf_gap_path(xa: np.ndarray, xb: np.ndarray, signed: np.ndarray,
     sum of the signed weights [wa | -wb] in the row's sorted order.  A
     gap where |F_a - F_b| <= MASS_TOL carries no mass, as in
     :func:`_merge_levels`; it is set to 0, so that it adds nothing even
-    where it overflows.  Tied positions leave gaps of 0, so the sort need
-    not be stable."""
+    where it overflows.  Tied positions leave gaps of 0; their weights
+    enter the running sum in the tie order of :func:`_sort_rows`."""
     r, n = len(batch), signed.size
     x = ws("joint", r, n)
     np.matmul(batch, xa.T, out=x[:, :len(xa)])
     np.matmul(batch, xb.T, out=x[:, len(xa):])
-    order = np.argsort(x, axis=1)
+    order, srt = _sort_rows(x, ws, "sorted")
     f = np.take(signed, order[:, :-1], out=ws("f", r, n - 1), mode="clip")
     np.cumsum(f, axis=1, out=f)
     np.abs(f, out=f)
-    order += _rows_from(r, n)
-    srt = np.take(x.reshape(-1), order, out=ws("sorted", r, n), mode="clip")
-    gap = np.subtract(srt[:, 1:], srt[:, :-1], out=ws("gap", r, n - 1))
+    # the sorted rows leave the buffer of the projections free
+    gap = np.subtract(srt[:, 1:], srt[:, :-1], out=ws("joint", r, n - 1))
     np.copyto(gap, 0.0, where=np.less_equal(f, MASS_TOL, out=ws("mask", r, n - 1, bool)))
     return _lp_rows(gap, f, 1.0)
 
 
 def _merge_path(xa: np.ndarray, wa: np.ndarray, la, xb: np.ndarray, wb: np.ndarray, lb,
                 p: float, batch: np.ndarray, ws: _Workspace):
-    """Unequal weights at p != 1: project each cloud into its own buffer
-    and sort it in place, with its levels la or lb (the shared row of
-    equal weights, or None: the cumsums of the reordered weights), merge
+    """Unequal weights at p != 1: sort the projections of each cloud into
+    its own buffer, with its levels la or lb (the shared row of equal
+    weights, or None: the cumsums of the weights in sorted order), merge
     the levels of both sides in the workspace, and sum h * d^p over the
     intervals that carry mass; the differences on the others are set to
-    0, so that none of them enters the sum or the scale."""
+    0, so that none of them enters the sum or the scale.  Tied points
+    share one quantile value, whatever the order of their weights."""
     r = len(batch)
     sides, levels = [], []
     for name, x, w, shared in (("a", xa, wa, la), ("b", xb, wb, lb)):
-        side = np.matmul(batch, x.T, out=ws(name, r, w.size))
-        sides.append(side)
         if shared is not None:
+            side = np.matmul(batch, x.T, out=ws(name, r, w.size))
             side.sort(axis=1)
             levels.append(shared)
-            continue
-        # tied points share one quantile value, so the sort need not be stable
-        order = np.argsort(side, axis=1)
-        cum = np.take(w, order, out=ws("cum", r, w.size), mode="clip")
-        levels.append(_clip_levels(np.cumsum(cum, axis=1, out=cum), ws("l" + name, r, w.size + 1)))
-        order += _rows_from(r, w.size)
-        np.copyto(side, np.take(side.reshape(-1), order, out=ws("sorted", r, w.size), mode="clip"))
+        else:
+            proj = np.matmul(batch, x.T, out=ws("proj", r, w.size))
+            order, side = _sort_rows(proj, ws, name)
+            cum = np.take(w, order, out=proj, mode="clip")  # the sorted side leaves proj free
+            levels.append(_clip_levels(np.cumsum(cum, axis=1, out=cum), ws("l" + name, r, w.size + 1)))
+        sides.append(side)
     _, h, ia, ib = _merge_levels(*levels, ws)
     ia += _rows_from(r, wa.size)
     ib += _rows_from(r, wb.size)
@@ -422,7 +471,10 @@ def _wp_atoms(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray,
     * unequal weights at p != 1: every batch sorts each side and merges
       its levels (:func:`_merge_path`).
 
-    A nan position gives nan."""
+    The last two take their sort orders from :func:`_sort_rows`, one
+    value sort per batch: tied positions come out in the order of their
+    keys, and take their weights in that order.  A nan position gives
+    nan."""
     na, nb = wa.size, wb.size
     la, lb = _equal_levels(wa), _equal_levels(wb)
     if la is not None and lb is not None:

@@ -621,6 +621,26 @@ def point_cloud(draw, d, equal):
     return PointCloud(d, points, w / w.sum())
 
 
+@st.composite
+def sortable_rows(draw):
+    """1-3 rows of n values, n at or next to a power of two, from 1-6 base
+    values: exact ties, values 1 to 2^b + 1 ulps from a base, b the bits
+    of the flat positions in the keys of _sort_rows, and +-0.0, +-inf and
+    nan."""
+    r = draw(st.integers(1, 3))
+    n = max(1, 2 ** draw(st.integers(0, 8)) + draw(st.sampled_from([-1, 0, 1])))
+    b = (r * n - 1).bit_length()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = rng.standard_normal(draw(st.integers(1, 6))) * 10.0 ** rng.integers(-3, 4)
+    x = rng.choice(bases, (r, n))
+    near = rng.random((r, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    ulps = rng.integers(1, 2**b + 2, (r, n)) * rng.choice([-1, 1], (r, n))
+    x.view(np.int64)[near] += ulps[near]  # the bits of a nonzero base, away from 0 or towards it
+    special = rng.random((r, n)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    x[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], np.count_nonzero(special))
+    return x
+
+
 def atoms_oracle(X, Y, p, q, dirs):
     """The q-mean of the exact wasserstein_p between the projected atoms,
     one Measure1D per cloud and direction.  It takes sw_pq's q-mean, as
@@ -718,6 +738,75 @@ class TestEmpirical:
         got = empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
         assert repr(got) == repr(sw_pq_empirical(X, Y, p, 1.0, one))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 3), shared=st.booleans(),
+           rows=st.sampled_from([1, 2, 7]), p=st.sampled_from([1.0, 1.5, 2.0]),
+           q=st.sampled_from([1.0, 2.0]))
+    def test_duplicated_points_match_per_direction_oracle(self, data, d, shared, rows, p, q):
+        # weighted clouds that repeat some of their points exactly and, if
+        # shared, hold some points of the other cloud: the tied projections
+        # enter the running sums in the tie order of _sort_rows
+        def weights(n):
+            w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+            return w / w.sum()
+
+        def pick(points):
+            return points[data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=6))]
+
+        A, B = data.draw(point_cloud(d, False)), data.draw(point_cloud(d, data.draw(st.booleans())))
+        xa = np.concatenate([A.points, pick(A.points)])
+        xb = np.concatenate([B.points, pick(B.points)] + ([pick(xa)] if shared else []))
+        X, Y = PointCloud(d, xa, weights(len(xa))), PointCloud(d, xb, weights(len(xb)))
+        dirs = mc_directions(d, 2 * rows + 1, data.draw(st.integers(0, 2**32 - 1)))
+        with mock.patch.object(swgeo.sliced, "_EMPIRICAL_BATCH_VALUES", rows * (X.n + Y.n)):
+            got = sw_pq_empirical(X, Y, p, q, dirs)
+        want = atoms_oracle(X, Y, p, q, dirs)
+        assert abs(got - want) <= 1e-12 * want
+        one = DirectionSet(1, np.ones((1, 1)), np.ones(1), "e1")
+        X1, Y1 = (PointCloud(1, c.points[:, :1], c.weights) for c in (X, Y))
+        assert repr(empirical_w1d(X1.points[:, 0], X1.weights, Y1.points[:, 0], Y1.weights, p)) \
+            == repr(sw_pq_empirical(X1, Y1, p, 1.0, one))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=sortable_rows())
+    def test_sort_rows_is_a_sort(self, x):
+        # the gathered rows are np.sort's, bit for bit but for the order of
+        # -0.0 and 0.0, and the columns a permutation of each row's own
+        r, n = x.shape
+        cols, srt = swgeo.transport1d._sort_rows(x, swgeo.transport1d._Workspace(r), "sorted")
+        assert np.array_equal(np.sort(cols, axis=1), np.broadcast_to(np.arange(n), (r, n)))
+        assert np.array_equal(srt.view(np.int64),
+                              np.take_along_axis(x, cols, axis=1).view(np.int64))
+        want = np.sort(x, axis=1)
+        zero = (srt == 0.0) & (want == 0.0)
+        assert np.array_equal(np.where(zero, 0, srt.view(np.int64)),
+                              np.where(zero, 0, want.view(np.int64)))
+        for i in range(r):
+            if np.unique(x[i]).size == n:
+                assert np.array_equal(cols[i], np.argsort(x[i], kind="stable"))
+            if np.isfinite(x[i]).all():
+                # equal values: -0.0 before 0.0, by column where positive,
+                # in reverse where negative
+                negative = np.signbit(srt[i][srt[i] == 0.0])
+                assert np.all(negative[:-1] >= negative[1:])
+                for v in np.unique(x[i][x[i] != 0.0]):
+                    at = cols[i][srt[i] == v]
+                    assert np.array_equal(at, np.sort(at)[::-1] if v < 0.0 else np.sort(at))
+
+    @pytest.mark.parametrize("x,want", [([1.0 + 2**-52, 1.0], [1, 0]), ([1.0, math.inf], [0, 1])],
+                             ids=["near-tie", "inf"])
+    def test_sort_rows_repairs_a_row(self, x, want):
+        # 1 + eps at column 0 and 1 at column 1: both keys clear the last
+        # bit, so they sort by column and the gathered row descends.  The
+        # key of the inf at column 1 is a nan, whose low bits the sort drops.
+        # Either row takes one stable argsort.
+        x = np.array([x])
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            order, srt = swgeo.transport1d._sort_rows(x, swgeo.transport1d._Workspace(1), "sorted")
+        assert argsort.call_count == 1
+        assert order.tolist() == [want]
+        assert srt.tolist() == [sorted(x[0].tolist())]
+
     @pytest.mark.parametrize("weighted,p", [(False, 2.0), (True, 1.0), (True, 2.0)],
                              ids=["equal", "cdf-gap", "merge"])
     def test_peak_memory_does_not_grow_with_directions(self, weighted, p):
@@ -797,6 +886,20 @@ class TestEmpirical:
             sw_pq_empirical(X, Y, p, q, self.AXES)
         with pytest.raises(MeasureError, match="not finite"):
             empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.0, 2.0], ids=["cdf-gap", "merge"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
+    def test_overflowing_weighted_clouds_are_refused(self, sign, p):
+        # unequal weights: on the diagonal of e1 and e2, the second point
+        # of X projects to sign * inf, whose key in _sort_rows is a nan
+        big = sign * 1.5e308
+        X = PointCloud(3, np.array([[0.0, 0.0, 0.0], [big, big, 0.0]]), np.array([0.25, 0.75]))
+        Y = PointCloud(3, np.eye(3)[:2], np.array([0.4, 0.6]))
+        s = math.sqrt(0.5)
+        diagonal = DirectionSet(3, np.array([[s, s, 0.0]]), np.ones(1), "diagonal")
+        with pytest.raises(MeasureError, match="not finite"):
+            sw_pq_empirical(X, Y, p, 2.0, diagonal)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p,q,want", [(2.0, 2.0, 8.16496580927726e307),

@@ -642,6 +642,28 @@ class TestArcsineMixtures:
         assert wasserstein_inf(mu, nu) == pytest.approx(true, rel=1e-15)
         assert bound[0] >= true
 
+    @pytest.mark.xfail(strict=True, reason="arcsine CDF staircase, ROADMAP item 5")
+    def test_sup_where_an_atom_ends_two_arcsine_parts(self):
+        # found by test_sup_bracket_holds_the_scanned_sup under hypothesis
+        # seed 51: nu's atom at -1.75 sits at the right end of its two
+        # parts at -2, so its quantile has one gap level u* = F_nu(-1.75),
+        # where Q_nu(u*-) = -1.75 and Q_mu is on its part at 2, at local
+        # level 4 (u* - 0.75).  The sup is there, 3.5092665711855706 (a
+        # 50-digit mpmath value agrees); found reads 3.50871670756698 and
+        # the bound is inf
+        mu = Measure1D.from_components(atoms=[(-2.0, 0.5)],
+                                       arcsine_parts=[ArcsinePart(0.25, -2.0, 0.25),
+                                                      ArcsinePart(0.25, 2.0, 0.25)])
+        nu = Measure1D.from_components(atoms=[(-1.75, 0.456531431119037)],
+                                       arcsine_parts=[ArcsinePart(0.08693713776192599, -2.0, 0.25),
+                                                      ArcsinePart(0.2282657155595185, 1.25, 0.001),
+                                                      ArcsinePart(0.2282657155595185, -2.0, 0.25)])
+        u = 0.456531431119037 + 0.08693713776192599 + 0.2282657155595185
+        true = 3.75 + 0.25 * math.sin(math.pi * (4.0 * (u - 0.75) - 0.5))
+        _, bound = swgeo.transport1d._sup_bracket(MeasureRows.of([mu, nu]), 1)
+        assert wasserstein_inf(mu, nu) == pytest.approx(true, rel=1e-15)
+        assert bound[0] >= true
+
     def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(swgeo.measure1d, "_NEWTON_STEPS", 2)
         mu, nu = arcsine_mixture(*OVERLAP_MU), arcsine_mixture(*OVERLAP_NU)
