@@ -36,6 +36,35 @@ def oracle_directions(a, b, q, dirs):
     return swgeo.sliced._sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
 
 
+def sup_directions_oracle(a, b, dirs):
+    """The q = infinity candidates of sliced._sup_directions, built one
+    vector at a time and deduplicated by np.unique over rounded rows: the
+    reference its array build must match bit for bit."""
+    d = dirs.dim
+    cands = [np.eye(d)[0]]
+    shell = isinstance(a, ShellMixture)
+    centers = [c for _, _, c in a.components] + [c for _, _, c in b.components]
+    vecs = list(centers)
+    with np.errstate(over="ignore"):
+        vecs += [c1 - c2 for i, c1 in enumerate(centers) for c2 in centers[i + 1:]]
+    for v in vecs:
+        u = v[:3] if shell else v
+        big = np.abs(u).max()
+        if 0.0 < big < math.inf:
+            u = np.ldexp(u, -math.frexp(big)[1])
+            full = np.zeros(d)
+            full[:u.size] = u / math.hypot(*u)
+            cands.append(full)
+    nodes = dirs.thetas
+    if shell and nodes.shape[0] > swgeo.sliced._SUP_NODE_CAP:
+        order = np.argsort(-np.linalg.norm(nodes[:, :3], axis=1), kind="stable")
+        nodes = nodes[order[:swgeo.sliced._SUP_NODE_CAP]]
+    cands.extend(nodes)
+    arr = np.array(cands)
+    _, idx = np.unique(np.round(arr, 12), axis=0, return_index=True)
+    return arr[np.sort(idx)]
+
+
 def loop_oracle(a, b, p, q, dirs):
     """sw_pq by the per-direction path: one projection -> wasserstein_p
     chain per direction, over the same direction (or sup candidate) set,

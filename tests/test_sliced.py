@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import swgeo.families
 import swgeo.sliced
 import swgeo.transport1d
-from helpers import loop_oracle, oracle_directions, sw_per_direction
+from helpers import loop_oracle, oracle_directions, sup_directions_oracle, sw_per_direction
 from swgeo.families import (
     _RADIUS_EPS,
     CircleMixture,
@@ -529,6 +529,114 @@ class TestExactIdentity:
         np.testing.assert_array_equal(got[6:], capped)
         oracle = max(sw_per_direction(a, b, 2.0, theta) for theta in got)
         assert abs(sw_pq(a, b, 2.0, math.inf, dirs) - oracle) <= 1e-12 * oracle
+
+
+@st.composite
+def sup_candidate_case(draw):
+    """A shell pair (d 3-6) or a circle pair, 1-3 components a side, and
+    8, 256, 257 or 1024 mc nodes.  Centers are zero, free, a repeat or the
+    opposite of an earlier one, subnormal, or near +-1e308 (a difference
+    of two of those overflows).  Some nodes are a center's direction, bit
+    for bit or a few ulps off (equal after rounding to 12 decimals), or
+    e1, so that the dedupe fires."""
+    shell = draw(st.booleans())
+    d = draw(st.integers(3, 6)) if shell else 2
+    w = 3 if shell else 2  # the coordinates a candidate takes from a center
+    kinds = st.sampled_from(["zero", "free", "repeat", "opposite", "subnormal", "huge"])
+    na = draw(st.integers(1, 3))
+    centers = []
+    for _ in range(na + draw(st.integers(1, 3))):
+        kind = draw(kinds) if centers else draw(st.sampled_from(["zero", "free", "subnormal", "huge"]))
+        if kind in ("repeat", "opposite"):
+            c = draw(st.sampled_from(centers)) * (1.0 if kind == "repeat" else -1.0)
+        else:
+            coord = {"zero": st.just(0.0), "free": st.floats(-2.0, 2.0),
+                     "subnormal": st.sampled_from([0.0, 5e-324, -5e-324, 1e-320, -3e-321, 2e-310]),
+                     "huge": st.sampled_from([0.0, 1e308, -1e308, 1.7e308, -1.7e308])}[kind]
+            c = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        centers.append(c)
+    if shell:
+        make = lambda cs: ShellMixture(d, tuple((1.0 / len(cs), 0.5, c) for c in cs))
+    else:
+        make = lambda cs: CircleMixture(tuple((1.0 / len(cs), 0.5, c) for c in cs))
+    n = draw(st.sampled_from([8, 256, 257, 1024]))
+    thetas = mc_directions(d, n, draw(st.integers(0, 2**32 - 1))).thetas
+    for c in centers:
+        if c[:w].any() and draw(st.booleans()):
+            u = c[:w] / np.abs(c[:w]).max()
+            row = np.zeros(d)
+            row[:w] = u / np.linalg.norm(u)
+            ulps = draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w))
+            row[:w] += np.array(ulps) * np.spacing(row[:w])
+            thetas[draw(st.integers(0, n - 1))] = row
+    if draw(st.booleans()):
+        thetas[draw(st.integers(0, n - 1))] = np.eye(d)[0]
+    dirs = DirectionSet(d, thetas, np.full(n, 1.0 / n), "mc+centers")
+    return make(centers[:na]), make(centers[na:]), dirs
+
+
+class TestSupDirections:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sup_candidate_case())
+    def test_sup_directions_match_the_loop_oracle(self, case):
+        a, b, dirs = case
+        got = swgeo.sliced._sup_directions(a, b, dirs)
+        want = sup_directions_oracle(a, b, dirs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def center_node():
+        # [0, 3, 4] normalizes to [0, 0.6, 0.8] exactly; node 0 is a few
+        # ulps off it, so the center's row is kept and the node's dropped
+        a = ShellMixture.single(4, 1.0, [0.0, 3.0, 4.0, 0.0])
+        b = ShellMixture.single(4, 1.0)
+        near = np.array([0.0, np.nextafter(0.6, 1.0), np.nextafter(0.8, 0.0), 0.0])
+        nodes = mc_directions(4, 7, 3).thetas
+        dirs = DirectionSet(4, np.vstack([near, nodes]), np.full(8, 1.0 / 8), "near+mc")
+        return a, b, dirs, np.vstack([np.eye(4)[0], [0.0, 0.6, 0.8, 0.0], nodes])
+
+    @staticmethod
+    def signed_zero():
+        # the center's direction rounds to [1, -0.0], the same row as e1
+        c = np.array([1.0, -1e-13])
+        assert np.signbit(np.round(c / np.linalg.norm(c), 12)[1])
+        a = CircleMixture(((1.0, 0.5, c),))
+        b = CircleMixture(((1.0, 0.5, np.zeros(2)),))
+        dirs = mc_directions(2, 8, 1)
+        return a, b, dirs, np.vstack([np.eye(2)[0], dirs.thetas])
+
+    @staticmethod
+    def cap_ties():
+        # 100 nodes share s(theta) = s0 exactly (sign flips of one shell
+        # part) and straddle the cap: 200 nodes lie above s0, so the cap
+        # takes the 56 tied nodes of lowest index, in index order
+        d = 5
+        nodes = mc_directions(d, 1024, 11).thetas
+        tied = np.arange(3, 1024, 10)[:100]
+        free = np.setdiff1d(np.arange(1024), tied)
+        s = np.linalg.norm(nodes[free, :3], axis=1)
+        ranked = np.sort(s)[::-1]
+        s0 = 0.5 * (ranked[199] + ranked[200])
+        part = s0 * np.array([0.48, 0.6, 0.64])
+        rng = np.random.default_rng(0)
+        for k, i in enumerate(tied):
+            psi = 0.1 + 2.0 * math.pi * k / len(tied)
+            nodes[i, :3] = part * rng.choice([-1.0, 1.0], size=3)
+            nodes[i, 3:] = math.sqrt(1.0 - s0 ** 2) * np.array([math.cos(psi), math.sin(psi)])
+        assert len(set(np.linalg.norm(nodes[tied, :3], axis=1).tolist())) == 1
+        a = ShellMixture.single(d, 1.0, [0.0, 0.0, 0.3, 0.0, 0.0])
+        b = ShellMixture.single(d, 0.5)
+        dirs = DirectionSet(d, nodes, np.full(1024, 1.0 / 1024), "mc+ties")
+        above = free[np.argsort(-s)[:200]]
+        return a, b, dirs, np.vstack([np.eye(d)[[0, 2]], nodes[above], nodes[tied[:56]]])
+
+    @pytest.mark.parametrize("case", ["center_node", "signed_zero", "cap_ties"])
+    def test_sup_dedupe_keeps_the_first_row(self, case):
+        a, b, dirs, want = getattr(self, case)()
+        got = swgeo.sliced._sup_directions(a, b, dirs)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == sup_directions_oracle(a, b, dirs).tobytes()
 
 
 def centered_shell_value(a, b, p, q, dirs):
