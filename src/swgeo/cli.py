@@ -146,6 +146,10 @@ def config_option(command):
 
 out_option = click.option("--out", default="-", show_default=True, help="Output path or '-'.")
 seed_option = click.option("--seed", type=int, default=0, show_default=True)
+alpha_option = click.option("--alpha", type=float, default=0.5, show_default=True)
+dirs_option = click.option("--dirs", type=int, default=64, show_default=True)
+p_option = click.option("--p", type=PFLOAT, default=2.0, show_default=True)
+t_grid_option = click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
 
 
 def _flags(ctx) -> dict:
@@ -160,24 +164,25 @@ quad_option = click.option(
          "draws from --seed), or auto: beta if every mixture compared is centered, else mc.")
 
 
-def _resolve_quad(ctx, mixtures) -> str:
-    """The rule --quad names, auto resolved and written back to ctx.params
-    for the provenance line: beta nodes if every shell mixture the command
-    compares is centered (a 1D family compares none), since they are exact
+def _directions(ctx, mixtures):
+    """The direction set of --quad, --dirs and --seed for the mixtures a
+    command compares, None for a 1D family, which compares none.  An auto
+    rule is resolved and written back to ctx.params for the provenance
+    line: beta nodes if every mixture is centered, since they are exact
     only where the distance along theta depends on it through s(theta)
     alone; mc nodes otherwise."""
-    if ctx.params["quad"] == "auto":
+    params = ctx.params
+    if params["quad"] == "auto":
         centered = True
         if mixtures:  # a 1D family loads no sliced module
             from .sliced import _is_centered
             centered = all(map(_is_centered, mixtures))
-        ctx.params["quad"] = "beta" if centered else "mc"
-    return ctx.params["quad"]
-
-
-def _build_dirs(d: int, quad: str, n: int, seed: int):
+        params["quad"] = "beta" if centered else "mc"
+    if not mixtures:
+        return None
     from .sphere import beta_directions, mc_directions
-    return beta_directions(d, n) if quad == "beta" else mc_directions(d, n, seed)
+    d, n, seed = mixtures[0].dim, params["dirs"], params["seed"]
+    return beta_directions(d, n) if params["quad"] == "beta" else mc_directions(d, n, seed)
 
 
 def _loglog_slope(ts, vals, lo: float, hi: float) -> float:
@@ -256,14 +261,14 @@ def density(ctx, alpha, beta, t, format, out):
 
 
 @main.command()
-@click.option("--alpha", type=float, default=0.5, show_default=True)
+@alpha_option
 @click.option("--p", type=PFLOAT, default=2.0, show_default=True,
               help="Transport exponent; must be > 1 (or inf).")
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True,
               help="Direction-averaging exponent (>= 1 or inf).")
 @click.option("--d", type=int, default=3, show_default=True, help="Ambient dimension.")
-@click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
-@click.option("--dirs", type=int, default=64, show_default=True)
+@t_grid_option
+@dirs_option
 @quad_option
 @seed_option
 @out_option
@@ -283,7 +288,7 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
         raise click.ClickException("t values must be positive (the ratio is 0/0 at t=0)")
     nu0 = nu_family(alpha, 0.0, 0.0, d)
     nus = [nu_family(alpha, 0.0, t, d) for t in t_grid]
-    ds = _build_dirs(d, _resolve_quad(ctx, [nu0, *nus]), dirs, seed)
+    ds = _directions(ctx, [nu0, *nus])
     rows = []
     for t, nut in zip(t_grid, nus):
         w = w_p_radial(nut, nu0, p)
@@ -297,11 +302,11 @@ def nonequiv(ctx, alpha, p, q, d, t_grid, dirs, quad, seed, out):
 
 
 @main.command()
-@click.option("--alpha", type=float, default=0.5, show_default=True)
+@alpha_option
 @click.option("--p", type=PFLOAT, default=2.0, show_default=True,
               help="Transport exponent; finite and > 1.")
 @click.option("--d", type=int, default=3, show_default=True)
-@click.option("--t-grid", type=TGRID, default="log:1e-4:1:25", show_default=True)
+@t_grid_option
 @out_option
 @config_option
 def holder(ctx, alpha, p, d, t_grid, out):
@@ -323,7 +328,7 @@ def holder(ctx, alpha, p, d, t_grid, out):
 
 
 @main.command()
-@click.option("--alpha", type=float, default=0.5, show_default=True)
+@alpha_option
 @click.option("--t-grid", type=TGRID, default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
               show_default=True)
 @out_option
@@ -345,12 +350,9 @@ def hopping(ctx, alpha, t_grid, out):
 
 @main.command()
 @click.option("--t-grid", type=TGRID, default="0.1,0.25,0.5,0.75,1", show_default=True)
-@click.option("--q", type=PFLOAT, default=2.0, show_default=True)
-@click.option("--dirs", type=int, default=8, show_default=True)
-@seed_option
 @out_option
 @config_option
-def circle(ctx, t_grid, q, dirs, seed, out):
+def circle(ctx, t_grid, out):
     """Planar example: W_inf stays 1 while the sliced distance is O(t).
 
     Both candidate closed forms sin(pi t / 2) and 2 sin(t) / pi are
@@ -360,13 +362,14 @@ def circle(ctx, t_grid, q, dirs, seed, out):
     from .sphere import mc_directions
     if any(not (0.0 < t <= 1.0) for t in t_grid):
         raise click.ClickException("t values must lie in (0, 1]")
-    ds = mc_directions(2, dirs, seed)
+    # centered circles take their one 1D distance at every q: any one node will do
+    ds = mc_directions(2, 1, 0)
     c0 = circle_family(0.0)
     rows = []
     for t in t_grid:
         ct = circle_family(t)
         w = w_inf_circle(ct, c0)
-        sw = sw_pq(ct, c0, math.inf, q, ds)
+        sw = sw_pq(ct, c0, math.inf, 2.0, ds)
         sin_form = math.sin(math.pi * t / 2.0)
         alt_form = 2.0 * math.sin(t) / math.pi
         winner = ("sin(pi*t/2)" if abs(sw - sin_form) <= abs(sw - alt_form)
@@ -443,7 +446,7 @@ def _parse_family(spec: str, d_default: int):
                 raise ValueError(f"unknown keys {sorted(kv)}")
             yv = np.zeros(d) if y is None else np.array(_parse_float_list(y))
             zv = np.zeros(d) if z is None else np.array(_parse_float_list(z))
-            return ("shell", transformed_nu_curve(alpha, x, d, a, yv, zv), d)
+            return ("shell", transformed_nu_curve(alpha, x, d, a, yv, zv))
         raise ValueError(f"unknown family kind {kind!r}")
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"unparseable family spec {spec!r}: {exc}") from exc
@@ -453,11 +456,11 @@ def _parse_family(spec: str, d_default: int):
 @click.option("--family", required=True,
               help="'mu:alpha=A;beta=B', 'nu:alpha=A;x=X1,X2,X3;d=D"
                    "[;a=A;y=..;z=..]', or 'control'.")
-@click.option("--p", type=PFLOAT, default=2.0, show_default=True)
+@p_option
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True,
               help="Used for shell families only.")
 @click.option("--grid", type=TGRID, default="0,0.25,0.5,0.75,1", show_default=True)
-@click.option("--dirs", type=int, default=64, show_default=True)
+@dirs_option
 @quad_option
 @seed_option
 @click.option("--tol", type=float, default=1e-6, show_default=True)
@@ -469,16 +472,13 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
     Exits nonzero when the deviation exceeds the tolerance, so the check
     can gate CI directly."""
     from .transport1d import pairwise_deviation, wasserstein_inf, wasserstein_p
-    parsed = _parse_family(family, d_default=3)
-    if parsed[0] == "1d":
-        curve = parsed[1]
-        _resolve_quad(ctx, ())
+    kind, curve = _parse_family(family, d_default=3)
+    ds = _directions(ctx, [curve(t) for t in grid] if kind == "shell" else ())
+    if kind == "1d":
         dist = (wasserstein_inf if math.isinf(p)
                 else lambda a, b: wasserstein_p(a, b, p))
     else:
         from .sliced import sw_pq
-        curve, d = parsed[1], parsed[2]
-        ds = _build_dirs(d, _resolve_quad(ctx, [curve(t) for t in grid]), dirs, seed)
         dist = lambda a, b: sw_pq(a, b, p, q, ds)
     rows = pairwise_deviation(curve, dist, grid)
     deviation = max(row[4] for row in rows)
@@ -494,9 +494,10 @@ def geodesic_check(ctx, family, p, q, grid, dirs, quad, seed, tol, out):
 @main.command()
 @click.option("--measure-file", "measure_files", multiple=True, required=True,
               help="Two measure files ('atom <pos> <mass>' / 'piece <lo> <hi> <rho>').")
-@click.option("--p", type=PFLOAT, default=2.0, show_default=True)
+@p_option
 @out_option
-def wp(measure_files, p, out):
+@click.pass_context
+def wp(ctx, measure_files, p, out):
     """1D distance between two measures given in the text format."""
     from .measure1d import measure_from_text
     from .transport1d import wasserstein_inf, wasserstein_p
@@ -505,16 +506,15 @@ def wp(measure_files, p, out):
     ma = measure_from_text(_read_file(measure_files[0]))
     mb = measure_from_text(_read_file(measure_files[1]))
     val = wasserstein_inf(ma, mb) if math.isinf(p) else wasserstein_p(ma, mb, p)
-    flags = {"a": measure_files[0], "b": measure_files[1], "p": p}
-    _emit(out, _csv("wp", flags, ["p", "distance"], [(p, val)]))
+    _emit(out, _csv("wp", _flags(ctx), ["p", "distance"], [(p, val)]))
 
 
 @main.command()
 @click.option("--shell-file", "shell_files", multiple=True, required=True,
               help="Two shell files ('shell <weight> <radius> <c1> ... <cd>').")
-@click.option("--p", type=PFLOAT, default=2.0, show_default=True)
+@p_option
 @click.option("--q", type=PFLOAT, default=2.0, show_default=True)
-@click.option("--dirs", type=int, default=64, show_default=True)
+@dirs_option
 @quad_option
 @seed_option
 @out_option
@@ -530,11 +530,8 @@ def sw(ctx, shell_files, p, q, dirs, quad, seed, out):
     b = shell_from_text(_read_file(shell_files[1]))
     if a.dim != b.dim:
         raise MeasureError("shell files have different ambient dimensions")
-    quad = _resolve_quad(ctx, (a, b))
-    val = sw_pq(a, b, p, q, _build_dirs(a.dim, quad, dirs, seed))
-    flags = {"a": shell_files[0], "b": shell_files[1], "p": p, "q": q,
-             "dirs": dirs, "quad": quad, "seed": seed}
-    _emit(out, _csv("sw", flags, ["p", "q", "distance"], [(p, q, val)]))
+    val = sw_pq(a, b, p, q, _directions(ctx, (a, b)))
+    _emit(out, _csv("sw", _flags(ctx), ["p", "q", "distance"], [(p, q, val)]))
 
 
 if __name__ == "__main__":

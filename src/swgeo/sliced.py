@@ -28,9 +28,10 @@ Measure1D is built on the way:
 Centered mixtures, whose centers are all exactly the origin, take a
 shortcut: their projected quantiles scale linearly with s(theta) for
 shells and do not depend on theta for circles, so W_p(proj a, proj b) =
-s(theta) * V (s = 1 for circles) with V the kernel's one row at e1.  The
-q-mean then reduces to a moment of s(theta) over the nodes.  A center
-off the origin by any amount, a rounding error too, is off center.  The
+s(theta) * V (s = 1 for circles) with V the kernel's one row at e1.  For
+shells the q-mean then reduces to a moment of s(theta) over the nodes;
+centered circles take V itself at every q.  A center off the origin by
+any amount, a rounding error too, is off center.  The
 nodes of :func:`swgeo.sphere.beta_directions` average functions of
 s(theta) only, so sw_pq refuses them unless both mixtures are centered.
 
@@ -42,11 +43,10 @@ nodes: every node for circles, and for shells at most _SUP_NODE_CAP of
 them, those of largest s(theta).  Each vector is scaled by a power of
 two before it is normalized, so that a subnormal one, whose norm would
 round on the coarse subnormal grid, still gives a unit candidate.  The
-order is e1, the centers, the center differences, then the nodes; rows
-equal after rounding to 12 decimals count once, the first one is kept,
-and -0.0 equals 0.0.  This is exact for centered shells and circles,
-and a lower bound otherwise:
-on moving translations of shell curves it fell up to 16 % below with 64
+order is e1, the centers, the center differences, then the nodes; a row
+that repeats another stays, since it cannot change the max.  This is
+exact for centered shells and circles, and a lower bound otherwise: on
+moving translations of shell curves it fell up to 16 % below with 64
 mc nodes, 10 % with 256, and 49 % with 1024, where the cap drops better
 nodes.
 
@@ -134,8 +134,7 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
     a's centers then b's), then the nodes.  Large shell node sets are
     capped at the directions of largest shell-subspace component, where
     the families treated here attain their suprema; circles take every
-    node.  Rows equal after rounding to 12 decimals count once, the first
-    one is kept, and -0.0 equals 0.0."""
+    node.  Repeated rows stay: they cannot change the max."""
     d = dirs.dim
     shell = isinstance(a, ShellMixture)
     centers = np.array([c for _, _, c in a.components + b.components])
@@ -157,14 +156,7 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
     arr[0, 0] = 1.0
     arr[1:1 + len(vecs), :vecs.shape[1]] = vecs / norms[:, None]
     arr[1 + len(vecs):] = nodes
-    # a stable sort keeps the lowest index of each group of rows that are
-    # equal as numbers (-0.0 == 0.0)
-    rounded = np.round(arr, 12)
-    order = np.lexsort(rounded.T)
-    ranked = rounded[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return arr[np.sort(order[first])]
+    return arr
 
 
 # ------------------------------------------------------------------- sw_pq
@@ -173,7 +165,8 @@ def _sup_directions(a, b, dirs: DirectionSet) -> np.ndarray:
 def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     """Sliced distance: q-mean over the direction set of the 1D W_p
     between the projections of a and b (sup over directions for q = inf).
-    Beta nodes raise MeasureError unless both mixtures are centered.
+    Centered circles take their one 1D distance at every q.  Beta nodes
+    raise MeasureError unless both mixtures are centered.
     """
     p, q = measure1d._exponent(p, "p"), measure1d._exponent(q, "q")
     if type(a) is not type(b):
@@ -185,13 +178,13 @@ def sw_pq(a, b, p: float, q: float, dirs: DirectionSet) -> float:
     if isinstance(dirs, _BetaNodes) and not centered:
         raise MeasureError("beta nodes average functions of s(theta) only: "
                            "off-center mixtures need mc nodes")
-    shell = isinstance(a, ShellMixture)
     if centered:
         # projections scale with s(theta) for shells and do not depend on
         # theta for circles: one 1D distance at e1 (s = 1, the sup) suffices
         v = float(_distances(a, b, p, np.eye(a.dim)[:1])[0])
-        s = dirs.s_values() if shell else np.ones(dirs.n)
-        dist = lambda: v if math.isinf(q) else v * float(np.dot(dirs.weights, s ** q) ** (1.0 / q))
+        dist = lambda: v
+        if isinstance(a, ShellMixture) and not math.isinf(q):
+            dist = lambda: v * float(np.dot(dirs.weights, dirs.s_values() ** q) ** (1.0 / q))
     else:
         thetas = _sup_directions(a, b, dirs) if math.isinf(q) else dirs.thetas
         vals = _distances(a, b, p, thetas)

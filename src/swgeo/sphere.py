@@ -10,7 +10,9 @@ substituting s = sin(phi) turns moments of s into smooth integrals
 integrate to near machine precision.  The beta nodes are realized as
 actual unit vectors s e1 + sqrt(1-s^2) e4, so they are valid whenever
 the integrand depends on theta only through s(theta); their set is of a
-private type, which :func:`swgeo.sliced.sw_pq` refuses off center.
+private type, which :func:`swgeo.sliced.sw_pq` refuses off center.  A
+set holds nodes and weights only; the CLI's CSV provenance line records
+how they were drawn.
 
 ``c_dq`` is the q-mean of s(theta) over the sphere; it equals 1 exactly
 for d = 3 and for q = infinity, and lies in (0, 1] otherwise.
@@ -31,12 +33,11 @@ __all__ = ["DirectionSet", "mc_directions", "beta_directions", "c_dq"]
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Weighted nodes on S^{d-1} with recorded provenance."""
+    """Weighted nodes on S^{d-1}."""
 
     dim: int
     thetas: np.ndarray  # (n, d), unit rows
     weights: np.ndarray  # (n,), positive, sums to 1
-    provenance: str
 
     def __post_init__(self):
         _weighted_rows(self, "thetas", "node")
@@ -65,7 +66,7 @@ def mc_directions(d: int, n: int, seed: int) -> DirectionSet:
     thetas = rng.standard_normal((n, d))
     thetas /= np.linalg.norm(thetas, axis=1)[:, None]
     weights = np.full(n, 1.0 / n)
-    return DirectionSet(d, thetas, weights, f"monte-carlo(seed={seed}, n={n})")
+    return DirectionSet(d, thetas, weights)
 
 
 class _BetaNodes(DirectionSet):
@@ -84,7 +85,7 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     if d == 3:
         theta = np.zeros((1, 3))
         theta[0, 0] = 1.0
-        return _BetaNodes(3, theta, np.array([1.0]), "beta-quadrature(n=1)")
+        return _BetaNodes(3, theta, np.array([1.0]))
     x, w = np.polynomial.legendre.leggauss(n)
     phi = 0.25 * math.pi * (x + 1.0)
     s = np.sin(phi)
@@ -94,7 +95,7 @@ def beta_directions(d: int, n: int) -> DirectionSet:
     thetas = np.zeros((n, d))
     thetas[:, 0] = s
     thetas[:, 3] = c
-    return _BetaNodes(d, thetas, weights, f"beta-quadrature(n={n})")
+    return _BetaNodes(d, thetas, weights)
 
 
 def c_dq(d: int, q: float, method: str = "beta", n: int = 64,

@@ -38,8 +38,8 @@ def oracle_directions(a, b, q, dirs):
 
 def sup_directions_oracle(a, b, dirs):
     """The q = infinity candidates of sliced._sup_directions, built one
-    vector at a time and deduplicated by np.unique over rounded rows: the
-    reference its array build must match bit for bit."""
+    vector at a time, repeated rows kept: the reference its array build
+    must match bit for bit."""
     d = dirs.dim
     cands = [np.eye(d)[0]]
     shell = isinstance(a, ShellMixture)
@@ -60,9 +60,7 @@ def sup_directions_oracle(a, b, dirs):
         order = np.argsort(-np.linalg.norm(nodes[:, :3], axis=1), kind="stable")
         nodes = nodes[order[:swgeo.sliced._SUP_NODE_CAP]]
     cands.extend(nodes)
-    arr = np.array(cands)
-    _, idx = np.unique(np.round(arr, 12), axis=0, return_index=True)
-    return arr[np.sort(idx)]
+    return np.array(cands)
 
 
 def loop_oracle(a, b, p, q, dirs):

@@ -35,7 +35,7 @@ DETERMINISM_CASES = [
      "--seed", "7", "--t-grid", "log:1e-4:1:9"],
     ["holder", "--alpha", "0.2", "--p", "4", "--t-grid", "log:1e-4:1e-1:9"],
     ["hopping", "--alpha", "0.5", "--t-grid", "0,0.25,0.5,0.75,1"],
-    ["circle", "--t-grid", "0.1,0.5", "--dirs", "4", "--seed", "1"],
+    ["circle", "--t-grid", "0.1,0.5"],
     ["cdq", "--d", "3,4", "--q", "2,inf", "--mc-dirs", "5000", "--seed", "3"],
     ["geodesic-check", "--family", "mu:alpha=0.5;beta=0.2", "--p", "2"],
     ["geodesic-check", "--family", "nu:alpha=0.5;x=0.2,0,0;d=4;a=2;y=0,1,0,0",
@@ -207,9 +207,26 @@ def test_quad_auto_is_recorded_as_the_rule_taken(runner, args, quad):
 
 def test_circle_output_matches_golden_file(runner, tmp_path):
     out_path = tmp_path / "circle.csv"
-    run_ok(runner, ["circle", "--t-grid", "0.1,0.25,0.5,0.75,1", "--q", "2",
-                    "--dirs", "8", "--seed", "0", "--out", str(out_path)])
+    run_ok(runner, ["circle", "--t-grid", "0.1,0.25,0.5,0.75,1", "--out", str(out_path)])
     assert out_path.read_bytes() == (GOLDEN / "circle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--q", "--dirs", "--seed"])
+def test_circle_has_no_direction_flags(runner, flag):
+    # the circle pair is centered: no direction set changes its table
+    assert runner.invoke(main, ["circle", flag, "1"]).exit_code == 2
+
+
+def test_wp_and_sw_record_every_flag(runner, tmp_path):
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    fa.write_text("atom 0 1\n")
+    fb.write_text("atom 1 1\n")
+    first = run_ok(runner, ["wp", "--measure-file", str(fa), "--measure-file", str(fb)])
+    assert first.splitlines()[0].split()[4:] == [f"measure_file={fa},{fb}", "p=2"]
+    args = translated_shells(tmp_path)
+    first = run_ok(runner, args + ["--dirs", "8"]).splitlines()[0]
+    assert first.split()[4:] == ["dirs=8", "p=2", "q=2", "quad=mc", "seed=0",
+                                 f"shell_file={args[2]},{args[4]}"]
 
 
 def test_module_entry_point_deterministic():

@@ -29,8 +29,7 @@ EQUIVALENT = [
      ["--alpha", "0.4", "--p", "3", "--d", "5", "--t-grid", "log:1e-4:1:9"]),
     ("hopping", {"alpha": "0.3", "t_grid": "0,0.3,1"},
      ["--alpha", "0.3", "--t-grid", "0,0.3,1"]),
-    ("circle", {"t_grid": "0.2,1", "q": "1", "dirs": "3", "seed": "2"},
-     ["--t-grid", "0.2,1", "--q", "1", "--dirs", "3", "--seed", "2"]),
+    ("circle", {"t_grid": "0.2,1"}, ["--t-grid", "0.2,1"]),
     ("cdq", {"d_list": "3,5", "q_list": "1,inf", "method": "both", "dirs": "32",
              "mc_dirs": "2000", "seed": "9"},
      ["--d", "3,5", "--q", "1,inf", "--method", "both", "--dirs", "32",

@@ -18,8 +18,8 @@ def runner():
 
 
 def test_measure_error_outside_any_handler_exits_1(runner):
-    # mc_directions rejects the node count before any distance is computed
-    result = runner.invoke(main, ["circle", "--dirs", "0"])
+    # beta_directions rejects the node count before any distance is computed
+    result = runner.invoke(main, ["nonequiv", "--dirs", "0"])
     assert result.exit_code == 1
     assert result.output == "Error: node count must be >= 1\n"
 
@@ -101,7 +101,7 @@ def test_sw_rejects_nan_exponents(runner, tmp_path, option, name):
 
 
 @pytest.mark.parametrize("args", [
-    ["circle"], ["cdq"], ["nonequiv", "--quad", "mc"],
+    ["cdq"], ["nonequiv", "--quad", "mc"],
     ["geodesic-check", "--family", "nu:alpha=0.5;x=0.2,0,0;d=4", "--quad", "mc"],
     ["sw", "--quad", "mc"],
 ])
@@ -158,13 +158,14 @@ def test_command_error_exits_1_with_its_line(runner, tmp_path, case):
 
 
 # one input per command that raises MeasureError inside the command, and
-# its message; a fresh interpreter runs the command's own imports only
+# its message; a fresh interpreter runs the command's own imports only.
+# circle's inputs raise none, so its case is a refusal of its own
 MEASURE_ERRORS = {
     "density": (["--alpha", "1.5", "--format", "svg"], "alpha must be in (0, 1), got 1.5"),
     "nonequiv": (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
     "holder": (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
     "hopping": (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
-    "circle": (["--dirs", "0"], "node count must be >= 1"),
+    "circle": (["--t-grid", "0"], "t values must lie in (0, 1]"),
     "cdq": (["--q", "nan"], "q must be >= 1"),
     "geodesic-check": (["--family", "nu:alpha=0.5;x=0.2,0,0;d=4", "--quad", "mc",
                         "--dirs", "0"], "node count must be >= 1"),

@@ -211,7 +211,7 @@ def directions_with_tiny_s(d, seed):
         assert np.all(2.0 * np.linalg.norm(tiny[:, :3], axis=1) < _RADIUS_EPS)
         thetas = np.vstack([thetas, tiny])
     n = thetas.shape[0]
-    return DirectionSet(d, thetas, np.full(n, 1.0 / n), f"mc+tiny-s(seed={seed})")
+    return DirectionSet(d, thetas, np.full(n, 1.0 / n))
 
 
 class TestBatchedShellKernel:
@@ -227,7 +227,7 @@ class TestBatchedShellKernel:
         dirs = directions_with_tiny_s(a.dim, seed)
         if extra is not None:
             n = max(1, rows + extra)
-            dirs = DirectionSet(a.dim, dirs.thetas[-n:], np.full(n, 1.0 / n), dirs.provenance)
+            dirs = DirectionSet(a.dim, dirs.thetas[-n:], np.full(n, 1.0 / n))
         want = loop_oracle(a, b, p, q, dirs)
         k = max(len(a.components), len(b.components))
         with mock.patch.object(swgeo.sliced, "_BATCH_VALUES", rows * 8 * k):
@@ -346,7 +346,7 @@ def circle_directions(data, a, n):
             special.insert(0, np.array([-dy, dx]) / math.hypot(dx, dy))
     k = data.draw(st.integers(0, min(n, len(special))))
     thetas = np.vstack(special[:k] + [thetas[k:]])
-    return DirectionSet(2, thetas, np.full(n, 1.0 / n), "mc+special")
+    return DirectionSet(2, thetas, np.full(n, 1.0 / n))
 
 
 class TestCircle:
@@ -376,6 +376,15 @@ class TestCircle:
             got = sw_pq(ct, c0, math.inf, q, mc_directions(2, 16, seed=4))
             assert got == pytest.approx(math.sin(0.15 * math.pi), rel=1e-15)
         assert rows == [1, 1, 1]
+
+    @pytest.mark.parametrize("n", [6, 7, 9])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_centered_circles_take_the_sup_value_at_every_q(self, n, q):
+        # the q-mean of one distance v is v, not v times the rounding of
+        # (sum of the weights)^(1/q): at t = 1 that read 0.9999999999999998
+        # at n = 7, q = 1 and 1.0000000000000002 at n = 9, q = 1
+        a, b, dirs = circle_family(1.0), circle_family(0.0), mc_directions(2, n, 0)
+        assert sw_pq(a, b, math.inf, q, dirs) == sw_pq(a, b, math.inf, math.inf, dirs)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), pair=circle_pair(), rows=st.sampled_from([1, 2, 7]),
@@ -416,7 +425,7 @@ class TestCircle:
         a = CircleMixture(((0.5, 0.8, np.array([0.3, 0.0])), (0.5, 0.6, np.array([-0.2, 0.4]))))
         b = CircleMixture(((0.7, 0.5, np.array([0.0, -0.3])), (0.3, 0.9, np.array([0.1, 0.2]))))
         ds = mc_directions(2, 300, 7)
-        dirs = DirectionSet(2, np.roll(ds.thetas, -72, axis=0), ds.weights, ds.provenance)
+        dirs = DirectionSet(2, np.roll(ds.thetas, -72, axis=0), ds.weights)
         best = max(sw_per_direction(a, b, 2.0, theta) for theta in dirs.thetas)
         assert best == pytest.approx(0.3980729613309378, rel=1e-15)
         assert sw_pq(a, b, 2.0, math.inf, dirs) == pytest.approx(best, rel=1e-12)
@@ -435,7 +444,7 @@ class TestExactIdentity:
     @staticmethod
     def one_direction(*theta):
         theta = np.array(theta) / np.linalg.norm(theta)
-        return DirectionSet(theta.size, theta[None, :], np.ones(1), "one")
+        return DirectionSet(theta.size, theta[None, :], np.ones(1))
 
     def test_atoms_an_ulp_apart_stay_two(self):
         # a's points both project to 0 on the normal of their difference;
@@ -538,7 +547,7 @@ def sup_candidate_case(draw):
     opposite of an earlier one, subnormal, or near +-1e308 (a difference
     of two of those overflows).  Some nodes are a center's direction, bit
     for bit or a few ulps off (equal after rounding to 12 decimals), or
-    e1, so that the dedupe fires."""
+    e1, so that candidate rows repeat or nearly repeat."""
     shell = draw(st.booleans())
     d = draw(st.integers(3, 6)) if shell else 2
     w = 3 if shell else 2  # the coordinates a candidate takes from a center
@@ -571,7 +580,7 @@ def sup_candidate_case(draw):
             thetas[draw(st.integers(0, n - 1))] = row
     if draw(st.booleans()):
         thetas[draw(st.integers(0, n - 1))] = np.eye(d)[0]
-    dirs = DirectionSet(d, thetas, np.full(n, 1.0 / n), "mc+centers")
+    dirs = DirectionSet(d, thetas, np.full(n, 1.0 / n))
     return make(centers[:na]), make(centers[na:]), dirs
 
 
@@ -585,29 +594,23 @@ class TestSupDirections:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @staticmethod
-    def center_node():
-        # [0, 3, 4] normalizes to [0, 0.6, 0.8] exactly; node 0 is a few
-        # ulps off it, so the center's row is kept and the node's dropped
+    def test_sup_keeps_a_node_near_a_center_direction(self):
+        # [0, 3, 4] normalizes to [0, 0.6, 0.8] exactly, and a's center and
+        # its difference from b's each give that row; node 0 is a few ulps
+        # off it (equal to 12 decimals, not bit for bit), and stays too
         a = ShellMixture.single(4, 1.0, [0.0, 3.0, 4.0, 0.0])
         b = ShellMixture.single(4, 1.0)
         near = np.array([0.0, np.nextafter(0.6, 1.0), np.nextafter(0.8, 0.0), 0.0])
         nodes = mc_directions(4, 7, 3).thetas
-        dirs = DirectionSet(4, np.vstack([near, nodes]), np.full(8, 1.0 / 8), "near+mc")
-        return a, b, dirs, np.vstack([np.eye(4)[0], [0.0, 0.6, 0.8, 0.0], nodes])
+        dirs = DirectionSet(4, np.vstack([near, nodes]), np.full(8, 1.0 / 8))
+        got = swgeo.sliced._sup_directions(a, b, dirs)
+        center = [0.0, 0.6, 0.8, 0.0]
+        assert got.tobytes() == np.vstack([np.eye(4)[0], center, center, near, nodes]).tobytes()
+        for p in (1.5, 2.0, math.inf):
+            oracle = max(sw_per_direction(a, b, p, theta) for theta in got)
+            assert sw_pq(a, b, p, math.inf, dirs) == oracle
 
-    @staticmethod
-    def signed_zero():
-        # the center's direction rounds to [1, -0.0], the same row as e1
-        c = np.array([1.0, -1e-13])
-        assert np.signbit(np.round(c / np.linalg.norm(c), 12)[1])
-        a = CircleMixture(((1.0, 0.5, c),))
-        b = CircleMixture(((1.0, 0.5, np.zeros(2)),))
-        dirs = mc_directions(2, 8, 1)
-        return a, b, dirs, np.vstack([np.eye(2)[0], dirs.thetas])
-
-    @staticmethod
-    def cap_ties():
+    def test_sup_cap_keeps_the_first_tied_nodes(self):
         # 100 nodes share s(theta) = s0 exactly (sign flips of one shell
         # part) and straddle the cap: 200 nodes lie above s0, so the cap
         # takes the 56 tied nodes of lowest index, in index order
@@ -627,13 +630,10 @@ class TestSupDirections:
         assert len(set(np.linalg.norm(nodes[tied, :3], axis=1).tolist())) == 1
         a = ShellMixture.single(d, 1.0, [0.0, 0.0, 0.3, 0.0, 0.0])
         b = ShellMixture.single(d, 0.5)
-        dirs = DirectionSet(d, nodes, np.full(1024, 1.0 / 1024), "mc+ties")
+        dirs = DirectionSet(d, nodes, np.full(1024, 1.0 / 1024))
         above = free[np.argsort(-s)[:200]]
-        return a, b, dirs, np.vstack([np.eye(d)[[0, 2]], nodes[above], nodes[tied[:56]]])
-
-    @pytest.mark.parametrize("case", ["center_node", "signed_zero", "cap_ties"])
-    def test_sup_dedupe_keeps_the_first_row(self, case):
-        a, b, dirs, want = getattr(self, case)()
+        # e1, then e3 twice: a's center and its difference from b's
+        want = np.vstack([np.eye(d)[[0, 2, 2]], nodes[above], nodes[tied[:56]]])
         got = swgeo.sliced._sup_directions(a, b, dirs)
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == sup_directions_oracle(a, b, dirs).tobytes()
@@ -842,7 +842,7 @@ class TestEmpirical:
         X = data.draw(point_cloud(1, path == "equal"))
         Y = data.draw(point_cloud(1, path == "equal" or data.draw(st.booleans())))
         p = data.draw(st.sampled_from(ps))
-        one = DirectionSet(1, np.ones((1, 1)), np.ones(1), "e1")
+        one = DirectionSet(1, np.ones((1, 1)), np.ones(1))
         got = empirical_w1d(X.points[:, 0], X.weights, Y.points[:, 0], Y.weights, p)
         assert repr(got) == repr(sw_pq_empirical(X, Y, p, 1.0, one))
 
@@ -870,7 +870,7 @@ class TestEmpirical:
             got = sw_pq_empirical(X, Y, p, q, dirs)
         want = atoms_oracle(X, Y, p, q, dirs)
         assert abs(got - want) <= 1e-12 * want
-        one = DirectionSet(1, np.ones((1, 1)), np.ones(1), "e1")
+        one = DirectionSet(1, np.ones((1, 1)), np.ones(1))
         X1, Y1 = (PointCloud(1, c.points[:, :1], c.weights) for c in (X, Y))
         assert repr(empirical_w1d(X1.points[:, 0], X1.weights, Y1.points[:, 0], Y1.weights, p)) \
             == repr(sw_pq_empirical(X1, Y1, p, 1.0, one))
@@ -981,7 +981,7 @@ class TestEmpirical:
         for p in (1.0, 2.0):
             assert sw_pq_empirical(X, Y, p, 2.0, mc_directions(3, 16, 0)) == 0.0
 
-    AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3), "axes")
+    AXES = DirectionSet(3, np.eye(3), np.full(3, 1 / 3))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big,p,q", [(1e308, 2.0, 2.0), (1e308, 1.0, 1.0),
@@ -1005,7 +1005,7 @@ class TestEmpirical:
         X = PointCloud(3, np.array([[0.0, 0.0, 0.0], [big, big, 0.0]]), np.array([0.25, 0.75]))
         Y = PointCloud(3, np.eye(3)[:2], np.array([0.4, 0.6]))
         s = math.sqrt(0.5)
-        diagonal = DirectionSet(3, np.array([[s, s, 0.0]]), np.ones(1), "diagonal")
+        diagonal = DirectionSet(3, np.array([[s, s, 0.0]]), np.ones(1))
         with pytest.raises(MeasureError, match="not finite"):
             sw_pq_empirical(X, Y, p, 2.0, diagonal)
 
@@ -1121,7 +1121,7 @@ class TestPointCloudValidation:
     lambda dim: ShellMixture(dim, ((1.0, 1.0, np.zeros(4)),)),
     lambda dim: ShellMixture.single(dim, 1.0),
     lambda dim: PointCloud(dim, np.zeros((1, 4)), np.ones(1)),
-    lambda dim: DirectionSet(dim, np.eye(4)[:1], np.ones(1), "e1"),
+    lambda dim: DirectionSet(dim, np.eye(4)[:1], np.ones(1)),
 ], ids=["ShellMixture", "ShellMixture.single", "PointCloud", "DirectionSet"])
 def test_dimension_is_an_integer(make):
     # a float dimension was kept, and sw_pq, its q = inf candidates and

@@ -68,11 +68,11 @@ class TestDirectionSetValidation:
         thetas = np.eye(4)[:2].copy()
         thetas[1, 0] = np.nan
         with pytest.raises(MeasureError, match="finite"):
-            DirectionSet(4, thetas, np.array([0.5, 0.5]), "test")
+            DirectionSet(4, thetas, np.array([0.5, 0.5]))
 
     def test_rejects_nan_weight(self):
         with pytest.raises(MeasureError, match="finite"):
-            DirectionSet(4, np.eye(4)[:2], np.array([np.nan, 1.0]), "test")
+            DirectionSet(4, np.eye(4)[:2], np.array([np.nan, 1.0]))
 
     @pytest.mark.parametrize("thetas,weights,match", [
         (np.eye(4)[0], [1.0], r"thetas must be an \(n, d\) array"),
@@ -86,7 +86,7 @@ class TestDirectionSetValidation:
             "weight-sum", "non-unit-node"])
     def test_rejects_malformed_set(self, thetas, weights, match):
         with pytest.raises(MeasureError, match=match):
-            DirectionSet(4, thetas, np.array(weights), "test")
+            DirectionSet(4, thetas, np.array(weights))
 
 
 class TestBetaDirections:
